@@ -25,10 +25,10 @@ from .data import (
     split_indices,
     write_news_day,
 )
-from .model import ForecastModel
+from .model import ForecastModel, mse_loss
 from .optim import ParamSet, adam_step, backward, finite_diff_check, init_adam
 from .tensor import Tensor, matmul, softmax_rows
-from .training import EvalReport, TrainResult, evaluate, metrics, mse_loss, multi_seed, train
+from .training import EvalReport, TrainResult, evaluate, metrics, multi_seed, train
 
 __all__ = [
     "DailyNewsBatch",

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .tensor import (
     Tensor,
     add,
     concat_cols,
+    concat_rows,
     layer_norm,
     linear,
     matmul,
@@ -42,8 +41,6 @@ def patchify(features: Tensor, patch_len: int, stride: int) -> Tensor:
     """Cut (T, d) features into flattened time-major patches of patch_len days."""
     t_window, d = features.shape
     n_p = num_patches(t_window, patch_len, stride)
-    from .tensor import concat_rows
-
     rows = []
     for p in range(n_p):
         start = p * stride
@@ -115,8 +112,6 @@ def forward_backbone(
     n_heads: int,
 ) -> Tensor:
     """Run the frozen stack and read the prediction off the patch tokens only."""
-    from .tensor import concat_rows
-
     n_p = patch_tokens.shape[0]
     if prompt_token is not None:
         seq = concat_rows([prompt_token, patch_tokens])

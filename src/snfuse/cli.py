@@ -26,6 +26,7 @@ from .data import (
 )
 from .errors import DataFormatError
 from .model import ForecastModel
+from .pooling import VARIANTS
 from .training import (
     ablation_csv,
     ablation_grid,
@@ -44,7 +45,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key=value config file")
     p.add_argument("--data", type=Path, help="data directory")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--pooling", choices=["none", "ap", "cap", "sap", "pasap"])
+    p.add_argument("--pooling", choices=VARIANTS)
     p.add_argument("--snp", choices=["on", "off"])
     p.add_argument("--horizon", type=int, choices=[1, 5])
     p.add_argument("--no-gcn", action="store_true", default=None)

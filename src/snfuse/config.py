@@ -9,10 +9,11 @@ Output/input directory locations never enter the hash.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import DataFormatError
+from .pooling import VARIANTS
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
@@ -46,7 +47,7 @@ class RunConfig:
     vocab_file: str = ""        # optional NEWSEMB1 file with V x d_model rows
 
     def validate(self) -> None:
-        if self.pooling not in ("none", "ap", "cap", "sap", "pasap"):
+        if self.pooling not in VARIANTS:
             raise ValueError(f"unknown pooling variant '{self.pooling}'")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -73,34 +74,9 @@ class RunConfig:
             raise ValueError("d_model must be divisible by reprogram_heads")
 
 
-# config-file key -> dataclass field
-_KEY_MAP = {
-    "seed": "seed",
-    "T": "t_window",
-    "H": "horizon",
-    "d": "dim",
-    "pooling": "pooling",
-    "snp": "snp",
-    "no_gcn": "no_gcn",
-    "no_p2n": "no_p2n",
-    "no_n2p": "no_n2p",
-    "d_model": "d_model",
-    "n_layers": "n_layers",
-    "n_heads": "n_heads",
-    "ffn_dim": "ffn_dim",
-    "vocab_size": "vocab_size",
-    "num_prototypes": "num_prototypes",
-    "patch_len": "patch_len",
-    "patch_stride": "patch_stride",
-    "reprogram_heads": "reprogram_heads",
-    "max_news_per_day": "max_news_per_day",
-    "lr": "lr",
-    "batch_size": "batch_size",
-    "max_epochs": "max_epochs",
-    "patience": "patience",
-    "vocab_file": "vocab_file",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_MAP.items()}
+# config-file key -> dataclass field: the field name, except for three short aliases
+_ALIASES = {"t_window": "T", "horizon": "H", "dim": "d"}
+_KEY_MAP = {_ALIASES.get(f.name, f.name): f.name for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, text: str, kind: type):
@@ -112,16 +88,12 @@ def _parse_value(key: str, text: str, kind: type):
         if low in _BOOL_FALSE:
             return False
         raise DataFormatError(f"key '{key}': expected a boolean, got '{text}'")
-    if kind is int:
+    if kind in (int, float):
         try:
-            return int(text)
+            return kind(text)
         except ValueError as exc:
-            raise DataFormatError(f"key '{key}': expected an integer, got '{text}'") from exc
-    if kind is float:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise DataFormatError(f"key '{key}': expected a number, got '{text}'") from exc
+            expected = "an integer" if kind is int else "a number"
+            raise DataFormatError(f"key '{key}': expected {expected}, got '{text}'") from exc
     return text
 
 
@@ -130,8 +102,6 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    kinds = {f.name: f.type for f in fields(RunConfig)}
-    typemap = {"int": int, "float": float, "str": str, "bool": bool}
     cfg = RunConfig()
     seen: set[str] = set()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -147,8 +117,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise DataFormatError(f"{path}:{lineno}: duplicate config key '{key}'")
         seen.add(key)
         attr = _KEY_MAP[key]
-        kind = typemap[kinds[attr]] if isinstance(kinds[attr], str) else kinds[attr]
-        setattr(cfg, attr, _parse_value(key, value, kind))
+        # every default has its field's type
+        setattr(cfg, attr, _parse_value(key, value, type(getattr(cfg, attr))))
     cfg.validate()
     return cfg
 

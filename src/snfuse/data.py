@@ -52,7 +52,6 @@ class StockContext:
     stock_id: str
     display_name: str
     name_embedding: np.ndarray  # (d,)
-    ticker: str | None = None
 
 
 @dataclass
@@ -136,7 +135,7 @@ def load_prices(path: str | Path, stock_id: str | None = None) -> PriceSeries:
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad close '{row[1]}'") from exc
             if not np.isfinite(close) or close <= 0.0:
-                raise ValueError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
+                raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
             dates.append(row[0])
             closes.append(close)
     return PriceSeries(stock_id=sid, dates=dates, closes=np.asarray(closes, dtype=np.float64))
@@ -337,7 +336,7 @@ def assemble_dataset(
             raise DataFormatError(f"{sid}: trading calendar differs from other stocks")
     total_days = len(dates)
     if total_days < t_window + horizon + 3:
-        raise ValueError(
+        raise DataFormatError(
             f"{total_days} trading days too short for T={t_window}, H={horizon} (need >= {t_window + horizon + 3})"
         )
     if len(news_raw) != total_days:

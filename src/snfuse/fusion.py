@@ -17,6 +17,7 @@ from .errors import DimensionError
 from .tensor import (
     Tensor,
     add,
+    concat_cols,
     concat_rows,
     linear,
     matmul,
@@ -31,6 +32,7 @@ from .tensor import (
 
 # Canonical blend-term order; ablation selects a subset.
 BLEND_TERMS = ("news", "price", "p2n", "n2p", "gcn")
+DIRECTIONS = ("p2n", "n2p")
 CONV_TAPS = 5
 
 
@@ -60,21 +62,22 @@ def cross_attention(
     return matmul(softmax_rows(logits), v)
 
 
-def fuse_directions(news_seq: Tensor, price_seq: Tensor, params) -> tuple[Tensor, Tensor]:
-    """Price-queries-news and news-queries-price, each with its own projections."""
+def fuse_directions(news_seq: Tensor, price_seq: Tensor, params, directions: list[str]) -> dict[str, Tensor]:
+    """Price-queries-news (p2n) and news-queries-price (n2p), each with its own projections.
+
+    Only the named directions are built, so only their weights are read.
+    """
     if news_seq.shape[0] != price_seq.shape[0]:
         raise DimensionError(
             f"news and price sequences must share length, got {news_seq.shape[0]} and {price_seq.shape[0]}"
         )
-    s_p2n = cross_attention(
-        price_seq, news_seq, news_seq,
-        params["fusion.p2n.wq"], params["fusion.p2n.wk"], params["fusion.p2n.wv"],
-    )
-    s_n2p = cross_attention(
-        news_seq, price_seq, price_seq,
-        params["fusion.n2p.wq"], params["fusion.n2p.wk"], params["fusion.n2p.wv"],
-    )
-    return s_p2n, s_n2p
+    query_and_keys = {"p2n": (price_seq, news_seq), "n2p": (news_seq, price_seq)}
+    out = {}
+    for name in directions:
+        q_seq, kv_seq = query_and_keys[name]
+        proj = [params[f"fusion.{name}.w{letter}"] for letter in "qkv"]
+        out[name] = cross_attention(q_seq, kv_seq, kv_seq, *proj)
+    return out
 
 
 def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
@@ -125,11 +128,11 @@ def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[
     """
     if not active:
         raise ValueError("no active blend terms; nothing to predict from")
-    indices = [BLEND_TERMS.index(name) for name in active]
-    select = np.zeros((len(BLEND_TERMS), len(indices)))
-    for col, idx in enumerate(indices):
-        select[idx, col] = 1.0
-    weights = softmax_rows(matmul(logits, Tensor(select)))  # (1, k)
+    if tuple(active) == BLEND_TERMS:
+        picked = logits
+    else:
+        picked = concat_cols([slice_cols(logits, i, i + 1) for i in map(BLEND_TERMS.index, active)])
+    weights = softmax_rows(picked)  # (1, k)
     out = None
     for col, name in enumerate(active):
         piece = mul(slice_cols(weights, col, col + 1), terms[name])

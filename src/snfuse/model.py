@@ -19,6 +19,14 @@ from .rng import substream
 from .tensor import Tensor, concat_rows, linear, mean_all, mul, sub
 
 
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
+    diff = sub(pred, Tensor(target))
+    return mean_all(mul(diff, diff))
+
+
 class ForecastModel:
     def __init__(self, cfg: RunConfig, dim: int, vocab: np.ndarray | None = None):
         cfg.validate()
@@ -28,8 +36,9 @@ class ForecastModel:
         self.dim = dim
         self.n_patches = bb.num_patches(cfg.t_window, cfg.patch_len, cfg.patch_stride)
         self.active_terms = self._active_terms()
+        self.directions = [t for t in self.active_terms if t in fu.DIRECTIONS]
         self.params = ParamSet()
-        self.pos_table = pl.sinusoidal_table(cfg.max_news_per_day, dim)
+        self.pos_table = pl.sinusoidal_table(cfg.max_news_per_day, dim) if cfg.pooling == "pasap" else None
         self.adjacency = fu.day_pair_adjacency(cfg.t_window)
         self._register(vocab)
 
@@ -37,14 +46,8 @@ class ForecastModel:
         cfg = self.cfg
         if cfg.pooling == "none":
             return ["price"]
-        active = ["news", "price"]
-        if not cfg.no_p2n:
-            active.append("p2n")
-        if not cfg.no_n2p:
-            active.append("n2p")
-        if not cfg.no_gcn:
-            active.append("gcn")
-        return [t for t in fu.BLEND_TERMS if t in active]
+        dropped = {"p2n": cfg.no_p2n, "n2p": cfg.no_n2p, "gcn": cfg.no_gcn}
+        return [t for t in fu.BLEND_TERMS if not dropped.get(t, False)]
 
     # -- initialization ------------------------------------------------
 
@@ -66,24 +69,21 @@ class ForecastModel:
     def _register(self, vocab: np.ndarray | None) -> None:
         cfg, d = self.cfg, self.dim
 
-        if cfg.pooling == "ap":
-            self.params.add("pooling.ap.w", self._gen("pooling.ap.w").normal(0.0, 1.0 / np.sqrt(d), size=d))
-        elif cfg.pooling == "cap":
-            noise = self._gen("pooling.cap.w_c").normal(0.0, 0.02, size=(d, d))
-            self.params.add("pooling.cap.w_c", np.eye(d) + noise)
-        elif cfg.pooling == "sap":
-            self.params.add("pooling.sap.w_s", self._gen("pooling.sap.w_s").normal(0.0, 1.0 / np.sqrt(d), size=d))
-        elif cfg.pooling == "pasap":
-            self.params.add("pooling.pasap.w_p", self._gen("pooling.pasap.w_p").normal(0.0, 1.0 / np.sqrt(d), size=d))
+        if cfg.pooling != "none":
+            pid = pl.PARAM[cfg.pooling]
+            if cfg.pooling == "cap":  # d x d map, near identity
+                values = np.eye(d) + self._gen(pid).normal(0.0, 0.02, size=(d, d))
+            else:
+                values = self._gen(pid).normal(0.0, 1.0 / np.sqrt(d), size=d)
+            self.params.add(pid, values)
 
         self._dense("fusion.price_lift", 1, d)
         self._dense("fusion.price_dense", d, d)
         if cfg.pooling != "none":
             self._dense("fusion.news_dense", d, d)
-        for direction in ("p2n", "n2p"):
-            if direction in self.active_terms:
-                for letter in ("q", "k", "v"):
-                    self._add_matrix(f"fusion.{direction}.w{letter}", d, d)
+        for direction in self.directions:
+            for letter in ("q", "k", "v"):
+                self._add_matrix(f"fusion.{direction}.w{letter}", d, d)
         if "gcn" in self.active_terms:
             self._dense("fusion.gcn", d, d)
             for k in range(fu.CONV_TAPS):
@@ -140,16 +140,13 @@ class ForecastModel:
         if cfg.pooling != "none":
             if len(news) != cfg.t_window:
                 raise ValueError(f"need {cfg.t_window} news slots, got {len(news)}")
-            pooled = [pl.pool_day(cfg.pooling, day, name_emb, p, self.pos_table).pooled for day in news]
+            w = p[pl.PARAM[cfg.pooling]]
+            pooled = [pl.pool_day(cfg.pooling, day, name_emb, w, self.pos_table).pooled for day in news]
             news_raw = concat_rows(pooled)
             news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
             terms["news"] = news_seq
-            if "p2n" in self.active_terms or "n2p" in self.active_terms:
-                s_p2n, s_n2p = fu.fuse_directions(news_seq, price_seq, p)
-                if "p2n" in self.active_terms:
-                    terms["p2n"] = s_p2n
-                if "n2p" in self.active_terms:
-                    terms["n2p"] = s_n2p
+            if self.directions:
+                terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
             if "gcn" in self.active_terms:
                 terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
         fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms)
@@ -174,6 +171,5 @@ class ForecastModel:
 
     def batch_loss(self, batch) -> Tensor:
         preds = self.batch_predictions(batch)
-        targets = Tensor(np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for *_, t in batch]))
-        diff = sub(preds, targets)
-        return mean_all(mul(diff, diff))
+        targets = np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for *_, t in batch])
+        return mse_loss(preds, targets)

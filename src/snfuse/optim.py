@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericError
 from .tensor import Tensor
 
 
@@ -39,9 +40,6 @@ class ParamSet:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def ids(self) -> list[str]:
         return sorted(self._tensors)
 
@@ -55,9 +53,9 @@ class ParamSet:
         for t in self._tensors.values():
             t.grad = None
 
-    def snapshot(self, trainable_only: bool = True) -> dict[str, np.ndarray]:
-        ids = self.trainable_ids() if trainable_only else self.ids()
-        return {name: self._tensors[name].data.copy() for name in ids}
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Copies of the trainable tensors."""
+        return {name: self._tensors[name].data.copy() for name in self.trainable_ids()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         for name, arr in snap.items():
@@ -67,9 +65,11 @@ class ParamSet:
 def backward(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
     """Reverse-mode gradients for every trainable parameter.
 
-    Raises if the loss is not scalar or if some trainable parameter is
-    unreachable from it (that means the model registered a dead parameter).
-    Frozen parameters never appear in the returned map.
+    Raises ValueError if the loss is not scalar or if some trainable
+    parameter is unreachable from it (that means the model registered a
+    dead parameter), and NumericError naming the first trainable parameter
+    (in id order) whose gradient holds a non-finite value. Frozen
+    parameters never appear in the returned map.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -85,6 +85,9 @@ def backward(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
     params.clear_grads()
     if missing:
         raise ValueError(f"no gradient reached trainable parameters: {', '.join(missing)}")
+    for pid, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter '{pid}'")
     return grads
 
 

@@ -1,10 +1,12 @@
 """Collapse one day's news matrix into a single vector.
 
-Four variants share the same skeleton: a softmax over per-row logits and a
-weighted sum of the rows. They differ in what produces the logits and
-whether the stock name participates as query (cap), as an extra row (sap),
-or by row-wise addition with positional codes (pasap). Plain ap ignores
-the name entirely.
+All variants run one kernel, `pool_day`: the self-attentive pooling of
+Lin et al. (arXiv 1703.03130), a softmax over query . row logits and a
+weighted sum of the rows. Three knobs tell them apart. The query is the
+trainable vector w, or for cap the name embedding through a trainable
+d x d map. sap prepends the name embedding as an extra row (so a day
+without articles pools to it exactly). pasap adds the name embedding and
+sinusoidal position codes to every row. ap uses the name in neither way.
 
 ap/cap/sap treat the day's articles as an unordered set, so their rows are
 put into a canonical (lexicographic) order before any arithmetic; that
@@ -18,15 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, concat_rows, matmul, reshape, softmax_rows, transpose
+from .tensor import Tensor, matmul, reshape, softmax_rows
 
 VARIANTS = ("none", "ap", "cap", "sap", "pasap")
+
+# variant -> id of its single trainable tensor
+PARAM = {
+    "ap": "pooling.ap.w",
+    "cap": "pooling.cap.w_c",
+    "sap": "pooling.sap.w_s",
+    "pasap": "pooling.pasap.w_p",
+}
 
 
 @dataclass
 class PoolResult:
     pooled: Tensor  # (1, d)
-    weights: np.ndarray | None  # attention over input rows, original order
+    weights: np.ndarray | None  # attention over input rows, original order (sap: name row first)
     degenerate: bool = False
 
 
@@ -48,91 +58,40 @@ def sinusoidal_table(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
-def _attend(rows: np.ndarray, logits: Tensor) -> tuple[Tensor, np.ndarray]:
-    weights = softmax_rows(logits)  # (1, n)
-    pooled = matmul(weights, Tensor(rows))
-    return pooled, weights.data.reshape(-1).copy()
-
-
-def pool_ap(news: np.ndarray, w: Tensor) -> PoolResult:
-    """softmax(w . rows) weighted sum; the trainable vector is the query."""
-    n, d = news.shape
-    if n == 0:
-        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
-    order = canonical_order(news)
-    rows = news[order]
-    logits = matmul(reshape(w, (1, d)), Tensor(rows.T))
-    pooled, wsorted = _attend(rows, logits)
-    weights = np.empty(n)
-    weights[order] = wsorted
-    return PoolResult(pooled=pooled, weights=weights)
-
-
-def pool_cap(news: np.ndarray, name_emb: np.ndarray, w_c: Tensor) -> PoolResult:
-    """Name embedding queries the rows through a trainable d x d map."""
-    n, d = news.shape
-    if n == 0:
-        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
-    order = canonical_order(news)
-    rows = news[order]
-    logits = matmul(matmul(Tensor(name_emb.reshape(1, d)), w_c), Tensor(rows.T))
-    pooled, wsorted = _attend(rows, logits)
-    weights = np.empty(n)
-    weights[order] = wsorted
-    return PoolResult(pooled=pooled, weights=weights)
-
-
-def pool_sap(news: np.ndarray, name_emb: np.ndarray, w_s: Tensor) -> PoolResult:
-    """Name embedding is prepended as an extra row; self-attentive sum over all n+1.
-
-    With n=0 the sum runs over the name row alone (the output equals the
-    name embedding exactly); the graph still passes through w_s so it keeps
-    receiving a gradient, zero-valued on such days.
-    """
-    n, d = news.shape
-    if n == 0:
-        order = np.arange(0)
-        rows = name_emb.reshape(1, d)
-    else:
-        order = canonical_order(news)
-        rows = np.concatenate([name_emb.reshape(1, d), news[order]], axis=0)
-    logits = matmul(reshape(w_s, (1, d)), Tensor(rows.T))
-    pooled, wsorted = _attend(rows, logits)
-    weights = np.empty(n + 1)
-    weights[0] = wsorted[0]
-    if n:
-        weights[1 + order] = wsorted[1:]
-    return PoolResult(pooled=pooled, weights=weights)
-
-
-def pool_pasap(news: np.ndarray, name_emb: np.ndarray, w_p: Tensor, table: np.ndarray) -> PoolResult:
-    """Rows get the name embedding and position codes added, then self-attentive sum."""
-    n, d = news.shape
-    if n == 0:
-        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
-    if n > table.shape[0]:
-        raise ValueError(f"{n} articles exceed the positional table length {table.shape[0]}")
-    rows = news + name_emb.reshape(1, d) + table[:n]
-    logits = matmul(reshape(w_p, (1, d)), Tensor(rows.T))
-    pooled, weights = _attend(rows, logits)
-    return PoolResult(pooled=pooled, weights=weights)
-
-
 def pool_day(
     variant: str,
     news: np.ndarray,
-    name_emb: np.ndarray,
-    params,
+    name_emb: np.ndarray | None,
+    w: Tensor,
     table: np.ndarray | None = None,
 ) -> PoolResult:
-    if variant == "ap":
-        return pool_ap(news, params["pooling.ap.w"])
-    if variant == "cap":
-        return pool_cap(news, name_emb, params["pooling.cap.w_c"])
-    if variant == "sap":
-        return pool_sap(news, name_emb, params["pooling.sap.w_s"])
+    """Pool (n, d) news rows with the variant's trainable tensor w; ap ignores name_emb."""
+    if variant not in PARAM:
+        raise ValueError(f"unknown pooling variant '{variant}'")
+    if variant == "pasap" and table is None:
+        raise ValueError("pasap pooling needs a positional table")
+    n, d = news.shape
+    if n == 0 and variant != "sap":
+        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
+
     if variant == "pasap":
-        if table is None:
-            raise ValueError("pasap pooling needs a positional table")
-        return pool_pasap(news, name_emb, params["pooling.pasap.w_p"], table)
-    raise ValueError(f"unknown pooling variant '{variant}'")
+        if n > table.shape[0]:
+            raise ValueError(f"{n} articles exceed the positional table length {table.shape[0]}")
+        order = slice(None)
+        rows = news + name_emb.reshape(1, d) + table[:n]
+    else:
+        order = canonical_order(news)
+        rows = news[order]
+    lead = 1 if variant == "sap" else 0
+    if lead:
+        rows = np.concatenate([name_emb.reshape(1, d), rows], axis=0)
+
+    query = matmul(Tensor(name_emb.reshape(1, d)), w) if variant == "cap" else reshape(w, (1, d))
+    attn = softmax_rows(matmul(query, Tensor(rows.T)))  # (1, lead + n)
+    pooled = matmul(attn, Tensor(rows))
+
+    sorted_weights = attn.data.reshape(-1)
+    weights = np.empty(lead + n)
+    weights[:lead] = sorted_weights[:lead]
+    weights[lead:][order] = sorted_weights[lead:]
+    return PoolResult(pooled=pooled, weights=weights)

@@ -13,9 +13,8 @@ from .config import RunConfig, config_hash
 from .data import PreparedDataset, WindowSample
 from .errors import DataFormatError, NumericError
 from .model import ForecastModel
-from .optim import ParamSet, adam_step, backward, init_adam
+from .optim import adam_step, backward, finite_diff_check, init_adam
 from .rng import substream
-from .tensor import Tensor, mean_all, mul, sub
 
 CHECKPOINT_MAGIC = b"SNFUSE01"
 
@@ -30,14 +29,6 @@ ABLATION_ROWS: list[tuple[str, tuple[bool, bool, bool]]] = [
     ("- P2N - GCN", (True, False, True)),
     ("- P2N - N2P - GCN", (True, True, True)),
 ]
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    diff = sub(pred, Tensor(target))
-    return mean_all(mul(diff, diff))
 
 
 def metrics(pred: np.ndarray, target: np.ndarray) -> tuple[float, float]:
@@ -100,14 +91,10 @@ def _dataset_mse(model: ForecastModel, resolved) -> float:
     return float(np.concatenate(errs).mean())
 
 
-def _first_nonfinite(model: ForecastModel, grads: dict[str, np.ndarray] | None) -> str:
+def _first_nonfinite(model: ForecastModel) -> str:
     for pid in model.params.ids():
         if not np.all(np.isfinite(model.params[pid].data)):
             return pid
-    if grads:
-        for pid in sorted(grads):
-            if not np.all(np.isfinite(grads[pid])):
-                return pid
     return "<loss only>"
 
 
@@ -134,7 +121,7 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
             loss = model.batch_loss(batch)
             if not np.isfinite(loss.data):
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch}; first non-finite tensor: {_first_nonfinite(model, None)}"
+                    f"non-finite loss at epoch {epoch}; first non-finite tensor: {_first_nonfinite(model)}"
                 )
             grads = backward(loss, model.params)
             adam_step(model.params, grads, state)
@@ -248,6 +235,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         pid = take_str()
+        if pid in tensors:
+            raise DataFormatError(f"{path}: duplicate tensor '{pid}'")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         size = int(np.prod(shape)) if shape else 1
@@ -360,8 +349,6 @@ def toy_gradient_check(cfg: RunConfig, step: float = 1e-6, tol: float = 1e-4):
     keeps the caller's pooling variant, prompt flag, and ablation flags, so
     the check exercises exactly the configured gradient paths.
     """
-    from .optim import finite_diff_check
-
     toy_cfg = replace(
         cfg,
         t_window=6,

@@ -1,0 +1,44 @@
+import numpy as np
+
+from datagen import toy_dataset_dir, trading_dates, write_prices
+from snfuse.cli import main
+
+
+def _tiny_cfg(tmp_path):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(
+        "T = 8\npatch_len = 4\npatch_stride = 4\nmax_epochs = 1\npatience = 1\n"
+        "d_model = 8\nn_heads = 2\nffn_dim = 8\nvocab_size = 8\nnum_prototypes = 4\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_prepare_nonpositive_close_exits_2(tmp_path, capsys):
+    data = toy_dataset_dir(tmp_path / "data", n_days=60)
+    closes = np.full(60, 10.0)
+    closes[30] = -1.0
+    write_prices(data / "beta" / "prices.csv", trading_dates(60), closes)
+    code = main(["prepare", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "close must be finite and positive" in capsys.readouterr().err
+
+
+def test_prepare_too_short_series_exits_2(tmp_path, capsys):
+    data = toy_dataset_dir(tmp_path / "data", n_days=20)
+    code = main(["prepare", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "too short" in capsys.readouterr().err
+
+
+def test_train_with_one_direction_removed_exits_0(tmp_path):
+    data = toy_dataset_dir(tmp_path / "data", n_days=95)
+    cfg = _tiny_cfg(tmp_path)
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(prep)]) == 0
+    for flag in ("--no-p2n", "--no-n2p"):
+        out = tmp_path / flag.strip("-")
+        code = main(["train", "--config", str(cfg), "--data", str(data), "--manifest",
+                     str(prep / "dataset.manifest"), "--out", str(out), flag])
+        assert code == 0
+        assert (out / "checkpoint.snf").is_file()

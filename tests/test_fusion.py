@@ -100,7 +100,8 @@ def test_fuse_directions_symmetry_when_inputs_tied():
         for letter in ("q", "k", "v"):
             params.add(f"fusion.{direction}.w{letter}", np.eye(d))
     x = Tensor(np.random.default_rng(1).normal(size=(t, d)))
-    s_p2n, s_n2p = fuse_directions(x, x, params)
+    fused = fuse_directions(x, x, params, ["p2n", "n2p"])
+    s_p2n, s_n2p = fused["p2n"], fused["n2p"]
     np.testing.assert_allclose(s_p2n.data, s_n2p.data, atol=1e-15)
 
 
@@ -110,7 +111,8 @@ def test_fuse_directions_shapes_and_oracle():
     params = _random_proj_params(rng, d)
     news = rng.uniform(-1, 1, size=(t, d))
     price = rng.uniform(-1, 1, size=(t, d))
-    s_p2n, s_n2p = fuse_directions(Tensor(news), Tensor(price), params)
+    fused = fuse_directions(Tensor(news), Tensor(price), params, ["p2n", "n2p"])
+    s_p2n, s_n2p = fused["p2n"], fused["n2p"]
     assert s_p2n.shape == (t, d) and s_n2p.shape == (t, d)
     exp_p2n = cross_attention_oracle(
         price.tolist(), news.tolist(),

@@ -10,13 +10,7 @@ from oracles import (
     softmax_vec,
 )
 from snfuse.optim import ParamSet, finite_diff_check
-from snfuse.pooling import (
-    pool_ap,
-    pool_cap,
-    pool_pasap,
-    pool_sap,
-    sinusoidal_table,
-)
+from snfuse.pooling import pool_day, sinusoidal_table
 from snfuse.tensor import Tensor, sum_all
 
 
@@ -30,7 +24,7 @@ def _param(values):
 
 def test_ap_single_row_returns_it():
     _, w = _param([0.3, -0.7])
-    res = pool_ap(np.array([[5.0, 6.0]]), w)
+    res = pool_day("ap", np.array([[5.0, 6.0]]), None, w)
     np.testing.assert_array_equal(res.pooled.data, [[5.0, 6.0]])
     np.testing.assert_array_equal(res.weights, [1.0])
 
@@ -38,20 +32,20 @@ def test_ap_single_row_returns_it():
 def test_ap_hand_case():
     # logits [2, 0]: softmax weights from scalar evaluation of e^2/(e^2+1)
     _, w = _param([1.0, 0.0])
-    res = pool_ap(np.array([[2.0, 0.0], [0.0, 2.0]]), w)
+    res = pool_day("ap", np.array([[2.0, 0.0], [0.0, 2.0]]), None, w)
     np.testing.assert_allclose(res.pooled.data, [[1.761594, 0.238406]], atol=5e-7)
 
 
 def test_ap_identical_rows_convexity():
     _, w = _param([0.4, 0.9, -0.1])
     row = np.array([1.5, -2.0, 0.25])
-    res = pool_ap(np.tile(row, (4, 1)), w)
+    res = pool_day("ap", np.tile(row, (4, 1)), None, w)
     np.testing.assert_allclose(res.pooled.data.reshape(-1), row, atol=1e-15)
 
 
 def test_ap_zero_news_degenerate():
     _, w = _param([1.0, 1.0])
-    res = pool_ap(np.zeros((0, 2)), w)
+    res = pool_day("ap", np.zeros((0, 2)), None, w)
     assert res.degenerate
     np.testing.assert_array_equal(res.pooled.data, [[0.0, 0.0]])
 
@@ -61,7 +55,7 @@ def test_ap_zero_news_degenerate():
 
 def test_cap_identity_map_hand_case():
     _, wc = _param(np.eye(2))
-    res = pool_cap(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), wc)
+    res = pool_day("cap", np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), wc)
     np.testing.assert_allclose(res.pooled.data, [[0.731059, 0.268941]], atol=5e-7)
 
 
@@ -69,7 +63,7 @@ def test_cap_zero_map_gives_column_mean():
     _, wc = _param(np.zeros((3, 3)))
     rng = np.random.default_rng(0)
     news = rng.normal(size=(5, 3))
-    res = pool_cap(news, rng.normal(size=3), wc)
+    res = pool_day("cap", news, rng.normal(size=3), wc)
     np.testing.assert_allclose(res.pooled.data.reshape(-1), news.mean(axis=0), atol=1e-12)
 
 
@@ -82,8 +76,8 @@ def test_cap_argmax_invariant_under_positive_scaling():
         news = rng.normal(size=(n, d))
         e = rng.normal(size=d)
         lam = float(rng.uniform(0.01, 50.0))
-        base = pool_cap(news, e, wc).weights
-        scaled = pool_cap(news, lam * e, wc).weights
+        base = pool_day("cap", news, e, wc).weights
+        scaled = pool_day("cap", news, lam * e, wc).weights
         assert np.argmax(base) == np.argmax(scaled)
 
 
@@ -93,7 +87,7 @@ def test_cap_argmax_invariant_under_positive_scaling():
 def test_sap_zero_news_returns_name_embedding():
     params, ws = _param([0.5, -0.5])
     e = np.array([3.0, 4.0])
-    res = pool_sap(np.zeros((0, 2)), e, ws)
+    res = pool_day("sap", np.zeros((0, 2)), e, ws)
     np.testing.assert_array_equal(res.pooled.data, [[3.0, 4.0]])
     np.testing.assert_array_equal(res.weights, [1.0])
     # w_s still participates in the graph with a (zero) gradient
@@ -105,7 +99,7 @@ def test_sap_zero_news_returns_name_embedding():
 
 def test_sap_name_equals_news_row():
     _, ws = _param([2.0, -1.0])
-    res = pool_sap(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]), ws)
+    res = pool_day("sap", np.array([[1.0, 0.0]]), np.array([1.0, 0.0]), ws)
     np.testing.assert_allclose(res.pooled.data, [[1.0, 0.0]], atol=1e-15)
 
 
@@ -116,7 +110,7 @@ def test_sap_matches_scalar_loop_oracle():
         news = rng.normal(size=(2, d))
         e = rng.normal(size=d)
         _, ws = _param(rng.normal(size=d))
-        res = pool_sap(news, e, ws)
+        res = pool_day("sap", news, e, ws)
         expected = pool_sap_oracle(news.tolist(), e.tolist(), ws.data.tolist())
         np.testing.assert_allclose(res.pooled.data.reshape(-1), expected, atol=1e-10)
 
@@ -138,8 +132,8 @@ def test_pasap_reduces_to_ap_when_positions_and_name_zero():
     _, wp = _param(w)
     _, wa = _param(w)
     zero_table = np.zeros((10, 3))
-    res_pasap = pool_pasap(news, np.zeros(3), wp, zero_table)
-    res_ap = pool_ap(news, wa)
+    res_pasap = pool_day("pasap", news, np.zeros(3), wp, zero_table)
+    res_ap = pool_day("ap", news, None, wa)
     # ap sorts rows canonically, pasap does not; values still agree to rounding
     np.testing.assert_allclose(res_pasap.pooled.data, res_ap.pooled.data, atol=1e-12)
 
@@ -149,7 +143,7 @@ def test_pasap_single_row_adds_name_and_position():
     news = np.array([[0.5, 0.5]])
     e = np.array([1.0, 2.0])
     table = sinusoidal_table(4, 2)
-    res = pool_pasap(news, e, wp, table)
+    res = pool_day("pasap", news, e, wp, table)
     np.testing.assert_allclose(res.pooled.data.reshape(-1), news[0] + e + table[0], atol=1e-15)
 
 
@@ -159,18 +153,18 @@ def test_pasap_is_position_sensitive():
     e = rng.normal(size=4)
     _, wp = _param(rng.normal(size=4))
     table = sinusoidal_table(8, 4)
-    base = pool_pasap(news, e, wp, table).pooled.data
-    swapped = pool_pasap(news[[1, 0, 2]], e, wp, table).pooled.data
+    base = pool_day("pasap", news, e, wp, table).pooled.data
+    swapped = pool_day("pasap", news[[1, 0, 2]], e, wp, table).pooled.data
     assert not np.allclose(base, swapped)
 
 
 def test_pasap_zero_news_degenerate_and_length_guard():
     _, wp = _param([1.0, 1.0])
     table = sinusoidal_table(2, 2)
-    res = pool_pasap(np.zeros((0, 2)), np.ones(2), wp, table)
+    res = pool_day("pasap", np.zeros((0, 2)), np.ones(2), wp, table)
     assert res.degenerate
     with pytest.raises(ValueError, match="positional table"):
-        pool_pasap(np.ones((3, 2)), np.ones(2), wp, table)
+        pool_day("pasap", np.ones((3, 2)), np.ones(2), wp, table)
 
 
 # -- shared properties -----------------------------------------------------
@@ -190,16 +184,16 @@ def test_all_variants_match_scalar_loop_oracles_200_instances():
         _, wc = _param(rng.uniform(-2, 2, size=(d, d)))
         table = sinusoidal_table(16, d)
 
-        got = pool_ap(news, w).pooled.data.reshape(-1)
+        got = pool_day("ap", news, None, w).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_ap_oracle(news.tolist(), w.data.tolist()), atol=1e-10)
 
-        got = pool_cap(news, e, wc).pooled.data.reshape(-1)
+        got = pool_day("cap", news, e, wc).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_cap_oracle(news.tolist(), e.tolist(), wc.data.tolist()), atol=1e-10)
 
-        got = pool_sap(news, e, w).pooled.data.reshape(-1)
+        got = pool_day("sap", news, e, w).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_sap_oracle(news.tolist(), e.tolist(), w.data.tolist()), atol=1e-10)
 
-        got = pool_pasap(news, e, w, table).pooled.data.reshape(-1)
+        got = pool_day("pasap", news, e, w, table).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_pasap_oracle(news.tolist(), e.tolist(), w.data.tolist()), atol=1e-10)
 
 
@@ -211,14 +205,14 @@ def test_permutation_invariance_bitwise_for_set_variants():
             continue
         _, w = _param(rng.uniform(-2, 2, size=d))
         _, wc = _param(rng.uniform(-2, 2, size=(d, d)))
-        base_ap = pool_ap(news, w).pooled.data
-        base_cap = pool_cap(news, e, wc).pooled.data
-        base_sap = pool_sap(news, e, w).pooled.data
+        base_ap = pool_day("ap", news, None, w).pooled.data
+        base_cap = pool_day("cap", news, e, wc).pooled.data
+        base_sap = pool_day("sap", news, e, w).pooled.data
         for _ in range(10):
             perm = rng.permutation(n)
-            assert np.array_equal(pool_ap(news[perm], w).pooled.data, base_ap)
-            assert np.array_equal(pool_cap(news[perm], e, wc).pooled.data, base_cap)
-            assert np.array_equal(pool_sap(news[perm], e, w).pooled.data, base_sap)
+            assert np.array_equal(pool_day("ap", news[perm], None, w).pooled.data, base_ap)
+            assert np.array_equal(pool_day("cap", news[perm], e, wc).pooled.data, base_cap)
+            assert np.array_equal(pool_day("sap", news[perm], e, w).pooled.data, base_sap)
 
 
 def test_attention_weights_sum_to_one():
@@ -229,10 +223,10 @@ def test_attention_weights_sum_to_one():
         _, wc = _param(rng.uniform(-2, 2, size=(d, d)))
         table = sinusoidal_table(16, d)
         for res in (
-            pool_ap(news, w),
-            pool_cap(news, e, wc),
-            pool_sap(news, e, w),
-            pool_pasap(news, e, w, table),
+            pool_day("ap", news, None, w),
+            pool_day("cap", news, e, wc),
+            pool_day("sap", news, e, w),
+            pool_day("pasap", news, e, w, table),
         ):
             assert abs(res.weights.sum() - 1.0) <= 1e-12
 
@@ -247,7 +241,7 @@ def test_ap_cap_outputs_in_convex_hull_low_dim():
         _, w = _param(rng.uniform(-2, 2, size=d))
         _, wc = _param(rng.uniform(-2, 2, size=(d, d)))
         e = rng.uniform(-2, 2, size=d)
-        for res in (pool_ap(news, w), pool_cap(news, e, wc)):
+        for res in (pool_day("ap", news, None, w), pool_day("cap", news, e, wc)):
             weights = res.weights
             assert np.all(weights >= 0)
             recon = weights @ news
@@ -262,10 +256,10 @@ def test_pooling_gradients_pass_finite_differences():
     table = sinusoidal_table(8, 3)
 
     cases = {
-        "ap": (rng.uniform(-1, 1, size=3), lambda p: pool_ap(news, p["p"]).pooled),
-        "cap": (rng.uniform(-1, 1, size=(3, 3)), lambda p: pool_cap(news, e, p["p"]).pooled),
-        "sap": (rng.uniform(-1, 1, size=3), lambda p: pool_sap(news, e, p["p"]).pooled),
-        "pasap": (rng.uniform(-1, 1, size=3), lambda p: pool_pasap(news, e, p["p"], table).pooled),
+        "ap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("ap", news, None, p["p"]).pooled),
+        "cap": (rng.uniform(-1, 1, size=(3, 3)), lambda p: pool_day("cap", news, e, p["p"]).pooled),
+        "sap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("sap", news, e, p["p"]).pooled),
+        "pasap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("pasap", news, e, p["p"], table).pooled),
     }
     from snfuse.tensor import mul
 
