@@ -5,17 +5,25 @@ into the surrogate's embedding space by attending over learned prototypes
 of a frozen vocabulary matrix. The surrogate itself is a small pre-LN
 encoder whose weights are seeded once and never trained; only the
 reprogramming side and the prediction head carry gradients.
+
+`patchify`, `backbone_forward` and `forward_backbone` take `windows`: with
+windows > 1 their rows are that many windows stacked one after another,
+each window is processed on its own, and the call is forward only.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .tensor import (
     Tensor,
     add,
+    block_attention,
     concat_cols,
     concat_rows,
+    gather_rows,
     layer_norm,
     linear,
     matmul,
@@ -37,10 +45,15 @@ def num_patches(t_window: int, patch_len: int, stride: int) -> int:
     return (t_window - patch_len) // stride + 1
 
 
-def patchify(features: Tensor, patch_len: int, stride: int) -> Tensor:
+def patchify(features: Tensor, patch_len: int, stride: int, windows: int = 1) -> Tensor:
     """Cut (T, d) features into flattened time-major patches of patch_len days."""
-    t_window, d = features.shape
+    rows, d = features.shape
+    t_window = rows // windows
     n_p = num_patches(t_window, patch_len, stride)
+    if windows > 1:
+        starts = np.arange(windows)[:, None] * t_window + np.arange(n_p)[None, :] * stride
+        index = (starts[:, :, None] + np.arange(patch_len)).reshape(-1)
+        return reshape(gather_rows(features, index), (windows * n_p, patch_len * d))
     rows = []
     for p in range(n_p):
         start = p * stride
@@ -86,7 +99,7 @@ def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1) -> 
     return _split_heads_attention(q, k, v, n_heads)
 
 
-def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int) -> Tensor:
+def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, windows: int = 1) -> Tensor:
     """Frozen pre-LN encoder stack with a final layer norm."""
     x = tokens
     for layer in range(n_layers):
@@ -95,7 +108,10 @@ def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int) -> Ten
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = matmul(normed, params[f"{p}.attn.wk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        attended = _split_heads_attention(q, k, v, n_heads)
+        if windows > 1:
+            attended = block_attention(q, k, v, n_heads, windows)
+        else:
+            attended = _split_heads_attention(q, k, v, n_heads)
         x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),
@@ -110,15 +126,26 @@ def forward_backbone(
     params,
     n_layers: int,
     n_heads: int,
+    windows: int = 1,
 ) -> Tensor:
-    """Run the frozen stack and read the prediction off the patch tokens only."""
-    n_p = patch_tokens.shape[0]
-    if prompt_token is not None:
+    """Run the frozen stack and read the prediction off the patch tokens only.
+
+    Stacked windows carry one prompt row each, which leads its window's
+    sequence; the result has one row per window.
+    """
+    n_p = patch_tokens.shape[0] // windows
+    if prompt_token is None:
+        patch_hidden = backbone_forward(patch_tokens, params, n_layers, n_heads, windows)
+    elif windows > 1:
+        first = np.arange(windows)[:, None]
+        seq_index = np.concatenate([first, windows + first * n_p + np.arange(n_p)], axis=1).reshape(-1)
+        seq = gather_rows(concat_rows([prompt_token, patch_tokens]), seq_index)
+        hidden = backbone_forward(seq, params, n_layers, n_heads, windows)
+        patch_hidden = gather_rows(hidden, (first * (1 + n_p) + 1 + np.arange(n_p)).reshape(-1))
+    else:
         seq = concat_rows([prompt_token, patch_tokens])
         hidden = backbone_forward(seq, params, n_layers, n_heads)
         patch_hidden = slice_rows(hidden, 1, 1 + n_p)
-    else:
-        patch_hidden = backbone_forward(patch_tokens, params, n_layers, n_heads)
     d_model = patch_hidden.shape[1]
-    flat = reshape(patch_hidden, (1, n_p * d_model))
+    flat = reshape(patch_hidden, (windows, n_p * d_model))
     return linear(flat, params["reprog.head.w"], params["reprog.head.b"])

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 input/format failure.
 Outputs are byte-deterministic for a fixed seed; wall-clock timestamps go
-only into the run_meta.json sidecar.
+only into the run_meta.<command>.json sidecar, one per command, so `eval`
+into the directory `train` wrote keeps both.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _echo(out_dir: Path, cfg: RunConfig) -> None:
 
 def _sidecar(out_dir: Path, command: str, started: float) -> None:
     meta = {"command": command, "started": started, "finished": time.time()}
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    (out_dir / f"run_meta.{command}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
 def _require_data(args: argparse.Namespace) -> Path:
@@ -232,11 +233,10 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for stock in sorted(ds.stocks):
         samples = [s for s in ds.samples["test"] if s.stock_id == stock]
+        resolved = [ds.sample_arrays(s) for s in samples]
         lines = ["window_end_date,target_date,step,actual,predicted"]
         series = []
-        for s in samples:
-            prices, news, emb, target = ds.sample_arrays(s)
-            pred = model.predict_sample(prices, news, emb).data.reshape(-1)
+        for s, (*_, target), pred in zip(samples, resolved, model.predict_many(resolved)):
             end_date = ds.dates[s.start + s.t_window - 1]
             for step, day in enumerate(s.target_days):
                 lines.append(

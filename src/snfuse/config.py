@@ -119,7 +119,10 @@ def load_config(path: str | Path) -> RunConfig:
         attr = _KEY_MAP[key]
         # every default has its field's type
         setattr(cfg, attr, _parse_value(key, value, type(getattr(cfg, attr))))
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     return cfg
 
 

@@ -5,6 +5,10 @@ convolution followed by a causal convolution) are blended with the two
 dense-layer outputs through a softmax over learnable logits. Ablation
 flags drop individual views; the softmax renormalizes over whatever stays
 active.
+
+The attention, graph and convolution functions take `windows`: with
+windows > 1 their rows are that many equal windows stacked one after
+another, every window is fused on its own, and the call is forward only.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from .errors import DimensionError
 from .tensor import (
     Tensor,
     add,
+    block_attention,
+    block_matmul,
     concat_cols,
     concat_rows,
     linear,
@@ -24,6 +30,7 @@ from .tensor import (
     mul,
     relu,
     scale,
+    shift_rows,
     slice_cols,
     slice_rows,
     softmax_rows,
@@ -43,6 +50,7 @@ def cross_attention(
     wq: Tensor,
     wk: Tensor,
     wv: Tensor,
+    windows: int = 1,
 ) -> Tensor:
     """softmax(QK'/sqrt(d)) V after separate projection matrices per input.
 
@@ -57,12 +65,16 @@ def cross_attention(
     q = matmul(q_seq, wq)
     k = matmul(k_seq, wk)
     v = matmul(v_seq, wv)
+    if windows > 1:
+        return block_attention(q, k, v, 1, windows)
     d = q.shape[1]
     logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
     return matmul(softmax_rows(logits), v)
 
 
-def fuse_directions(news_seq: Tensor, price_seq: Tensor, params, directions: list[str]) -> dict[str, Tensor]:
+def fuse_directions(
+    news_seq: Tensor, price_seq: Tensor, params, directions: list[str], windows: int = 1
+) -> dict[str, Tensor]:
     """Price-queries-news (p2n) and news-queries-price (n2p), each with its own projections.
 
     Only the named directions are built, so only their weights are read.
@@ -76,7 +88,7 @@ def fuse_directions(news_seq: Tensor, price_seq: Tensor, params, directions: lis
     for name in directions:
         q_seq, kv_seq = query_and_keys[name]
         proj = [params[f"fusion.{name}.w{letter}"] for letter in "qkv"]
-        out[name] = cross_attention(q_seq, kv_seq, kv_seq, *proj)
+        out[name] = cross_attention(q_seq, kv_seq, kv_seq, *proj, windows)
     return out
 
 
@@ -97,8 +109,13 @@ def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def causal_conv(h: Tensor, taps: list[Tensor]) -> Tensor:
+def causal_conv(h: Tensor, taps: list[Tensor], windows: int = 1) -> Tensor:
     """Left-padded temporal convolution: out[t] = sum_k h[t-k] @ taps[k]."""
+    if windows > 1:
+        out = matmul(h, taps[0])
+        for k in range(1, len(taps)):
+            out = add(out, matmul(shift_rows(h, k, windows), taps[k]))
+        return out
     t_len, d = h.shape
     pad = Tensor(np.zeros((len(taps) - 1, d)))
     padded = concat_rows([pad, h])
@@ -109,15 +126,24 @@ def causal_conv(h: Tensor, taps: list[Tensor]) -> Tensor:
     return out
 
 
-def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray) -> Tensor:
+def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray, windows: int = 1) -> Tensor:
     """One graph-conv layer over stacked [news; price] nodes, ReLU, then the
-    causal convolution over the price-node rows."""
-    t_len = news_seq.shape[0]
-    stacked = concat_rows([news_seq, price_seq])
-    hidden = relu(linear(matmul(Tensor(adjacency), stacked), params["fusion.gcn.w"], params["fusion.gcn.b"]))
-    price_rows = slice_rows(hidden, t_len, 2 * t_len)
+    causal convolution over the price-node rows.
+
+    Stacked windows compute only the price-node rows, the ones the conv reads.
+    """
+    w, b = params["fusion.gcn.w"], params["fusion.gcn.b"]
+    t_len = news_seq.shape[0] // windows
+    if windows > 1:
+        mixed = add(block_matmul(adjacency[t_len:, :t_len], news_seq, windows),
+                    block_matmul(adjacency[t_len:, t_len:], price_seq, windows))
+        price_rows = relu(linear(mixed, w, b))
+    else:
+        stacked = concat_rows([news_seq, price_seq])
+        hidden = relu(linear(matmul(Tensor(adjacency), stacked), w, b))
+        price_rows = slice_rows(hidden, t_len, 2 * t_len)
     taps = [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
-    return causal_conv(price_rows, taps)
+    return causal_conv(price_rows, taps, windows)
 
 
 def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[Tensor, np.ndarray]:

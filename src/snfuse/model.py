@@ -4,6 +4,10 @@ Only parameters the active configuration actually uses are registered, so
 every trainable tensor is guaranteed a gradient from any generic batch.
 The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated.
+
+Training runs `predict_sample` on a tape, one window at a time.
+Inference runs `predict_many`: no tape, PREDICT_CHUNK windows stacked into
+one forward, and each (day, stock) in a chunk pooled once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from . import pooling as pl
 from .config import RunConfig
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, concat_rows, linear, mean_all, mul, sub
+from .tensor import Tensor, concat_rows, gather_rows, linear, mean_all, mul, no_grad, sub
+
+PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -128,41 +134,98 @@ class ForecastModel:
 
     # -- forward -------------------------------------------------------
 
-    def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
-        """Stock-aware features (T, d) for one window."""
-        cfg, p = self.cfg, self.params
-        if prices.shape[0] != cfg.t_window:
-            raise ValueError(f"price window length {prices.shape[0]} != T={cfg.t_window}")
+    def _check_window(self, prices: np.ndarray, news: list[np.ndarray]) -> None:
+        t_window = self.cfg.t_window
+        if prices.shape[0] != t_window:
+            raise ValueError(f"price window length {prices.shape[0]} != T={t_window}")
+        if self.cfg.pooling != "none" and len(news) != t_window:
+            raise ValueError(f"need {t_window} news slots, got {len(news)}")
+
+    def _fuse(self, prices: np.ndarray, news_raw: Tensor | None, windows: int) -> Tensor:
+        """Blended features from stacked (windows*T,) prices and pooled news rows."""
+        p = self.params
         price_raw = linear(Tensor(prices.reshape(-1, 1)), p["fusion.price_lift.w"], p["fusion.price_lift.b"])
         price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"])
 
         terms: dict[str, Tensor] = {"price": price_seq}
-        if cfg.pooling != "none":
-            if len(news) != cfg.t_window:
-                raise ValueError(f"need {cfg.t_window} news slots, got {len(news)}")
-            w = p[pl.PARAM[cfg.pooling]]
-            pooled = [pl.pool_day(cfg.pooling, day, name_emb, w, self.pos_table).pooled for day in news]
-            news_raw = concat_rows(pooled)
+        if news_raw is not None:
             news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
             terms["news"] = news_seq
             if self.directions:
-                terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
+                terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions, windows))
             if "gcn" in self.active_terms:
-                terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
+                terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency, windows)
         fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms)
         return fused
 
-    def predict_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
-        """(1, H) prediction of normalized closes."""
+    def _predict(self, fused: Tensor, names: np.ndarray, windows: int) -> Tensor:
+        """(windows, H) predictions from blended features and (windows, d) name embeddings."""
         cfg, p = self.cfg, self.params
-        fused = self.fuse_sample(prices, news, name_emb)
-        patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride)
+        patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride, windows)
         prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"])
         tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads)
         prompt = None
         if cfg.snp:
-            prompt = linear(Tensor(name_emb.reshape(1, -1)), p["reprog.prompt.w"], p["reprog.prompt.b"])
-        return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads)
+            prompt = linear(Tensor(names), p["reprog.prompt.w"], p["reprog.prompt.b"])
+        return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads, windows)
+
+    def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
+        """Stock-aware features (T, d) for one window."""
+        cfg = self.cfg
+        self._check_window(prices, news)
+        news_raw = None
+        if cfg.pooling != "none":
+            w = self.params[pl.PARAM[cfg.pooling]]
+            pooled = [pl.pool_day(cfg.pooling, day, name_emb, w, self.pos_table, cfg.max_news_per_day).pooled
+                      for day in news]
+            news_raw = concat_rows(pooled)
+        return self._fuse(prices, news_raw, 1)
+
+    def predict_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
+        """(1, H) prediction of normalized closes."""
+        fused = self.fuse_sample(prices, news, name_emb)
+        return self._predict(fused, name_emb.reshape(1, -1), 1)
+
+    def predict_many(self, samples) -> np.ndarray:
+        """(N, H) predictions for (prices, news, name_emb, ...) tuples, without a tape.
+
+        Matches predict_sample row for row up to summation order. Days and
+        name embeddings are recognised by identity, so samples resolved
+        from one dataset share their pooling.
+        """
+        out = np.empty((len(samples), self.cfg.horizon))
+        with no_grad():
+            for lo in range(0, len(samples), PREDICT_CHUNK):
+                chunk = samples[lo : lo + PREDICT_CHUNK]
+                out[lo : lo + len(chunk)] = self._predict_chunk(chunk).data
+        return out
+
+    def _predict_chunk(self, chunk) -> Tensor:
+        for prices, news, *_ in chunk:
+            self._check_window(prices, news)
+        prices = np.concatenate([s[0] for s in chunk])
+        news_raw = self._pool_chunk(chunk) if self.cfg.pooling != "none" else None
+        fused = self._fuse(prices, news_raw, len(chunk))
+        names = np.stack([np.reshape(s[2], -1) for s in chunk])
+        return self._predict(fused, names, len(chunk))
+
+    def _pool_chunk(self, chunk) -> Tensor:
+        """(windows*T, d) pooled news rows; each distinct (day, stock) is pooled once."""
+        cfg = self.cfg
+        slots: dict[tuple[int, int], int] = {}
+        days, names, index = [], [], []
+        for _, news, emb, *_ in chunk:
+            stock = id(emb)
+            for day in news:
+                key = (id(day), stock)
+                if key not in slots:
+                    slots[key] = len(days)
+                    days.append(day)
+                    names.append(emb)
+                index.append(slots[key])
+        w = self.params[pl.PARAM[cfg.pooling]]
+        pooled = pl.pool_days(cfg.pooling, days, names, w, self.pos_table, cfg.max_news_per_day)
+        return gather_rows(pooled, index)
 
     def batch_predictions(self, batch) -> Tensor:
         """(B, H) stacked predictions for (prices, news, name_emb, target) tuples."""

@@ -12,6 +12,12 @@ ap/cap/sap treat the day's articles as an unordered set, so their rows are
 put into a canonical (lexicographic) order before any arithmetic; that
 makes the documented permutation invariance hold bit for bit, not just up
 to rounding. pasap is position-sensitive and keeps file order.
+
+`pool_days` pools many days at once for inference: the same rows, in the
+same order, concatenated, with one segmented softmax (the scatter-softmax
+of Fey & Lenssen, arXiv 1903.02428) in place of a softmax per day.
+
+Every variant refuses a day with more than max_news_per_day articles.
 """
 
 from __future__ import annotations
@@ -20,7 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, matmul, reshape, softmax_rows
+from .errors import DataFormatError
+from .tensor import (
+    Tensor,
+    gather_rows,
+    matmul,
+    mul,
+    reshape,
+    row_dot,
+    segment_softmax,
+    segment_sum,
+    softmax_rows,
+)
 
 VARIANTS = ("none", "ap", "cap", "sap", "pasap")
 
@@ -58,33 +75,59 @@ def sinusoidal_table(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
+def _check_news_count(n: int, max_news: int) -> None:
+    """Refuse a day with more articles than max_news_per_day allows."""
+    if n > max_news:
+        raise DataFormatError(
+            f"a day holds {n} articles, more than max_news_per_day = {max_news} "
+            "(the length of pasap's positional table)"
+        )
+
+
+def _article_limit(variant: str, table: np.ndarray | None, max_news: int | None) -> int | None:
+    """Validate the variant's arguments; the limit is max_news, else the table length, else none."""
+    if variant not in PARAM:
+        raise ValueError(f"unknown pooling variant '{variant}'")
+    if variant == "pasap" and table is None:
+        raise ValueError("pasap pooling needs a positional table")
+    return table.shape[0] if max_news is None and table is not None else max_news
+
+
+def _attended_rows(variant: str, news: np.ndarray, name_emb: np.ndarray | None, table, order) -> np.ndarray:
+    """The rows a day's attention runs over: the articles in `order` (pasap: file
+    order plus name and positions), led by the name row for sap."""
+    d = news.shape[1]
+    if variant == "pasap":
+        rows = news + name_emb.reshape(1, d) + table[: news.shape[0]]
+    else:
+        rows = news[order]
+    if variant == "sap":
+        rows = np.concatenate([name_emb.reshape(1, d), rows], axis=0)
+    return rows
+
+
 def pool_day(
     variant: str,
     news: np.ndarray,
     name_emb: np.ndarray | None,
     w: Tensor,
     table: np.ndarray | None = None,
+    max_news: int | None = None,
 ) -> PoolResult:
-    """Pool (n, d) news rows with the variant's trainable tensor w; ap ignores name_emb."""
-    if variant not in PARAM:
-        raise ValueError(f"unknown pooling variant '{variant}'")
-    if variant == "pasap" and table is None:
-        raise ValueError("pasap pooling needs a positional table")
+    """Pool (n, d) news rows with the variant's trainable tensor w; ap ignores name_emb.
+
+    max_news defaults to the table length when a table is given, else no limit.
+    """
+    max_news = _article_limit(variant, table, max_news)
     n, d = news.shape
+    if max_news is not None:
+        _check_news_count(n, max_news)
     if n == 0 and variant != "sap":
         return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
 
-    if variant == "pasap":
-        if n > table.shape[0]:
-            raise ValueError(f"{n} articles exceed the positional table length {table.shape[0]}")
-        order = slice(None)
-        rows = news + name_emb.reshape(1, d) + table[:n]
-    else:
-        order = canonical_order(news)
-        rows = news[order]
+    order = slice(None) if variant == "pasap" else canonical_order(news)
+    rows = _attended_rows(variant, news, name_emb, table, order)
     lead = 1 if variant == "sap" else 0
-    if lead:
-        rows = np.concatenate([name_emb.reshape(1, d), rows], axis=0)
 
     query = matmul(Tensor(name_emb.reshape(1, d)), w) if variant == "cap" else reshape(w, (1, d))
     attn = softmax_rows(matmul(query, Tensor(rows.T)))  # (1, lead + n)
@@ -95,3 +138,45 @@ def pool_day(
     weights[:lead] = sorted_weights[:lead]
     weights[lead:][order] = sorted_weights[lead:]
     return PoolResult(pooled=pooled, weights=weights)
+
+
+def pool_days(
+    variant: str,
+    days: list[np.ndarray],
+    names: list[np.ndarray],
+    w: Tensor,
+    table: np.ndarray | None = None,
+    max_news: int | None = None,
+) -> Tensor:
+    """(len(days), d) rows: row i pools days[i] for the stock named names[i], as pool_day does.
+
+    Forward only. Each day is sorted once however many stocks share it.
+    """
+    max_news = _article_limit(variant, table, max_news)
+    d = days[0].shape[1]
+    parts: list[np.ndarray] = []
+    orders: dict[int, np.ndarray] = {}
+    for day, name in zip(days, names):
+        if max_news is not None:
+            _check_news_count(day.shape[0], max_news)
+        order = slice(None)
+        if variant != "pasap":
+            order = orders.get(id(day))
+            if order is None:
+                order = orders[id(day)] = canonical_order(day)
+        parts.append(_attended_rows(variant, day, name, table, order))
+    sizes = np.array([rows.shape[0] for rows in parts], dtype=np.intp)
+
+    pooled = np.zeros((len(days), d))
+    live = np.flatnonzero(sizes)  # ap/cap/pasap pool a day without articles to zeros
+    if live.size:
+        rows = Tensor(np.concatenate(parts))
+        starts = np.concatenate([[0], np.cumsum(sizes[live])[:-1]])
+        if variant == "cap":
+            queries = matmul(Tensor(np.stack([names[i].reshape(d) for i in live])), w)
+            queries = gather_rows(queries, np.repeat(np.arange(live.size), sizes[live]))
+        else:
+            queries = reshape(w, (1, d))
+        attn = segment_softmax(row_dot(rows, queries), starts)
+        pooled[live] = segment_sum(mul(attn, rows), starts).data
+    return Tensor(pooled)

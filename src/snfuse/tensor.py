@@ -4,10 +4,17 @@ Deliberately small: flat or 2-D row-major arrays, fresh node per op, one
 backward walk per graph. Everything runs in float64 so central-difference
 gradient checks are meaningful. Tensors are never mutated once an op has
 consumed them; the optimizer replaces parameter arrays between steps.
+
+Inside `no_grad()` no op records parents, so inference builds no tape.
+The ops at the end of this file exist for stacked inference only: they
+have no backward and raise when called while gradients are recorded.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +54,24 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+# Per thread and per asyncio task, so inference in one cannot strip another's tape.
+_recording: ContextVar[bool] = ContextVar("snfuse_recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording parents; the previous state returns on exit."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
+def grad_enabled() -> bool:
+    return _recording.get()
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -78,7 +103,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    live = tuple(p for p in parents if p.requires_grad)
+    live = tuple(p for p in parents if p.requires_grad) if _recording.get() else ()
     if live:
         out.requires_grad = True
         out._parents = live
@@ -306,3 +331,89 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """x @ w + b with b broadcast over rows."""
     return add(matmul(x, w), b)
+
+
+# -- forward-only ops for stacked inference ------------------------------
+#
+# A stack of W windows keeps each window's rows together: rows
+# [i*L, (i+1)*L) belong to window i.
+
+
+def _forward_only(name: str) -> None:
+    if _recording.get():
+        raise RuntimeError(f"{name} is forward-only; call it inside tensor.no_grad()")
+
+
+def gather_rows(a, index) -> Tensor:
+    """Rows a[index], in index order."""
+    _forward_only("gather_rows")
+    return Tensor(as_tensor(a).data[np.asarray(index, dtype=np.intp)])
+
+
+def row_dot(a, b) -> Tensor:
+    """(n, 1) dot products of matching rows; a single row of b pairs with every row of a."""
+    _forward_only("row_dot")
+    return Tensor((as_tensor(a).data * as_tensor(b).data).sum(axis=1, keepdims=True))
+
+
+def segment_softmax(a, starts: np.ndarray) -> Tensor:
+    """Softmax of an (n, 1) column within each segment.
+
+    Segment i is rows starts[i] up to starts[i + 1] (the last one runs to
+    the end); every segment must be non-empty.
+    """
+    _forward_only("segment_softmax")
+    x = as_tensor(a).data.reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise NumericError("segment_softmax input contains non-finite values")
+    sizes = np.diff(np.append(starts, x.size))
+    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), sizes))
+    return Tensor((e / np.repeat(np.add.reduceat(e, starts), sizes)).reshape(-1, 1))
+
+
+def segment_sum(a, starts: np.ndarray) -> Tensor:
+    """(S, d) column sums of each segment of rows, segments as in segment_softmax."""
+    _forward_only("segment_sum")
+    return Tensor(np.add.reduceat(as_tensor(a).data, starts, axis=0))
+
+
+def block_matmul(m: np.ndarray, a, windows: int) -> Tensor:
+    """m @ (each window of a): (W*L', d) rows through an (L, L') matrix to (W*L, d)."""
+    _forward_only("block_matmul")
+    x = as_tensor(a).data
+    return Tensor(np.matmul(m, x.reshape(windows, -1, x.shape[1])).reshape(-1, x.shape[1]))
+
+
+def shift_rows(a, k: int, windows: int) -> Tensor:
+    """Move every window's rows k places later; the first k rows of each window become zero."""
+    _forward_only("shift_rows")
+    flat = as_tensor(a).data
+    x = flat.reshape(windows, -1, flat.shape[1])
+    out = np.zeros_like(x)
+    if k < x.shape[1]:
+        out[:, k:] = x[:, : x.shape[1] - k]
+    return Tensor(out.reshape(flat.shape))
+
+
+def block_attention(q, k, v, n_heads: int, windows: int) -> Tensor:
+    """Multi-head softmax(QK'/sqrt(head width)) V inside each window.
+
+    Row blocks of q attend only to the same window's rows of k and v;
+    heads are consecutive column blocks, concatenated back in order.
+    """
+    _forward_only("block_attention")
+    width = q.shape[1]
+    if width % n_heads != 0:
+        raise ValueError(f"model width {width} not divisible by {n_heads} heads")
+    head_dim = width // n_heads
+
+    def heads(t: Tensor) -> np.ndarray:  # (W, heads, L, head_dim)
+        return t.data.reshape(windows, -1, n_heads, head_dim).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(head_dim))
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("block_attention logits contain non-finite values")
+    e = np.exp(logits - logits.max(axis=3, keepdims=True))
+    out = np.matmul(e / e.sum(axis=3, keepdims=True), vh)
+    return Tensor(out.transpose(0, 2, 1, 3).reshape(-1, width))

@@ -83,12 +83,13 @@ def _resolve(ds: PreparedDataset, samples: list[WindowSample]):
     return [ds.sample_arrays(s) for s in samples]
 
 
+def _targets(resolved) -> np.ndarray:
+    return np.stack([np.asarray(target, dtype=np.float64).reshape(-1) for *_, target in resolved])
+
+
 def _dataset_mse(model: ForecastModel, resolved) -> float:
-    errs = []
-    for prices, news, emb, target in resolved:
-        pred = model.predict_sample(prices, news, emb).data.reshape(-1)
-        errs.append((pred - np.asarray(target).reshape(-1)) ** 2)
-    return float(np.concatenate(errs).mean())
+    errs = (model.predict_many(resolved) - _targets(resolved)) ** 2
+    return float(errs.reshape(-1).mean())
 
 
 def _first_nonfinite(model: ForecastModel) -> str:
@@ -170,15 +171,16 @@ def evaluate(model: ForecastModel, ds: PreparedDataset, split: str = "test") -> 
         if s.stock_id not in ds.stocks:
             raise ValueError(f"sample references unknown stock '{s.stock_id}'")
         by_stock.setdefault(s.stock_id, []).append(s)
+    stocks = sorted(by_stock)
+    resolved = [ds.sample_arrays(s) for stock in stocks for s in by_stock[stock]]
+    preds, targets = model.predict_many(resolved), _targets(resolved)
     rows = []
-    for stock in sorted(by_stock):
-        preds, targets = [], []
-        for s in by_stock[stock]:
-            prices, news, emb, target = ds.sample_arrays(s)
-            preds.append(model.predict_sample(prices, news, emb).data.reshape(-1))
-            targets.append(np.asarray(target).reshape(-1))
-        mae, mse = metrics(np.concatenate(preds), np.concatenate(targets))
+    lo = 0
+    for stock in stocks:
+        hi = lo + len(by_stock[stock])
+        mae, mse = metrics(preds[lo:hi].reshape(-1), targets[lo:hi].reshape(-1))
         rows.append((stock, mae, mse))
+        lo = hi
     avg_mae = float(np.mean([r[1] for r in rows]))
     avg_mse = float(np.mean([r[2] for r in rows]))
     return EvalReport(rows=rows, avg_mae=avg_mae, avg_mse=avg_mse, seed=model.cfg.seed, cfg_hash=config_hash(model.cfg))

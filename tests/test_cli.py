@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import pytest
 
 from datagen import toy_dataset_dir, trading_dates, write_prices
 from snfuse.cli import main
@@ -42,3 +45,27 @@ def test_train_with_one_direction_removed_exits_0(tmp_path):
                      str(prep / "dataset.manifest"), "--out", str(out), flag])
         assert code == 0
         assert (out / "checkpoint.snf").is_file()
+
+
+@pytest.mark.parametrize("line", ["pooling = foo", "T = 0"])
+def test_prepare_with_out_of_range_config_value_exits_2(tmp_path, capsys, line):
+    data = toy_dataset_dir(tmp_path / "data", n_days=60)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code = main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "bad.cfg" in capsys.readouterr().err
+
+
+def test_each_command_writes_its_own_sidecar(tmp_path):
+    data = toy_dataset_dir(tmp_path / "data", n_days=95)
+    cfg = _tiny_cfg(tmp_path)
+    prep, out = tmp_path / "prep", tmp_path / "run"
+    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(prep)]) == 0
+    common = ["--config", str(cfg), "--data", str(data), "--manifest", str(prep / "dataset.manifest"), "--out", str(out)]
+    assert main(["train", *common]) == 0
+    assert main(["eval", *common, "--checkpoint", str(out / "checkpoint.snf")]) == 0
+    assert sorted(p.name for p in out.glob("run_meta*")) == ["run_meta.eval.json", "run_meta.train.json"]
+    for command in ("train", "eval"):
+        meta = json.loads((out / f"run_meta.{command}.json").read_text(encoding="utf-8"))
+        assert meta["command"] == command and meta["started"] <= meta["finished"]

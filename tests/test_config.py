@@ -31,3 +31,12 @@ def test_load_config_accepts_aliases_and_rejects_field_names(tmp_path):
         bad.write_text(f"{field_name} = 8\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="unknown config key"):
             load_config(bad)
+
+
+@pytest.mark.parametrize("line,message", [("pooling = foo", "unknown pooling variant 'foo'"),
+                                          ("T = 0", "t_window must be >= 1")])
+def test_load_config_reports_out_of_range_values_as_format_errors(tmp_path, line, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"bad.cfg: {message}"):
+        load_config(bad)

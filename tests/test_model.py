@@ -3,9 +3,10 @@ import pytest
 
 from snfuse import mse_loss
 from snfuse.config import RunConfig
-from snfuse.model import ForecastModel
+from snfuse.errors import DataFormatError
+from snfuse.model import PREDICT_CHUNK, ForecastModel
 from snfuse.optim import backward
-from snfuse.tensor import Tensor
+from snfuse.tensor import Tensor, grad_enabled
 from snfuse.training import ABLATION_ROWS
 
 
@@ -52,3 +53,60 @@ def test_mse_loss_hand_value_and_shape_guard():
     assert loss.item() == pytest.approx((0.0 + 4.0 + 0.0 + 9.0) / 4.0)
     with pytest.raises(ValueError, match="shape"):
         mse_loss(Tensor([[1.0, 2.0]]), np.array([1.0, 2.0]))
+
+
+def _windows(cfg, n_stocks: int, per_stock: int, seed: int = 0):
+    """Overlapping windows of a few stocks over one shared news history, resolved
+    the way a dataset resolves them (one array per day, one per name)."""
+    rng = np.random.default_rng(seed)
+    n_days = per_stock + cfg.t_window + cfg.horizon
+    days = [rng.normal(size=(0 if i % 5 == 2 else int(rng.integers(1, 6)), cfg.dim)) for i in range(n_days)]
+    names = [rng.normal(size=cfg.dim) for _ in range(n_stocks)]
+    closes = rng.normal(size=(n_stocks, n_days))
+    t = cfg.t_window
+    return [(closes[s, i : i + t], days[i : i + t], names[s], closes[s, i + t : i + t + cfg.horizon])
+            for s in range(n_stocks) for i in range(per_stock)]
+
+
+@pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+@pytest.mark.parametrize("label,flags", ABLATION_ROWS, ids=[label for label, _ in ABLATION_ROWS])
+def test_predict_many_matches_predict_sample(pooling, label, flags, snp):
+    no_p2n, no_n2p, no_gcn = flags
+    # T=7 with patches of 3 every 2 days: overlapping patches and a leftover day
+    cfg = _tiny_cfg(t_window=7, patch_len=3, patch_stride=2, horizon=2, pooling=pooling, snp=snp,
+                    no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn)
+    model = ForecastModel(cfg, cfg.dim)
+    samples = _windows(cfg, n_stocks=2, per_stock=19)  # 38: one full chunk and a partial one
+    assert len(samples) % PREDICT_CHUNK != 0 and any(day.shape[0] == 0 for day in samples[0][1])
+    ref = np.concatenate([model.predict_sample(p, n, e).data for p, n, e, _ in samples])
+    many = model.predict_many(samples)
+    assert many.shape == (len(samples), cfg.horizon)
+    # 1e-12 relative, measured against the batch's largest prediction: a prediction that
+    # cancels to near zero (1.5e-4 in one case here) still carries the ulps of O(1) terms
+    np.testing.assert_allclose(many, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_predict_many_of_no_samples_and_on_a_tape():
+    model = ForecastModel(_tiny_cfg(), 4)
+    assert model.predict_many([]).shape == (0, 1)
+    samples = _windows(model.cfg, n_stocks=1, per_stock=3)
+    # the stacked ops refuse to run on a tape, but predict_many opens its own no_grad scope
+    assert grad_enabled()
+    ref = [model.predict_sample(p, n, e).item() for p, n, e, _ in samples]
+    np.testing.assert_allclose(model.predict_many(samples)[:, 0], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert grad_enabled()
+
+
+@pytest.mark.parametrize("pooling", ["ap", "cap", "sap", "pasap"])
+def test_model_refuses_a_day_over_max_news_per_day_both_ways(pooling):
+    model = ForecastModel(_tiny_cfg(pooling=pooling, max_news_per_day=16), 4)
+    (prices, news, emb, target), = _windows(model.cfg, n_stocks=1, per_stock=1)
+    news = list(news)
+    news[3] = np.ones((17, 4))
+    with pytest.raises(DataFormatError, match="17 articles"):
+        model.predict_sample(prices, news, emb)
+    with pytest.raises(DataFormatError, match="17 articles"):
+        model.predict_many([(prices, news, emb, target)])
+    news[3] = np.ones((16, 4))
+    model.predict_many([(prices, news, emb, target)])

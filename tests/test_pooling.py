@@ -9,9 +9,10 @@ from oracles import (
     sinusoid_oracle,
     softmax_vec,
 )
+from snfuse.errors import DataFormatError
 from snfuse.optim import ParamSet, finite_diff_check
-from snfuse.pooling import pool_day, sinusoidal_table
-from snfuse.tensor import Tensor, sum_all
+from snfuse.pooling import pool_day, pool_days, sinusoidal_table
+from snfuse.tensor import Tensor, no_grad, sum_all
 
 
 def _param(values):
@@ -268,3 +269,47 @@ def test_pooling_gradients_pass_finite_differences():
         params.add("p", init)
         report = finite_diff_check(lambda p: sum_all(mul(fn(p), coeff)), params, step=1e-6, tol=1e-4)
         assert report.passed, f"{name}: {report.per_param}"
+
+
+# -- stacked pooling and the article limit -----------------------------------
+
+
+def _variant_args(variant, d, max_news, rng):
+    w = Tensor(rng.uniform(-1, 1, size=(d, d) if variant == "cap" else d))
+    table = sinusoidal_table(max_news, d) if variant == "pasap" else None
+    return w, table
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_every_variant_accepts_max_articles_and_rejects_one_more(variant):
+    rng = np.random.default_rng(5)
+    d, limit = 3, 4
+    w, table = _variant_args(variant, d, limit, rng)
+    name = rng.normal(size=d)
+    full, over = rng.normal(size=(limit, d)), rng.normal(size=(limit + 1, d))
+    assert pool_day(variant, full, name, w, table, limit).pooled.shape == (1, d)
+    with no_grad():
+        assert pool_days(variant, [full], [name], w, table, limit).shape == (1, d)
+    with pytest.raises(DataFormatError, match=f"{limit + 1} articles.*max_news_per_day = {limit}"):
+        pool_day(variant, over, name, w, table, limit)
+    with no_grad(), pytest.raises(DataFormatError, match=f"{limit + 1} articles.*max_news_per_day = {limit}"):
+        pool_days(variant, [full, over], [name, name], w, table, limit)
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_pool_days_matches_pool_day_per_day(variant):
+    rng = np.random.default_rng(6)
+    d = 4
+    w, table = _variant_args(variant, d, 8, rng)
+    days = [rng.normal(size=(n, d)) for n in (3, 0, 1, 6, 2)]
+    names = [rng.normal(size=d) for _ in range(2)]
+    # every day for both stocks, as a chunk of two stocks' windows presents them
+    pairs = [(day, name) for name in names for day in days]
+    ref = np.concatenate([pool_day(variant, day, name, w, table).pooled.data for day, name in pairs])
+    with no_grad():
+        got = pool_days(variant, [day for day, _ in pairs], [name for _, name in pairs], w, table).data
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+    if variant != "sap":
+        assert np.all(got[1] == 0.0) and np.all(got[6] == 0.0)  # the zero-news day
+    else:
+        np.testing.assert_array_equal(got[1], names[0])

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,15 +18,24 @@ from snfuse.optim import (
 from snfuse.tensor import (
     Tensor,
     add,
+    block_attention,
+    block_matmul,
     concat_cols,
     concat_rows,
+    gather_rows,
+    grad_enabled,
     layer_norm,
     matmul,
     mean_all,
     mul,
+    no_grad,
     relu,
     reshape,
+    row_dot,
     scale,
+    segment_softmax,
+    segment_sum,
+    shift_rows,
     slice_cols,
     slice_rows,
     softmax_rows,
@@ -294,3 +304,115 @@ def test_paramset_rejects_duplicate_and_nonfinite():
         params.add("w", np.zeros(2))
     with pytest.raises(ValueError, match="non-finite"):
         params.add("bad", np.array([np.inf]))
+
+
+# -- no_grad and the forward-only ops ----------------------------------------
+
+
+def test_no_grad_records_no_parents():
+    params = ParamSet()
+    x = params.add("x", np.arange(12.0).reshape(3, 4) / 7.0)
+    c = Tensor(np.ones((3, 4)))
+    gamma, beta = params.add("g", np.ones(4)), params.add("b", np.zeros(4))
+    with no_grad():
+        outs = [fn(params, c) for _, fn in OPS_FOR_GRAD] + [layer_norm(x, gamma, beta)]
+    for out in outs:
+        assert out._parents == () and out._backward is None and not out.requires_grad
+    taped = layer_norm(x, gamma, beta)
+    assert taped.requires_grad and taped._parents == (x, gamma, beta)
+
+
+def test_no_grad_restores_the_flag_after_nesting_and_exceptions():
+    assert grad_enabled()
+    with no_grad():
+        with no_grad():
+            assert not grad_enabled()
+        assert not grad_enabled()
+    assert grad_enabled()
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            1 / 0
+    assert grad_enabled()
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def infer():
+        with no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            seen.append(grad_enabled())
+
+    worker = threading.Thread(target=infer)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert grad_enabled() and matmul(w, w)._parents == (w, w)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and seen == [False]
+
+
+FORWARD_ONLY = [
+    ("gather_rows", lambda a: gather_rows(a, [1, 0])),
+    ("row_dot", lambda a: row_dot(a, a)),
+    ("segment_softmax", lambda a: segment_softmax(a, np.array([0]))),
+    ("segment_sum", lambda a: segment_sum(a, np.array([0]))),
+    ("block_matmul", lambda a: block_matmul(np.eye(2), a, 1)),
+    ("shift_rows", lambda a: shift_rows(a, 1, 1)),
+    ("block_attention", lambda a: block_attention(a, a, a, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,fn", FORWARD_ONLY, ids=[n for n, _ in FORWARD_ONLY])
+def test_forward_only_ops_raise_while_recording(name, fn):
+    a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    with pytest.raises(RuntimeError, match=f"{name} is forward-only"):
+        fn(Tensor(a.data))
+    with no_grad():
+        assert not fn(a).requires_grad
+
+
+def test_segment_ops_match_a_loop_per_segment():
+    rng = np.random.default_rng(3)
+    sizes = [1, 4, 2, 7]
+    starts = np.cumsum([0] + sizes[:-1])
+    logits = rng.normal(size=(sum(sizes), 1)) * 5
+    rows = rng.normal(size=(sum(sizes), 3))
+    with no_grad():
+        weights = segment_softmax(Tensor(logits), starts).data
+        sums = segment_sum(Tensor(rows), starts).data
+    for i, (lo, n) in enumerate(zip(starts, sizes)):
+        ref = softmax_rows(Tensor(logits[lo : lo + n].T)).data.T
+        np.testing.assert_allclose(weights[lo : lo + n], ref, rtol=1e-15)
+        np.testing.assert_allclose(sums[i], rows[lo : lo + n].sum(axis=0), rtol=1e-14)
+    with no_grad(), pytest.raises(NumericError):
+        segment_softmax(Tensor([[np.nan]]), np.array([0]))
+
+
+def test_block_ops_match_each_window_on_its_own():
+    rng = np.random.default_rng(4)
+    windows, length, width = 3, 5, 4
+    q, k, v = (rng.normal(size=(windows * length, width)) for _ in range(3))
+    m = rng.normal(size=(2, length))
+    with no_grad():
+        attended = block_attention(Tensor(q), Tensor(k), Tensor(v), 2, windows).data
+        mixed = block_matmul(m, Tensor(q), windows).data
+        shifted = shift_rows(Tensor(q), 2, windows).data
+        assert np.all(shift_rows(Tensor(q), length, windows).data == 0.0)
+        np.testing.assert_array_equal(gather_rows(Tensor(q), [4, 0]).data, q[[4, 0]])
+        np.testing.assert_allclose(row_dot(Tensor(q), Tensor(k[:1])).data[:, 0], q @ k[0], rtol=1e-14)
+    for i in range(windows):
+        rows = slice(i * length, (i + 1) * length)
+        heads = []
+        for lo in (0, 2):
+            logits = q[rows, lo : lo + 2] @ k[rows, lo : lo + 2].T / math.sqrt(2)
+            heads.append(softmax_rows(Tensor(logits)).data @ v[rows, lo : lo + 2])
+        np.testing.assert_allclose(attended[rows], np.concatenate(heads, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(mixed[2 * i : 2 * i + 2], m @ q[rows], rtol=1e-14)
+        np.testing.assert_array_equal(shifted[rows][:2], 0.0)
+        np.testing.assert_array_equal(shifted[rows][2:], q[rows][:-2])
