@@ -13,15 +13,13 @@ each window is processed on its own, and the call is forward only.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import (
     Tensor,
     add,
+    attention,
     block_attention,
-    concat_cols,
     concat_rows,
     gather_rows,
     layer_norm,
@@ -29,10 +27,7 @@ from .tensor import (
     matmul,
     relu,
     reshape,
-    scale,
-    slice_cols,
     slice_rows,
-    softmax_rows,
     transpose,
 )
 
@@ -70,22 +65,6 @@ def make_prototypes(vocab: Tensor, w_proj: Tensor) -> Tensor:
     return matmul(transpose(w_proj), vocab)
 
 
-def _split_heads_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    d_model = q.shape[1]
-    if d_model % n_heads != 0:
-        raise ValueError(f"model width {d_model} not divisible by {n_heads} heads")
-    head_dim = d_model // n_heads
-    outs = []
-    for h in range(n_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = slice_cols(q, lo, hi)
-        kh = slice_cols(k, lo, hi)
-        vh = slice_cols(v, lo, hi)
-        logits = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(head_dim))
-        outs.append(matmul(softmax_rows(logits), vh))
-    return concat_cols(outs) if len(outs) > 1 else outs[0]
-
-
 def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1) -> Tensor:
     """Lifted patches query the prototypes; prototypes provide keys and values.
 
@@ -96,7 +75,7 @@ def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1) -> 
     q = matmul(lifted, params["reprog.attn.wq"])
     k = matmul(prototypes, params["reprog.attn.wk"])
     v = matmul(prototypes, params["reprog.attn.wv"])
-    return _split_heads_attention(q, k, v, n_heads)
+    return attention(q, k, v, n_heads)
 
 
 def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, windows: int = 1) -> Tensor:
@@ -111,7 +90,7 @@ def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, window
         if windows > 1:
             attended = block_attention(q, k, v, n_heads, windows)
         else:
-            attended = _split_heads_attention(q, k, v, n_heads)
+            attended = attention(q, k, v, n_heads)
         x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),

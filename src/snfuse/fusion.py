@@ -13,14 +13,13 @@ another, every window is fused on its own, and the call is forward only.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError
 from .tensor import (
     Tensor,
     add,
+    attention,
     block_attention,
     block_matmul,
     concat_cols,
@@ -29,12 +28,10 @@ from .tensor import (
     matmul,
     mul,
     relu,
-    scale,
     shift_rows,
     slice_cols,
     slice_rows,
     softmax_rows,
-    transpose,
 )
 
 # Canonical blend-term order; ablation selects a subset.
@@ -67,9 +64,7 @@ def cross_attention(
     v = matmul(v_seq, wv)
     if windows > 1:
         return block_attention(q, k, v, 1, windows)
-    d = q.shape[1]
-    logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
-    return matmul(softmax_rows(logits), v)
+    return attention(q, k, v, 1, split=False)
 
 
 def fuse_directions(

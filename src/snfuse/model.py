@@ -5,9 +5,12 @@ every trainable tensor is guaranteed a gradient from any generic batch.
 The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated.
 
-Training runs `predict_sample` on a tape, one window at a time.
-Inference runs `predict_many`: no tape, PREDICT_CHUNK windows stacked into
-one forward, and each (day, stock) in a chunk pooled once.
+Training runs `predict_sample` on a tape, one window at a time; each
+pooled day and each attention is one fused tape node whose arithmetic
+matches the primitive ops bit for bit. Inference runs `predict_many`: no
+tape, PREDICT_CHUNK windows stacked into one forward, and each (day,
+stock) in a chunk pooled once. Both sort a day's articles only the first
+time the model sees that day matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class ForecastModel:
         self.params = ParamSet()
         self.pos_table = pl.sinusoidal_table(cfg.max_news_per_day, dim) if cfg.pooling == "pasap" else None
         self.adjacency = fu.day_pair_adjacency(cfg.t_window)
+        self.orders = pl.OrderMemo()
         self._register(vocab)
 
     def _active_terms(self) -> list[str]:
@@ -176,8 +180,8 @@ class ForecastModel:
         news_raw = None
         if cfg.pooling != "none":
             w = self.params[pl.PARAM[cfg.pooling]]
-            pooled = [pl.pool_day(cfg.pooling, day, name_emb, w, self.pos_table, cfg.max_news_per_day).pooled
-                      for day in news]
+            pooled = [pl.pool_day(cfg.pooling, day, name_emb, w, self.pos_table, cfg.max_news_per_day,
+                                  self.orders).pooled for day in news]
             news_raw = concat_rows(pooled)
         return self._fuse(prices, news_raw, 1)
 
@@ -224,7 +228,7 @@ class ForecastModel:
                     names.append(emb)
                 index.append(slots[key])
         w = self.params[pl.PARAM[cfg.pooling]]
-        pooled = pl.pool_days(cfg.pooling, days, names, w, self.pos_table, cfg.max_news_per_day)
+        pooled = pl.pool_days(cfg.pooling, days, names, w, self.pos_table, cfg.max_news_per_day, self.orders)
         return gather_rows(pooled, index)
 
     def batch_predictions(self, batch) -> Tensor:

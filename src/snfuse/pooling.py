@@ -11,7 +11,11 @@ sinusoidal position codes to every row. ap uses the name in neither way.
 ap/cap/sap treat the day's articles as an unordered set, so their rows are
 put into a canonical (lexicographic) order before any arithmetic; that
 makes the documented permutation invariance hold bit for bit, not just up
-to rounding. pasap is position-sensitive and keeps file order.
+to rounding. pasap is position-sensitive and keeps file order. An
+`OrderMemo` passed as `orders` sorts each day matrix once, however often
+it is pooled.
+
+On a tape, `pool_day` records one node (`tensor.attentive_pool`).
 
 `pool_days` pools many days at once for inference: the same rows, in the
 same order, concatenated, with one segmented softmax (the scatter-softmax
@@ -29,6 +33,7 @@ import numpy as np
 from .errors import DataFormatError
 from .tensor import (
     Tensor,
+    attentive_pool,
     gather_rows,
     matmul,
     mul,
@@ -36,7 +41,6 @@ from .tensor import (
     row_dot,
     segment_softmax,
     segment_sum,
-    softmax_rows,
 )
 
 VARIANTS = ("none", "ap", "cap", "sap", "pasap")
@@ -62,6 +66,23 @@ def canonical_order(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= 1:
         return np.arange(rows.shape[0])
     return np.lexsort(rows.T[::-1])
+
+
+class OrderMemo:
+    """canonical_order of each day matrix, computed once and keyed by identity.
+
+    The memo holds every matrix it has sorted, so no id can be reused by a
+    different array while it lives. Matrices must not be mutated after use.
+    """
+
+    def __init__(self):
+        self._seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        hit = self._seen.get(id(rows))
+        if hit is None:
+            hit = self._seen[id(rows)] = (rows, canonical_order(rows))
+        return hit[1]
 
 
 def sinusoidal_table(max_len: int, dim: int) -> np.ndarray:
@@ -113,6 +134,7 @@ def pool_day(
     w: Tensor,
     table: np.ndarray | None = None,
     max_news: int | None = None,
+    orders: OrderMemo | None = None,
 ) -> PoolResult:
     """Pool (n, d) news rows with the variant's trainable tensor w; ap ignores name_emb.
 
@@ -125,15 +147,14 @@ def pool_day(
     if n == 0 and variant != "sap":
         return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
 
-    order = slice(None) if variant == "pasap" else canonical_order(news)
+    sort = canonical_order if orders is None else orders
+    order = slice(None) if variant == "pasap" else sort(news)
     rows = _attended_rows(variant, news, name_emb, table, order)
     lead = 1 if variant == "sap" else 0
 
-    query = matmul(Tensor(name_emb.reshape(1, d)), w) if variant == "cap" else reshape(w, (1, d))
-    attn = softmax_rows(matmul(query, Tensor(rows.T)))  # (1, lead + n)
-    pooled = matmul(attn, Tensor(rows))
+    pooled, attn = attentive_pool(w, rows, name_emb if variant == "cap" else None)  # attn: (1, lead + n)
 
-    sorted_weights = attn.data.reshape(-1)
+    sorted_weights = attn.reshape(-1)
     weights = np.empty(lead + n)
     weights[:lead] = sorted_weights[:lead]
     weights[lead:][order] = sorted_weights[lead:]
@@ -147,6 +168,7 @@ def pool_days(
     w: Tensor,
     table: np.ndarray | None = None,
     max_news: int | None = None,
+    orders: OrderMemo | None = None,
 ) -> Tensor:
     """(len(days), d) rows: row i pools days[i] for the stock named names[i], as pool_day does.
 
@@ -154,16 +176,13 @@ def pool_days(
     """
     max_news = _article_limit(variant, table, max_news)
     d = days[0].shape[1]
+    if orders is None:
+        orders = OrderMemo()
     parts: list[np.ndarray] = []
-    orders: dict[int, np.ndarray] = {}
     for day, name in zip(days, names):
         if max_news is not None:
             _check_news_count(day.shape[0], max_news)
-        order = slice(None)
-        if variant != "pasap":
-            order = orders.get(id(day))
-            if order is None:
-                order = orders[id(day)] = canonical_order(day)
+        order = slice(None) if variant == "pasap" else orders(day)
         parts.append(_attended_rows(variant, day, name, table, order))
     sizes = np.array([rows.shape[0] for rows in parts], dtype=np.intp)
 

@@ -1,9 +1,14 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-Deliberately small: flat or 2-D row-major arrays, fresh node per op, one
-backward walk per graph. Everything runs in float64 so central-difference
-gradient checks are meaningful. Tensors are never mutated once an op has
-consumed them; the optimizer replaces parameter arrays between steps.
+Deliberately small: flat or 2-D row-major arrays, one fresh node per op
+call, one backward walk per graph. Everything runs in float64 so
+central-difference gradient checks are meaningful. Tensors are never
+mutated once an op has consumed them; the optimizer replaces parameter
+arrays between steps.
+
+Two fused ops, `attentive_pool` and `attention`, record one node for a
+whole chain of primitive ops and match that chain bit for bit, which
+roughly halves the nodes of a training step.
 
 Inside `no_grad()` no op records parents, so inference builds no tape.
 The ops at the end of this file exist for stacked inference only: they
@@ -271,18 +276,24 @@ def softmax_rows(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise DimensionError(f"softmax_rows requires a 2-D tensor, got shape {a.data.shape}")
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax_rows input contains non-finite values")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax_forward(a.data, "softmax_rows")
 
     def bw(g):
         if a.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(a, y * (g - dot))
+            _accumulate(a, _softmax_backward(g, y))
 
     return _node(y, (a,), bw)
+
+
+def _softmax_forward(x: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"{name} input contains non-finite values")
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
 
 
 def sum_all(a) -> Tensor:
@@ -331,6 +342,89 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """x @ w + b with b broadcast over rows."""
     return add(matmul(x, w), b)
+
+
+# -- fused taped ops -----------------------------------------------------
+#
+# Each records one node for what would otherwise be a chain of the ops
+# above, and runs that chain's numpy expressions in the same order, on
+# arrays of the same memory layout (BLAS results depend on it), so values
+# and gradients match the chain bit for bit. Gradients reach each input
+# in the order the chain's backward would deliver them.
+
+
+def attentive_pool(w, rows: np.ndarray, name: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(query rows') rows: the (1, d) pooled row and the (1, n) attention.
+
+    The query is w as a (1, d) row, or for a (d, d) w the (d,) name through
+    it. Matches reshape (or name @ w) -> matmul -> softmax_rows -> matmul;
+    the backward adds one contribution to w.
+    """
+    w = as_tensor(w)
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1]
+    name_row = None if name is None else np.asarray(name, dtype=np.float64).reshape(1, d)
+    query = w.data.reshape((1, d)).copy() if name_row is None else name_row @ w.data
+    y = _softmax_forward(query @ rows.T, "attentive_pool")
+
+    def bw(g):
+        if w.requires_grad:
+            g_query = _softmax_backward(g @ rows.T, y) @ rows
+            _accumulate(w, g_query.reshape(w.data.shape) if name_row is None else name_row.T @ g_query)
+
+    return _node(y @ rows, (w,), bw), y
+
+
+def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
+    """Multi-head softmax(QK'/sqrt(head width)) V, heads consecutive column blocks.
+
+    Per head it matches slice_cols (a copy of the head's columns) ->
+    transpose -> matmul -> scale -> softmax_rows -> matmul, then concat_cols.
+    split=False (one head) skips the column copies and so matches
+    matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul on the whole
+    arrays; k's gradient then stays the transpose of a row-major product.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    width = q.data.shape[1]
+    if width % n_heads != 0:
+        raise ValueError(f"model width {width} not divisible by {n_heads} heads")
+    if not split and n_heads != 1:
+        raise ValueError("attention without head splitting takes one head")
+    head_dim = width // n_heads
+    c = 1.0 / math.sqrt(head_dim)
+    bounds = [(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
+    heads = []  # per head: (q, k', v, attention weights)
+    for lo, hi in bounds:
+        qh, kh, vh = (t.data[:, lo:hi].copy() if split else t.data for t in (q, k, v))
+        kt = kh.T.copy()
+        y = _softmax_forward((qh @ kt) * c, "softmax_rows")
+        heads.append((qh, kt, vh, y))
+    outs = [y @ vh for _, _, vh, y in heads]
+    qk_grad = q.requires_grad or k.requires_grad
+
+    def scatter(t: Tensor, g: np.ndarray, lo: int, hi: int) -> None:
+        if split:
+            full = np.zeros_like(t.data)
+            full[:, lo:hi] = g
+            g = full
+        _accumulate(t, g)
+
+    def bw(g):
+        for (lo, hi), (qh, kt, vh, y) in zip(bounds, heads):
+            gh = g[:, lo:hi] if n_heads > 1 else g
+            g_logits = _softmax_backward(gh @ vh.T, y) * c if qk_grad else None
+            g_v = y.T @ gh if v.requires_grad else None
+            # the unsplit chain hands v its gradient before q and k, the split one after
+            if g_v is not None and not split:
+                _accumulate(v, g_v)
+            if q.requires_grad:
+                scatter(q, g_logits @ kt.T, lo, hi)
+            if k.requires_grad:
+                scatter(k, (qh.T @ g_logits).T, lo, hi)
+            if g_v is not None and split:
+                scatter(v, g_v, lo, hi)
+
+    return _node(np.concatenate(outs, axis=1) if n_heads > 1 else outs[0], (q, k, v), bw)
 
 
 # -- forward-only ops for stacked inference ------------------------------

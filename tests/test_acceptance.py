@@ -1,7 +1,9 @@
 """End to end through the CLI: prepare -> train -> eval -> report, twice.
 
 Every output a run promises to be byte-deterministic must come out the
-same both times, and the report must agree with the evaluation.
+same both times, and the report must agree with the evaluation. A
+checkpoint is refused (exit 2) under an edited config or against another
+dataset's manifest, and gradcheck passes on the same config.
 """
 
 from __future__ import annotations
@@ -35,14 +37,25 @@ def _pipeline(root, data, cfg) -> list[int]:
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def inputs(tmp_path_factory):
+    """(root, data directory, config file) shared by every test here."""
     root = tmp_path_factory.mktemp("acceptance")
     data = toy_dataset_dir(root / "data", n_days=110)
     cfg = root / "small.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")
-    results = [(_pipeline(root / name, data, cfg), root / name / "out") for name in ("first", "second")]
-    yield results
+    yield root, data, cfg
     shutil.rmtree(root, ignore_errors=True)
+
+
+@pytest.fixture(scope="module")
+def runs(inputs):
+    root, data, cfg = inputs
+    return [(_pipeline(root / name, data, cfg), root / name / "out") for name in ("first", "second")]
+
+
+def _eval(cfg, data, manifest, checkpoint, out) -> int:
+    return main(["eval", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                 "--manifest", str(manifest), "--checkpoint", str(checkpoint)])
 
 
 def test_every_command_exits_0(runs):
@@ -66,3 +79,30 @@ def test_report_agrees_with_eval(runs):
         assert rows and [int(row["step"]) for row in rows] == [1] * len(rows)
         err = np.array([float(row["predicted"]) - float(row["actual"]) for row in rows])
         assert float((err * err).mean()) == pytest.approx(eval_mse[stock], rel=1e-12)
+
+
+def test_eval_refuses_a_checkpoint_under_an_edited_config(inputs, runs, tmp_path, capsys):
+    root, data, _ = inputs
+    edited = tmp_path / "edited.cfg"
+    edited.write_text(CONFIG.replace("max_epochs = 2", "max_epochs = 3"), encoding="utf-8")
+    capsys.readouterr()
+    code = _eval(edited, data, root / "first" / "prep" / "dataset.manifest", runs[0][1] / "checkpoint.snf", tmp_path)
+    assert code == 2
+    assert "trained with a different configuration; refusing to evaluate" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_checkpoint_against_another_manifest(inputs, runs, tmp_path, capsys):
+    _, _, cfg = inputs
+    other = toy_dataset_dir(tmp_path / "other", n_days=110, seed=8)
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(cfg), "--data", str(other), "--out", str(prep)]) == 0
+    capsys.readouterr()
+    code = _eval(cfg, other, prep / "dataset.manifest", runs[0][1] / "checkpoint.snf", tmp_path / "out")
+    assert code == 2
+    assert "trained against a different dataset manifest; refusing to evaluate" in capsys.readouterr().err
+
+
+def test_gradcheck_passes_on_the_acceptance_config(inputs, tmp_path):
+    _, _, cfg = inputs
+    assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "gradcheck.txt").read_text(encoding="utf-8").rstrip().endswith("PASS")

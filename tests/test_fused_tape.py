@@ -1,0 +1,116 @@
+"""The fused tape nodes reproduce the primitive-op graphs bit for bit.
+
+`tensor.attentive_pool` and `tensor.attention` each record one node for
+what used to be a chain of primitive ops: the per-day pooling chain, the
+per-head attention of the reprogramming layer and the frozen backbone
+(columns sliced even for one head), and the unsliced single-head
+cross-attention. The oracles below rebuild those chains from the
+primitive ops; a model run through them must give the same loss and the
+same gradient for every trainable parameter, compared with np.array_equal,
+in every pooling variant, ablation row and prompt setting.
+
+The widths (d = d_model = 32, T = 8, 16 prototypes) are ones where
+OpenBLAS 0.3.31 with its Haswell kernels returns different bits for the
+same product of a row-major and a column-major operand, so there a
+gradient handed on in the wrong memory layout shows up here.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import snfuse.backbone
+import snfuse.fusion
+import snfuse.pooling
+from snfuse.config import RunConfig
+from snfuse.model import ForecastModel
+from snfuse.optim import backward
+from snfuse.tensor import (
+    Tensor,
+    concat_cols,
+    matmul,
+    reshape,
+    scale,
+    slice_cols,
+    softmax_rows,
+    transpose,
+)
+from snfuse.training import ABLATION_ROWS
+
+
+def pool_chain(w, rows, name=None):
+    """reshape (or name @ w) -> matmul -> softmax_rows -> matmul."""
+    d = rows.shape[1]
+    query = reshape(w, (1, d)) if name is None else matmul(Tensor(name.reshape(1, d)), w)
+    attn = softmax_rows(matmul(query, Tensor(rows.T)))
+    return matmul(attn, Tensor(rows)), attn.data
+
+
+def split_heads_chain(q, k, v, n_heads):
+    """Per head: slice_cols -> transpose -> matmul -> scale -> softmax_rows -> matmul."""
+    head_dim = q.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        lo, hi = h * head_dim, (h + 1) * head_dim
+        qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
+        logits = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(head_dim))
+        outs.append(matmul(softmax_rows(logits), vh))
+    return concat_cols(outs) if len(outs) > 1 else outs[0]
+
+
+def cross_attention_chain(q, k, v, n_heads, **_):
+    """Single head on the whole arrays: matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul."""
+    assert n_heads == 1
+    logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    return matmul(softmax_rows(logits), v)
+
+
+def _cfg(**overrides) -> RunConfig:
+    base = dict(t_window=8, patch_len=4, patch_stride=4, d_model=32, n_layers=1, n_heads=2,
+                ffn_dim=16, vocab_size=32, num_prototypes=16, dim=32, max_news_per_day=16)
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def _batch(cfg, seed=0):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        news = [rng.normal(size=(0 if day == 2 else int(rng.integers(1, 5)), cfg.dim)) for day in range(cfg.t_window)]
+        out.append((rng.normal(size=cfg.t_window), news, rng.normal(size=cfg.dim), rng.normal(size=1)))
+    return out
+
+
+def _loss_and_grads(cfg, batch):
+    model = ForecastModel(cfg, cfg.dim)
+    loss = model.batch_loss(batch)
+    return loss.data.copy(), backward(loss, model.params)
+
+
+def _assert_same_as_chains(cfg, monkeypatch):
+    batch = _batch(cfg)
+    fused_loss, fused = _loss_and_grads(cfg, batch)
+    monkeypatch.setattr(snfuse.pooling, "attentive_pool", pool_chain)
+    monkeypatch.setattr(snfuse.fusion, "attention", cross_attention_chain)
+    monkeypatch.setattr(snfuse.backbone, "attention", split_heads_chain)
+    chain_loss, chain = _loss_and_grads(cfg, batch)
+    assert np.array_equal(fused_loss, chain_loss)
+    assert set(fused) == set(chain)
+    differing = [pid for pid in sorted(fused) if not np.array_equal(fused[pid], chain[pid])]
+    assert differing == []
+
+
+@pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+@pytest.mark.parametrize("label,flags", ABLATION_ROWS, ids=[label for label, _ in ABLATION_ROWS])
+def test_fused_nodes_match_primitive_chains(pooling, label, flags, snp, monkeypatch):
+    no_p2n, no_n2p, no_gcn = flags
+    _assert_same_as_chains(_cfg(pooling=pooling, snp=snp, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn),
+                           monkeypatch)
+
+
+def test_fused_nodes_match_with_several_reprogram_heads(monkeypatch):
+    _assert_same_as_chains(_cfg(reprogram_heads=4, n_heads=4), monkeypatch)

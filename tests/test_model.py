@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import snfuse.pooling
 from snfuse import mse_loss
 from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
@@ -110,3 +111,18 @@ def test_model_refuses_a_day_over_max_news_per_day_both_ways(pooling):
         model.predict_many([(prices, news, emb, target)])
     news[3] = np.ones((16, 4))
     model.predict_many([(prices, news, emb, target)])
+
+
+@pytest.mark.parametrize("pooling", ["sap", "pasap"])
+def test_each_day_is_sorted_once_per_model(pooling, monkeypatch):
+    sorted_ids = []
+    real = snfuse.pooling.canonical_order
+    monkeypatch.setattr(snfuse.pooling, "canonical_order", lambda rows: sorted_ids.append(id(rows)) or real(rows))
+    model = ForecastModel(_tiny_cfg(pooling=pooling), 4)
+    samples = _windows(model.cfg, n_stocks=2, per_stock=5)
+    model.batch_loss(samples)
+    model.batch_loss(samples)
+    model.predict_many(samples)
+    # sap sorts every distinct day matrix (empty ones too) exactly once; pasap keeps file order
+    days = {id(day) for _, news, _, _ in samples for day in news}
+    assert sorted(sorted_ids) == (sorted(days) if pooling == "sap" else [])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snfuse.errors import NumericError
-from snfuse.optim import ParamSet, backward
+from snfuse.optim import ParamSet, adam_step, backward, init_adam
 from snfuse.tensor import Tensor, add, mul, sum_all
 
 
@@ -29,3 +29,39 @@ def test_backward_names_the_first_non_finite_parameter():
     loss = sum_all(add(add(_overflowing_term(second), _overflowing_term(first)), fine))
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="'b.overflow'"):
         backward(loss, params)
+
+
+def test_adam_two_steps_match_a_hand_trace_with_bias_correction():
+    params = ParamSet()
+    p = params.add("p", [1.0, -2.0])
+    state = init_adam(params, lr=0.1)
+    # step 1, g = (0.5, -1): m = 0.1 g, v = 0.001 g^2; corrected by 1 - 0.9 and 1 - 0.999
+    # they are g and g^2 again, so each entry moves by lr |g| / (|g| + eps)
+    adam_step(params, {"p": np.array([0.5, -1.0])}, state)
+    np.testing.assert_allclose(state.m["p"], [0.05, -0.1], rtol=1e-15)
+    np.testing.assert_allclose(state.v["p"], [0.00025, 0.001], rtol=1e-15)
+    np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5 / (0.5 + 1e-8), -2.0 + 0.1 * 1.0 / (1.0 + 1e-8)], rtol=1e-15)
+    first = p.data.copy()
+    # step 2, g = (-0.25, 2): m = (0.045 - 0.025, -0.09 + 0.2), v = (0.00024975 + 0.0000625, 0.000999 + 0.004);
+    # bias corrections 1 - 0.9^2 = 0.19 and 1 - 0.999^2 = 0.001999
+    adam_step(params, {"p": np.array([-0.25, 2.0])}, state)
+    assert state.step == 2
+    np.testing.assert_allclose(state.m["p"], [0.02, 0.11], rtol=1e-12)
+    np.testing.assert_allclose(state.v["p"], [0.00031225, 0.004999], rtol=1e-12)
+    m_hat = np.array([0.02, 0.11]) / 0.19
+    v_hat = np.array([0.00031225, 0.004999]) / 0.001999
+    np.testing.assert_allclose(p.data, first - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8), rtol=1e-12)
+    np.testing.assert_allclose(p.data, [0.8733663, -1.9366104], rtol=1e-7)
+
+
+def test_adam_updates_exactly_the_trainable_set():
+    params = ParamSet()
+    params.add("a", [1.0])
+    frozen = params.add("f", [3.0], frozen=True)
+    state = init_adam(params, lr=0.1)
+    with pytest.raises(ValueError, match="missing=\\['a'\\]"):
+        adam_step(params, {}, state)
+    with pytest.raises(ValueError, match="extra=\\['f'\\]"):
+        adam_step(params, {"a": np.array([1.0]), "f": np.array([1.0])}, state)
+    adam_step(params, {"a": np.array([1.0])}, state)
+    assert frozen.data[0] == 3.0 and params["a"].data[0] != 1.0
