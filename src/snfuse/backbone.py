@@ -6,9 +6,10 @@ of a frozen vocabulary matrix. The surrogate itself is a small pre-LN
 encoder whose weights are seeded once and never trained; only the
 reprogramming side and the prediction head carry gradients.
 
-`patchify`, `backbone_forward` and `forward_backbone` take `windows`: with
-windows > 1 their rows are that many windows stacked one after another,
-each window is processed on its own, and the call is forward only.
+`patchify`, `backbone_forward` and `forward_backbone` take `windows`:
+their rows are that many windows stacked one after another, and each
+window is processed on its own. The training step passes one window;
+stacked inference passes many, without a tape.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    block_attention,
     concat_rows,
     gather_rows,
     layer_norm,
@@ -27,7 +27,6 @@ from .tensor import (
     matmul,
     relu,
     reshape,
-    slice_rows,
     transpose,
 )
 
@@ -45,15 +44,9 @@ def patchify(features: Tensor, patch_len: int, stride: int, windows: int = 1) ->
     rows, d = features.shape
     t_window = rows // windows
     n_p = num_patches(t_window, patch_len, stride)
-    if windows > 1:
-        starts = np.arange(windows)[:, None] * t_window + np.arange(n_p)[None, :] * stride
-        index = (starts[:, :, None] + np.arange(patch_len)).reshape(-1)
-        return reshape(gather_rows(features, index), (windows * n_p, patch_len * d))
-    rows = []
-    for p in range(n_p):
-        start = p * stride
-        rows.append(reshape(slice_rows(features, start, start + patch_len), (1, patch_len * d)))
-    return concat_rows(rows)
+    starts = np.arange(windows)[:, None] * t_window + np.arange(n_p)[None, :] * stride
+    index = (starts[:, :, None] + np.arange(patch_len)).reshape(-1)
+    return reshape(gather_rows(features, index), (windows * n_p, patch_len * d))
 
 
 def make_prototypes(vocab: Tensor, w_proj: Tensor) -> Tensor:
@@ -87,10 +80,7 @@ def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, window
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = matmul(normed, params[f"{p}.attn.wk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        if windows > 1:
-            attended = block_attention(q, k, v, n_heads, windows)
-        else:
-            attended = attention(q, k, v, n_heads)
+        attended = attention(q, k, v, n_heads, windows=windows)
         x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),
@@ -115,16 +105,12 @@ def forward_backbone(
     n_p = patch_tokens.shape[0] // windows
     if prompt_token is None:
         patch_hidden = backbone_forward(patch_tokens, params, n_layers, n_heads, windows)
-    elif windows > 1:
+    else:
         first = np.arange(windows)[:, None]
         seq_index = np.concatenate([first, windows + first * n_p + np.arange(n_p)], axis=1).reshape(-1)
         seq = gather_rows(concat_rows([prompt_token, patch_tokens]), seq_index)
         hidden = backbone_forward(seq, params, n_layers, n_heads, windows)
         patch_hidden = gather_rows(hidden, (first * (1 + n_p) + 1 + np.arange(n_p)).reshape(-1))
-    else:
-        seq = concat_rows([prompt_token, patch_tokens])
-        hidden = backbone_forward(seq, params, n_layers, n_heads)
-        patch_hidden = slice_rows(hidden, 1, 1 + n_p)
     d_model = patch_hidden.shape[1]
     flat = reshape(patch_hidden, (windows, n_p * d_model))
     return linear(flat, params["reprog.head.w"], params["reprog.head.b"])

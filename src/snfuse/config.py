@@ -9,10 +9,11 @@ Output/input directory locations never enter the hash.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_utf8
 from .pooling import VARIANTS
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
@@ -56,8 +57,8 @@ class RunConfig:
                     "batch_size", "max_epochs", "patience", "max_news_per_day"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.seed < 0:
@@ -104,7 +105,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise FileNotFoundError(str(path))
     cfg = RunConfig()
     seen: set[str] = set()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

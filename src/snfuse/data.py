@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import struct
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_utf8
 
 NEWS_MAGIC = b"NEWSEMB1"
 MANIFEST_HEADER = "SNFMANIFEST 1"
@@ -111,33 +112,35 @@ def load_prices(path: str | Path, stock_id: str | None = None) -> PriceSeries:
     sid = stock_id if stock_id is not None else path.parent.name
     dates: list[str] = []
     closes: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "close"]:
-            raise DataFormatError(f"{path}: expected header 'date,close', got {header}")
-        prev: _date | None = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                day = _date.fromisoformat(row[0])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad date '{row[0]}': {exc}") from exc
-            if prev is not None:
-                if day == prev:
-                    raise DataFormatError(f"{path}:{lineno}: duplicate date {row[0]}")
-                if day < prev:
-                    raise DataFormatError(f"{path}:{lineno}: dates not increasing at {row[0]}")
-            prev = day
-            try:
-                close = float(row[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad close '{row[1]}'") from exc
-            if not np.isfinite(close) or close <= 0.0:
-                raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
-            dates.append(row[0])
-            closes.append(close)
+    try:
+        rows = list(csv.reader(io.StringIO(read_utf8(path, newline=""), newline="")))
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataFormatError(f"{path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["date", "close"]:
+        raise DataFormatError(f"{path}: expected header 'date,close', got {header}")
+    prev: _date | None = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        try:
+            day = _date.fromisoformat(row[0])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad date '{row[0]}': {exc}") from exc
+        if prev is not None:
+            if day == prev:
+                raise DataFormatError(f"{path}:{lineno}: duplicate date {row[0]}")
+            if day < prev:
+                raise DataFormatError(f"{path}:{lineno}: dates not increasing at {row[0]}")
+        prev = day
+        try:
+            close = float(row[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad close '{row[1]}'") from exc
+        if not np.isfinite(close) or close <= 0.0:
+            raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
+        dates.append(row[0])
+        closes.append(close)
     return PriceSeries(stock_id=sid, dates=dates, closes=np.asarray(closes, dtype=np.float64))
 
 
@@ -174,28 +177,26 @@ def load_contexts(path: str | Path) -> dict[str, StockContext]:
         raise FileNotFoundError(str(path))
     contexts: dict[str, StockContext] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            sid, display, emb_text = parts
-            if sid in contexts:
-                raise DataFormatError(f"{path}:{lineno}: duplicate stock id '{sid}'")
-            try:
-                emb = np.asarray([float(v) for v in emb_text.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad embedding literal") from exc
-            if not np.all(np.isfinite(emb)):
-                raise DataFormatError(f"{path}:{lineno}: embedding contains non-finite values")
-            if dim is None:
-                dim = emb.size
-            elif emb.size != dim:
-                raise DataFormatError(f"{path}:{lineno}: embedding dim {emb.size} != {dim}")
-            contexts[sid] = StockContext(stock_id=sid, display_name=display, name_embedding=emb)
+    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        sid, display, emb_text = parts
+        if sid in contexts:
+            raise DataFormatError(f"{path}:{lineno}: duplicate stock id '{sid}'")
+        try:
+            emb = np.asarray([float(v) for v in emb_text.split(",")], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad embedding literal") from exc
+        if not np.all(np.isfinite(emb)):
+            raise DataFormatError(f"{path}:{lineno}: embedding contains non-finite values")
+        if dim is None:
+            dim = emb.size
+        elif emb.size != dim:
+            raise DataFormatError(f"{path}:{lineno}: embedding dim {emb.size} != {dim}")
+        contexts[sid] = StockContext(stock_id=sid, display_name=display, name_embedding=emb)
     if not contexts:
         raise DataFormatError(f"{path}: no stock contexts found")
     return contexts
@@ -480,7 +481,7 @@ def verify_manifest(ds: PreparedDataset, path: str | Path) -> None:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    stored = path.read_text(encoding="utf-8")
+    stored = read_utf8(path)
     current = manifest_text(ds)
     if stored != current:
         raise DataFormatError(

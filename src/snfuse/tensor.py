@@ -6,13 +6,13 @@ central-difference gradient checks are meaningful. Tensors are never
 mutated once an op has consumed them; the optimizer replaces parameter
 arrays between steps.
 
-Two fused ops, `attentive_pool` and `attention`, record one node for a
-whole chain of primitive ops and match that chain bit for bit, which
-roughly halves the nodes of a training step.
+Four fused ops record one node for a whole chain of primitive ops and
+match that chain bit for bit; the same taped ops serve the training step
+(one window) and stacked inference (many windows).
 
 Inside `no_grad()` no op records parents, so inference builds no tape.
-The ops at the end of this file exist for stacked inference only: they
-have no backward and raise when called while gradients are recorded.
+The ops at the end of this file (`row_dot`, the segment ops and
+`block_matmul`) have no backward and raise while gradients are recorded.
 """
 
 from __future__ import annotations
@@ -288,12 +288,12 @@ def softmax_rows(a) -> Tensor:
 def _softmax_forward(x: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"{name} input contains non-finite values")
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=1, keepdims=True))
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def sum_all(a) -> Tensor:
@@ -351,6 +351,10 @@ def linear(x, w, b) -> Tensor:
 # arrays of the same memory layout (BLAS results depend on it), so values
 # and gradients match the chain bit for bit. Gradients reach each input
 # in the order the chain's backward would deliver them.
+#
+# The ops that take `windows` work on W equal windows stacked one after
+# another: rows [i*L, (i+1)*L) belong to window i. The training step runs
+# them at W = 1, stacked inference at W > 1 inside no_grad().
 
 
 def attentive_pool(w, rows: np.ndarray, name: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
@@ -375,14 +379,14 @@ def attentive_pool(w, rows: np.ndarray, name: np.ndarray | None = None) -> tuple
     return _node(y @ rows, (w,), bw), y
 
 
-def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
-    """Multi-head softmax(QK'/sqrt(head width)) V, heads consecutive column blocks.
+def attention(q, k, v, n_heads: int, split: bool = True, windows: int = 1) -> Tensor:
+    """Multi-head softmax(QK'/sqrt(head width)) V within each window, heads consecutive column blocks.
 
-    Per head it matches slice_cols (a copy of the head's columns) ->
-    transpose -> matmul -> scale -> softmax_rows -> matmul, then concat_cols.
-    split=False (one head) skips the column copies and so matches
+    Per window and head (a contiguous block, one product of a stacked
+    np.matmul) it matches slice_cols -> transpose -> matmul -> scale ->
+    softmax_rows -> matmul, then concat_cols. split=False (one head) matches
     matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul on the whole
-    arrays; k's gradient then stays the transpose of a row-major product.
+    window; k's gradient then stays the transpose of a row-major product.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     width = q.data.shape[1]
@@ -392,56 +396,77 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
         raise ValueError("attention without head splitting takes one head")
     head_dim = width // n_heads
     c = 1.0 / math.sqrt(head_dim)
-    bounds = [(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
-    heads = []  # per head: (q, k', v, attention weights)
-    for lo, hi in bounds:
-        qh, kh, vh = (t.data[:, lo:hi].copy() if split else t.data for t in (q, k, v))
-        kt = kh.T.copy()
-        y = _softmax_forward((qh @ kt) * c, "softmax_rows")
-        heads.append((qh, kt, vh, y))
-    outs = [y @ vh for _, _, vh, y in heads]
-    qk_grad = q.requires_grad or k.requires_grad
 
-    def scatter(t: Tensor, g: np.ndarray, lo: int, hi: int) -> None:
-        if split:
-            full = np.zeros_like(t.data)
-            full[:, lo:hi] = g
-            g = full
-        _accumulate(t, g)
+    def heads(x: np.ndarray) -> np.ndarray:  # (W*L, width) -> (W, heads, L, head_dim) view
+        return x.reshape(windows, -1, n_heads, head_dim).transpose(0, 2, 1, 3)
+
+    def rows(x: np.ndarray) -> np.ndarray:  # the inverse of heads
+        return x.transpose(0, 2, 1, 3).reshape(-1, width)
+
+    qh, kh, vh = (np.ascontiguousarray(heads(t.data)) for t in (q, k, v))
+    kt = kh.swapaxes(2, 3).copy()
+    y = _softmax_forward(np.matmul(qh, kt) * c, "softmax_rows")
 
     def bw(g):
-        for (lo, hi), (qh, kt, vh, y) in zip(bounds, heads):
-            gh = g[:, lo:hi] if n_heads > 1 else g
-            g_logits = _softmax_backward(gh @ vh.T, y) * c if qk_grad else None
-            g_v = y.T @ gh if v.requires_grad else None
-            # the unsplit chain hands v its gradient before q and k, the split one after
-            if g_v is not None and not split:
-                _accumulate(v, g_v)
+        gh = heads(g)
+        g_v = rows(np.matmul(y.swapaxes(2, 3), gh)) if v.requires_grad else None
+        # the unsplit chain hands v its gradient before q and k, the split one after
+        if g_v is not None and not split:
+            _accumulate(v, g_v)
+        if q.requires_grad or k.requires_grad:
+            g_logits = _softmax_backward(np.matmul(gh, vh.swapaxes(2, 3)), y) * c
             if q.requires_grad:
-                scatter(q, g_logits @ kt.T, lo, hi)
+                _accumulate(q, rows(np.matmul(g_logits, kt.swapaxes(2, 3))))
             if k.requires_grad:
-                scatter(k, (qh.T @ g_logits).T, lo, hi)
-            if g_v is not None and split:
-                scatter(v, g_v, lo, hi)
+                g_k = rows(np.matmul(qh.swapaxes(2, 3), g_logits).swapaxes(2, 3))
+                _accumulate(k, np.ascontiguousarray(g_k) if split else g_k)
+        if g_v is not None and split:
+            _accumulate(v, g_v)
 
-    return _node(np.concatenate(outs, axis=1) if n_heads > 1 else outs[0], (q, k, v), bw)
+    return _node(rows(np.matmul(y, vh)), (q, k, v), bw)
+
+
+def gather_rows(a, index) -> Tensor:
+    """Rows a[index]; a repeated row sums its gradients in index order, as slice_rows in that order would."""
+    a = as_tensor(a)
+    index = np.asarray(index, dtype=np.intp)
+
+    def bw(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            np.add.at(full, index, g)
+            _accumulate(a, full)
+
+    return _node(a.data[index], (a,), bw)
+
+
+def shift_rows(a, k: int, windows: int = 1) -> Tensor:
+    """Move every window's rows k >= 0 places later; the first k rows of each window become zero."""
+    a = as_tensor(a)
+    n, width = a.data.shape
+    length = n // windows
+    k = min(k, length)
+
+    def moved(x: np.ndarray, src: slice, dst: slice) -> np.ndarray:
+        out = np.zeros((windows, length, width))
+        out[:, dst] = x.reshape(windows, length, width)[:, src]
+        return out.reshape(n, width)
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, moved(g, slice(k, None), slice(None, length - k)))
+
+    return _node(moved(a.data, slice(None, length - k), slice(k, None)), (a,), bw)
 
 
 # -- forward-only ops for stacked inference ------------------------------
 #
-# A stack of W windows keeps each window's rows together: rows
-# [i*L, (i+1)*L) belong to window i.
+# Windows stack as above. These ops have no backward.
 
 
 def _forward_only(name: str) -> None:
     if _recording.get():
         raise RuntimeError(f"{name} is forward-only; call it inside tensor.no_grad()")
-
-
-def gather_rows(a, index) -> Tensor:
-    """Rows a[index], in index order."""
-    _forward_only("gather_rows")
-    return Tensor(as_tensor(a).data[np.asarray(index, dtype=np.intp)])
 
 
 def row_dot(a, b) -> Tensor:
@@ -476,38 +501,3 @@ def block_matmul(m: np.ndarray, a, windows: int) -> Tensor:
     _forward_only("block_matmul")
     x = as_tensor(a).data
     return Tensor(np.matmul(m, x.reshape(windows, -1, x.shape[1])).reshape(-1, x.shape[1]))
-
-
-def shift_rows(a, k: int, windows: int) -> Tensor:
-    """Move every window's rows k places later; the first k rows of each window become zero."""
-    _forward_only("shift_rows")
-    flat = as_tensor(a).data
-    x = flat.reshape(windows, -1, flat.shape[1])
-    out = np.zeros_like(x)
-    if k < x.shape[1]:
-        out[:, k:] = x[:, : x.shape[1] - k]
-    return Tensor(out.reshape(flat.shape))
-
-
-def block_attention(q, k, v, n_heads: int, windows: int) -> Tensor:
-    """Multi-head softmax(QK'/sqrt(head width)) V inside each window.
-
-    Row blocks of q attend only to the same window's rows of k and v;
-    heads are consecutive column blocks, concatenated back in order.
-    """
-    _forward_only("block_attention")
-    width = q.shape[1]
-    if width % n_heads != 0:
-        raise ValueError(f"model width {width} not divisible by {n_heads} heads")
-    head_dim = width // n_heads
-
-    def heads(t: Tensor) -> np.ndarray:  # (W, heads, L, head_dim)
-        return t.data.reshape(windows, -1, n_heads, head_dim).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    logits = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(head_dim))
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("block_attention logits contain non-finite values")
-    e = np.exp(logits - logits.max(axis=3, keepdims=True))
-    out = np.matmul(e / e.sum(axis=3, keepdims=True), vh)
-    return Tensor(out.transpose(0, 2, 1, 3).reshape(-1, width))

@@ -3,6 +3,7 @@ the 8-row ablation grid, and multi-seed summaries."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -229,7 +230,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     def take_str() -> str:
         (n,) = struct.unpack("<I", take(4))
-        return take(n).decode("utf-8")
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: a header string is not valid UTF-8 ({exc.reason})") from exc
 
     cfg_digest = take_str()
     manifest_digest = take_str()
@@ -241,7 +245,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise DataFormatError(f"{path}: duplicate tensor '{pid}'")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
         tensors[pid] = arr
     if off != len(raw):

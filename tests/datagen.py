@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from snfuse.data import (
     assemble_dataset,
     write_news_day,
 )
+from snfuse.training import CHECKPOINT_MAGIC
 
 
 def trading_dates(n: int, start: date = date(2021, 7, 1)) -> list[str]:
@@ -40,6 +42,21 @@ def write_names(path: Path, contexts: list[tuple[str, str, np.ndarray]]) -> None
         emb_text = ",".join(repr(float(v)) for v in np.asarray(emb).reshape(-1))
         lines.append(f"{sid}\t{display}\t{emb_text}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def checkpoint_bytes(tensors, cfg_digest: bytes = b"cfg-digest", manifest_digest: bytes = b"manifest-digest") -> bytes:
+    """A checkpoint file holding (name, array) tensors under the given raw header strings."""
+    out = bytearray(CHECKPOINT_MAGIC)
+    for raw in (cfg_digest, manifest_digest):
+        out += struct.pack("<I", len(raw)) + raw
+    out += struct.pack("<I", len(tensors))
+    for name, arr in tensors:
+        raw = name.encode("utf-8")
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        out += struct.pack("<I", len(raw)) + raw
+        out += struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+        out += arr.tobytes()
+    return bytes(out)
 
 
 def write_dataset_dir(

@@ -47,7 +47,7 @@ def test_train_with_one_direction_removed_exits_0(tmp_path):
         assert (out / "checkpoint.snf").is_file()
 
 
-@pytest.mark.parametrize("line", ["pooling = foo", "T = 0"])
+@pytest.mark.parametrize("line", ["pooling = foo", "T = 0", "lr = nan"])
 def test_prepare_with_out_of_range_config_value_exits_2(tmp_path, capsys, line):
     data = toy_dataset_dir(tmp_path / "data", n_days=60)
     cfg = tmp_path / "bad.cfg"

@@ -34,7 +34,9 @@ def test_load_config_accepts_aliases_and_rejects_field_names(tmp_path):
 
 
 @pytest.mark.parametrize("line,message", [("pooling = foo", "unknown pooling variant 'foo'"),
-                                          ("T = 0", "t_window must be >= 1")])
+                                          ("T = 0", "t_window must be >= 1"),
+                                          ("lr = nan", "lr must be finite and positive"),
+                                          ("lr = inf", "lr must be finite and positive")])
 def test_load_config_reports_out_of_range_values_as_format_errors(tmp_path, line, message):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n", encoding="utf-8")

@@ -1,13 +1,16 @@
 """The fused tape nodes reproduce the primitive-op graphs bit for bit.
 
-`tensor.attentive_pool` and `tensor.attention` each record one node for
-what used to be a chain of primitive ops: the per-day pooling chain, the
-per-head attention of the reprogramming layer and the frozen backbone
-(columns sliced even for one head), and the unsliced single-head
-cross-attention. The oracles below rebuild those chains from the
-primitive ops; a model run through them must give the same loss and the
-same gradient for every trainable parameter, compared with np.array_equal,
-in every pooling variant, ablation row and prompt setting.
+`tensor.attentive_pool`, `tensor.attention`, `tensor.gather_rows` and
+`tensor.shift_rows` each record one node for what used to be a chain of
+primitive ops: the per-day pooling chain, the per-head attention of the
+reprogramming layer and the frozen backbone (columns sliced even for one
+head), the unsliced single-head cross-attention, the per-patch slices of
+patchify, the padded slices of the causal convolution, and the prompt row
+joined to and cut from the backbone's sequence. The oracles below rebuild
+those chains from the primitive ops; a model run through them must give
+the same loss and the same gradient for every trainable parameter,
+compared with np.array_equal, in every pooling variant, ablation row and
+prompt setting.
 
 The widths (d = d_model = 32, T = 8, 16 prototypes) are ones where
 OpenBLAS 0.3.31 with its Haswell kernels returns different bits for the
@@ -30,11 +33,15 @@ from snfuse.model import ForecastModel
 from snfuse.optim import backward
 from snfuse.tensor import (
     Tensor,
+    add,
     concat_cols,
+    concat_rows,
+    linear,
     matmul,
     reshape,
     scale,
     slice_cols,
+    slice_rows,
     softmax_rows,
     transpose,
 )
@@ -49,8 +56,9 @@ def pool_chain(w, rows, name=None):
     return matmul(attn, Tensor(rows)), attn.data
 
 
-def split_heads_chain(q, k, v, n_heads):
+def split_heads_chain(q, k, v, n_heads, windows=1):
     """Per head: slice_cols -> transpose -> matmul -> scale -> softmax_rows -> matmul."""
+    assert windows == 1
     head_dim = q.shape[1] // n_heads
     outs = []
     for h in range(n_heads):
@@ -66,6 +74,41 @@ def cross_attention_chain(q, k, v, n_heads, **_):
     assert n_heads == 1
     logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
     return matmul(softmax_rows(logits), v)
+
+
+def patchify_chain(features, patch_len, stride, windows=1):
+    """Per patch: slice_rows -> reshape to one row, then concat_rows."""
+    assert windows == 1
+    d = features.shape[1]
+    n_p = snfuse.backbone.num_patches(features.shape[0], patch_len, stride)
+    return concat_rows([reshape(slice_rows(features, s, s + patch_len), (1, patch_len * d))
+                        for s in range(0, n_p * stride, stride)])
+
+
+def causal_conv_chain(h, taps, windows=1):
+    """Zero rows joined on top by concat_rows, then per tap slice_rows -> matmul, summed by add."""
+    assert windows == 1
+    t_len, d = h.shape
+    k0 = len(taps) - 1
+    padded = concat_rows([Tensor(np.zeros((k0, d))), h])
+    out = matmul(slice_rows(padded, k0, k0 + t_len), taps[0])
+    for k in range(1, len(taps)):
+        out = add(out, matmul(slice_rows(padded, k0 - k, k0 - k + t_len), taps[k]))
+    return out
+
+
+def forward_backbone_chain(prompt_token, patch_tokens, params, n_layers, n_heads, windows=1):
+    """The prompt row led in by concat_rows and cut off again by slice_rows, then the head."""
+    assert windows == 1
+    n_p = patch_tokens.shape[0]
+    if prompt_token is None:
+        patch_hidden = snfuse.backbone.backbone_forward(patch_tokens, params, n_layers, n_heads)
+    else:
+        hidden = snfuse.backbone.backbone_forward(concat_rows([prompt_token, patch_tokens]), params,
+                                                  n_layers, n_heads)
+        patch_hidden = slice_rows(hidden, 1, 1 + n_p)
+    flat = reshape(patch_hidden, (1, n_p * patch_hidden.shape[1]))
+    return linear(flat, params["reprog.head.w"], params["reprog.head.b"])
 
 
 def _cfg(**overrides) -> RunConfig:
@@ -96,6 +139,9 @@ def _assert_same_as_chains(cfg, monkeypatch):
     monkeypatch.setattr(snfuse.pooling, "attentive_pool", pool_chain)
     monkeypatch.setattr(snfuse.fusion, "attention", cross_attention_chain)
     monkeypatch.setattr(snfuse.backbone, "attention", split_heads_chain)
+    monkeypatch.setattr(snfuse.backbone, "patchify", patchify_chain)
+    monkeypatch.setattr(snfuse.fusion, "causal_conv", causal_conv_chain)
+    monkeypatch.setattr(snfuse.backbone, "forward_backbone", forward_backbone_chain)
     chain_loss, chain = _loss_and_grads(cfg, batch)
     assert np.array_equal(fused_loss, chain_loss)
     assert set(fused) == set(chain)
@@ -114,3 +160,8 @@ def test_fused_nodes_match_primitive_chains(pooling, label, flags, snp, monkeypa
 
 def test_fused_nodes_match_with_several_reprogram_heads(monkeypatch):
     _assert_same_as_chains(_cfg(reprogram_heads=4, n_heads=4), monkeypatch)
+
+
+@pytest.mark.parametrize("patch_len,stride", [(3, 1), (5, 2)])
+def test_fused_nodes_match_with_overlapping_patches(patch_len, stride, monkeypatch):
+    _assert_same_as_chains(_cfg(patch_len=patch_len, patch_stride=stride, snp=True), monkeypatch)

@@ -18,7 +18,7 @@ from snfuse.optim import (
 from snfuse.tensor import (
     Tensor,
     add,
-    block_attention,
+    attention,
     block_matmul,
     concat_cols,
     concat_rows,
@@ -249,6 +249,10 @@ OPS_FOR_GRAD = [
     ("slice_cols", lambda p, c: sum_all(mul(slice_cols(p["x"], 0, 2), slice_cols(c, 0, 2)))),
     ("concat_rows", lambda p, c: sum_all(mul(concat_rows([p["x"], p["x"]]), concat_rows([c, c])))),
     ("concat_cols", lambda p, c: sum_all(mul(concat_cols([p["x"], p["x"]]), concat_cols([c, c])))),
+    ("gather_rows", lambda p, c: sum_all(mul(gather_rows(p["x"], [2, 0, 2, 2, 1]), gather_rows(c, [0, 1, 2, 0, 1])))),
+    ("shift_rows_0", lambda p, c: sum_all(mul(shift_rows(p["x"], 0), c))),
+    ("shift_rows_1", lambda p, c: sum_all(mul(shift_rows(p["x"], 1), c))),
+    ("shift_rows_past_the_end", lambda p, c: sum_all(mul(shift_rows(p["x"], 5), c))),
 ]
 
 
@@ -358,13 +362,10 @@ def test_no_grad_in_one_thread_leaves_another_recording():
 
 
 FORWARD_ONLY = [
-    ("gather_rows", lambda a: gather_rows(a, [1, 0])),
     ("row_dot", lambda a: row_dot(a, a)),
     ("segment_softmax", lambda a: segment_softmax(a, np.array([0]))),
     ("segment_sum", lambda a: segment_sum(a, np.array([0]))),
     ("block_matmul", lambda a: block_matmul(np.eye(2), a, 1)),
-    ("shift_rows", lambda a: shift_rows(a, 1, 1)),
-    ("block_attention", lambda a: block_attention(a, a, a, 1, 1)),
 ]
 
 
@@ -400,7 +401,7 @@ def test_block_ops_match_each_window_on_its_own():
     q, k, v = (rng.normal(size=(windows * length, width)) for _ in range(3))
     m = rng.normal(size=(2, length))
     with no_grad():
-        attended = block_attention(Tensor(q), Tensor(k), Tensor(v), 2, windows).data
+        attended = attention(Tensor(q), Tensor(k), Tensor(v), 2, windows=windows).data
         mixed = block_matmul(m, Tensor(q), windows).data
         shifted = shift_rows(Tensor(q), 2, windows).data
         assert np.all(shift_rows(Tensor(q), length, windows).data == 0.0)
@@ -416,3 +417,43 @@ def test_block_ops_match_each_window_on_its_own():
         np.testing.assert_allclose(mixed[2 * i : 2 * i + 2], m @ q[rows], rtol=1e-14)
         np.testing.assert_array_equal(shifted[rows][:2], 0.0)
         np.testing.assert_array_equal(shifted[rows][2:], q[rows][:-2])
+
+
+@pytest.mark.parametrize("n_heads,split", [(1, True), (2, True), (1, False)], ids=["1-head", "2-heads", "unsplit"])
+def test_windowed_attention_gradient_matches_finite_differences_and_a_loop(n_heads, split):
+    rng = np.random.default_rng(12)
+    windows, length, width = 3, 4, 4
+    params = ParamSet()
+    for name in "qkv":
+        params.add(name, rng.normal(size=(windows * length, width)))
+    c = Tensor(rng.normal(size=(windows * length, width)))
+
+    def stacked(p):
+        return sum_all(mul(attention(p["q"], p["k"], p["v"], n_heads, split, windows), c))
+
+    def looped(p):
+        outs = [attention(*(slice_rows(p[name], i * length, (i + 1) * length) for name in "qkv"), n_heads, split)
+                for i in range(windows)]
+        return sum_all(mul(concat_rows(outs), c))
+
+    report = finite_diff_check(stacked, params, step=1e-6, tol=1e-6)
+    assert report.passed, report.per_param
+    stacked_grads, looped_grads = backward(stacked(params), params), backward(looped(params), params)
+    for name in "qkv":
+        np.testing.assert_array_equal(stacked_grads[name], looped_grads[name])
+
+
+def test_windowed_shift_rows_gradient_matches_a_loop():
+    rng = np.random.default_rng(13)
+    windows, length = 3, 4
+    params = ParamSet()
+    x = params.add("x", rng.normal(size=(windows * length, 2)))
+    c = Tensor(rng.normal(size=(windows * length, 2)))
+    for k in (0, 1, length, length + 2):
+        stacked = backward(sum_all(mul(shift_rows(x, k, windows), c)), params)["x"]
+        looped = backward(sum_all(mul(concat_rows(
+            [shift_rows(slice_rows(x, i * length, (i + 1) * length), k) for i in range(windows)]), c)), params)["x"]
+        np.testing.assert_array_equal(stacked, looped)
+        expected = np.zeros((windows, length, 2))
+        expected[:, : max(length - k, 0)] = c.data.reshape(windows, length, 2)[:, k:]
+        np.testing.assert_array_equal(stacked, expected.reshape(-1, 2))

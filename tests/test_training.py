@@ -1,34 +1,19 @@
 import math
-import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import snfuse.training
+from datagen import checkpoint_bytes
 from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
-from snfuse.training import CHECKPOINT_MAGIC, EarlyStopper, EvalReport, load_checkpoint, multi_seed
-
-
-def _checkpoint_bytes(tensors: list[tuple[str, np.ndarray]]) -> bytes:
-    out = bytearray(CHECKPOINT_MAGIC)
-    for text in ("cfg-digest", "manifest-digest"):
-        raw = text.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
-    out += struct.pack("<I", len(tensors))
-    for name, arr in tensors:
-        raw = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        out += struct.pack("<I", len(raw)) + raw
-        out += struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.tobytes()
-    return bytes(out)
+from snfuse.training import EarlyStopper, EvalReport, load_checkpoint, multi_seed
 
 
 def test_load_checkpoint_round_trips_hand_built_file(tmp_path):
     path = tmp_path / "ok.snf"
-    path.write_bytes(_checkpoint_bytes([("a", np.arange(3.0)), ("b", np.eye(2))]))
+    path.write_bytes(checkpoint_bytes([("a", np.arange(3.0)), ("b", np.eye(2))]))
     ckpt = load_checkpoint(path)
     assert (ckpt.cfg_hash, ckpt.manifest_hash) == ("cfg-digest", "manifest-digest")
     np.testing.assert_array_equal(ckpt.tensors["a"], np.arange(3.0))
@@ -37,7 +22,7 @@ def test_load_checkpoint_round_trips_hand_built_file(tmp_path):
 
 def test_load_checkpoint_rejects_duplicate_tensor_names(tmp_path):
     path = tmp_path / "dup.snf"
-    path.write_bytes(_checkpoint_bytes([("w", np.zeros(2)), ("w", np.ones(2))]))
+    path.write_bytes(checkpoint_bytes([("w", np.zeros(2)), ("w", np.ones(2))]))
     with pytest.raises(DataFormatError, match="duplicate tensor 'w'"):
         load_checkpoint(path)
 
