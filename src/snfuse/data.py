@@ -42,6 +42,7 @@ class PriceSeries:
 class DailyNewsBatch:
     day: str
     embeddings: np.ndarray  # (n, d), n may be 0
+    sha256: str  # hex digest of the file's bytes, for the manifest
 
     @property
     def count(self) -> int:
@@ -160,7 +161,7 @@ def load_news_day(path: str | Path) -> DailyNewsBatch:
     values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}: payload contains non-finite floats")
-    return DailyNewsBatch(day=path.stem, embeddings=values.reshape(n, d))
+    return DailyNewsBatch(day=path.stem, embeddings=values.reshape(n, d), sha256=hashlib.sha256(raw).hexdigest())
 
 
 def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
@@ -418,7 +419,7 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
             if batch.embeddings.shape[1] != dim:
                 raise DataFormatError(f"{path}: embedding dim {batch.embeddings.shape[1]} != {dim}")
             news_raw.append(batch.embeddings)
-            hashes.append((f"news/{day}.emb", _sha256_file(path)))
+            hashes.append((f"news/{day}.emb", batch.sha256))
         else:
             missing += 1
             news_raw.append(np.zeros((0, dim)))

@@ -5,12 +5,14 @@ every trainable tensor is guaranteed a gradient from any generic batch.
 The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated.
 
-After pooling, training and inference run one forward (`_fuse`,
-`_predict`) over stacked windows. Training runs `predict_sample` on a tape,
-one window at a time, through fused nodes that match the primitive ops bit
-for bit. Inference runs `predict_many`: no tape, PREDICT_CHUNK windows per
-forward, and each (day, stock) in a chunk pooled once. Both sort a day's
-articles only the first time the model sees that day matrix.
+Pooling runs `pool_day` once for each distinct (day, stock) of a call
+(`_pool`); after it, training and inference run one forward (`_fuse`,
+`_predict`) over stacked windows. Training runs `predict_sample` on a
+tape, one window at a time, through fused nodes that match the primitive
+ops bit for bit. Inference runs `predict_many`: no tape, PREDICT_CHUNK
+windows per forward, and each (day, stock) of the whole call pooled once.
+Both sort a day's articles only the first time the model sees that day
+matrix.
 """
 
 from __future__ import annotations
@@ -173,16 +175,34 @@ class ForecastModel:
             prompt = linear(Tensor(names), p["reprog.prompt.w"], p["reprog.prompt.b"])
         return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads, windows)
 
+    def _pool(self, samples) -> tuple[Tensor, np.ndarray]:
+        """Each distinct (day, stock) of (prices, news, name_emb, ...) samples pooled once.
+
+        Returns the (U, d) pooled rows, in order of first use, and the row
+        of every day slot. Days and name embeddings are recognised by identity.
+        """
+        cfg = self.cfg
+        w = self.params[pl.PARAM[cfg.pooling]]
+        rows: dict[tuple[int, int], int] = {}
+        pooled, index = [], []
+        for _, news, emb, *_ in samples:
+            for day in news:
+                key = (id(day), id(emb))
+                if key not in rows:
+                    rows[key] = len(pooled)
+                    pooled.append(pl.pool_day(cfg.pooling, day, emb, w, self.pos_table, cfg.max_news_per_day,
+                                              self.orders).pooled)
+                index.append(rows[key])
+        return concat_rows(pooled), np.asarray(index, dtype=np.intp)
+
     def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """Stock-aware features (T, d) for one window."""
-        cfg = self.cfg
         self._check_window(prices, news)
         news_raw = None
-        if cfg.pooling != "none":
-            w = self.params[pl.PARAM[cfg.pooling]]
-            pooled = [pl.pool_day(cfg.pooling, day, name_emb, w, self.pos_table, cfg.max_news_per_day,
-                                  self.orders).pooled for day in news]
-            news_raw = concat_rows(pooled)
+        if self.cfg.pooling != "none":
+            pooled, index = self._pool([(prices, news, name_emb)])
+            # distinct day arrays need no gather, so the training tape keeps its nodes
+            news_raw = pooled if pooled.shape[0] == len(index) else gather_rows(pooled, index)
         return self._fuse(prices, news_raw, 1)
 
     def predict_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
@@ -198,38 +218,24 @@ class ForecastModel:
         from one dataset share their pooling.
         """
         out = np.empty((len(samples), self.cfg.horizon))
+        if not samples:
+            return out
+        for prices, news, *_ in samples:
+            self._check_window(prices, news)
         with no_grad():
+            pooled = None
+            if self.cfg.pooling != "none":
+                pooled, index = self._pool(samples)
+                index = index.reshape(len(samples), -1)
             for lo in range(0, len(samples), PREDICT_CHUNK):
                 chunk = samples[lo : lo + PREDICT_CHUNK]
-                out[lo : lo + len(chunk)] = self._predict_chunk(chunk).data
+                hi = lo + len(chunk)
+                prices = np.concatenate([s[0] for s in chunk])
+                news_raw = None if pooled is None else gather_rows(pooled, index[lo:hi].reshape(-1))
+                fused = self._fuse(prices, news_raw, len(chunk))
+                names = np.stack([np.reshape(s[2], -1) for s in chunk])
+                out[lo:hi] = self._predict(fused, names, len(chunk)).data
         return out
-
-    def _predict_chunk(self, chunk) -> Tensor:
-        for prices, news, *_ in chunk:
-            self._check_window(prices, news)
-        prices = np.concatenate([s[0] for s in chunk])
-        news_raw = self._pool_chunk(chunk) if self.cfg.pooling != "none" else None
-        fused = self._fuse(prices, news_raw, len(chunk))
-        names = np.stack([np.reshape(s[2], -1) for s in chunk])
-        return self._predict(fused, names, len(chunk))
-
-    def _pool_chunk(self, chunk) -> Tensor:
-        """(windows*T, d) pooled news rows; each distinct (day, stock) is pooled once."""
-        cfg = self.cfg
-        slots: dict[tuple[int, int], int] = {}
-        days, names, index = [], [], []
-        for _, news, emb, *_ in chunk:
-            stock = id(emb)
-            for day in news:
-                key = (id(day), stock)
-                if key not in slots:
-                    slots[key] = len(days)
-                    days.append(day)
-                    names.append(emb)
-                index.append(slots[key])
-        w = self.params[pl.PARAM[cfg.pooling]]
-        pooled = pl.pool_days(cfg.pooling, days, names, w, self.pos_table, cfg.max_news_per_day, self.orders)
-        return gather_rows(pooled, index)
 
     def batch_predictions(self, batch) -> Tensor:
         """(B, H) stacked predictions for (prices, news, name_emb, target) tuples."""

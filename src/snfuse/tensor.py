@@ -11,8 +11,8 @@ match that chain bit for bit; the same taped ops serve the training step
 (one window) and stacked inference (many windows).
 
 Inside `no_grad()` no op records parents, so inference builds no tape.
-The ops at the end of this file (`row_dot`, the segment ops and
-`block_matmul`) have no backward and raise while gradients are recorded.
+The one op at the end of this file, `block_matmul`, has no backward and
+raises while gradients are recorded.
 """
 
 from __future__ import annotations
@@ -459,45 +459,14 @@ def shift_rows(a, k: int, windows: int = 1) -> Tensor:
     return _node(moved(a.data, slice(None, length - k), slice(k, None)), (a,), bw)
 
 
-# -- forward-only ops for stacked inference ------------------------------
+# -- forward-only op for stacked inference -------------------------------
 #
-# Windows stack as above. These ops have no backward.
-
-
-def _forward_only(name: str) -> None:
-    if _recording.get():
-        raise RuntimeError(f"{name} is forward-only; call it inside tensor.no_grad()")
-
-
-def row_dot(a, b) -> Tensor:
-    """(n, 1) dot products of matching rows; a single row of b pairs with every row of a."""
-    _forward_only("row_dot")
-    return Tensor((as_tensor(a).data * as_tensor(b).data).sum(axis=1, keepdims=True))
-
-
-def segment_softmax(a, starts: np.ndarray) -> Tensor:
-    """Softmax of an (n, 1) column within each segment.
-
-    Segment i is rows starts[i] up to starts[i + 1] (the last one runs to
-    the end); every segment must be non-empty.
-    """
-    _forward_only("segment_softmax")
-    x = as_tensor(a).data.reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("segment_softmax input contains non-finite values")
-    sizes = np.diff(np.append(starts, x.size))
-    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), sizes))
-    return Tensor((e / np.repeat(np.add.reduceat(e, starts), sizes)).reshape(-1, 1))
-
-
-def segment_sum(a, starts: np.ndarray) -> Tensor:
-    """(S, d) column sums of each segment of rows, segments as in segment_softmax."""
-    _forward_only("segment_sum")
-    return Tensor(np.add.reduceat(as_tensor(a).data, starts, axis=0))
+# Windows stack as above. This op has no backward.
 
 
 def block_matmul(m: np.ndarray, a, windows: int) -> Tensor:
     """m @ (each window of a): (W*L', d) rows through an (L, L') matrix to (W*L, d)."""
-    _forward_only("block_matmul")
+    if _recording.get():
+        raise RuntimeError("block_matmul is forward-only; call it inside tensor.no_grad()")
     x = as_tensor(a).data
     return Tensor(np.matmul(m, x.reshape(windows, -1, x.shape[1])).reshape(-1, x.shape[1]))

@@ -3,12 +3,15 @@
 Every output a run promises to be byte-deterministic must come out the
 same both times, and the report must agree with the evaluation. A
 checkpoint is refused (exit 2) under an edited config or against another
-dataset's manifest, and gradcheck passes on the same config.
+dataset's manifest, and gradcheck passes on the same config. The ablation
+grid runs twice on a shorter series and writes the same table each time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 import shutil
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 from datagen import toy_dataset_dir
 from snfuse.cli import main
+from snfuse.training import ABLATION_ROWS
 
 CONFIG = (
     "T = 8\npatch_len = 4\npatch_stride = 2\nmax_epochs = 2\npatience = 1\nd_model = 8\n"
@@ -106,3 +110,22 @@ def test_gradcheck_passes_on_the_acceptance_config(inputs, tmp_path):
     _, _, cfg = inputs
     assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "gradcheck.txt").read_text(encoding="utf-8").rstrip().endswith("PASS")
+
+
+def test_ablate_writes_every_row_in_order_byte_identically(tmp_path):
+    # 16 trainings: shorter windows, a shorter series and one epoch each keep the test short
+    data = toy_dataset_dir(tmp_path / "data", n_days=60)
+    cfg = tmp_path / "short.cfg"
+    text = CONFIG.replace("T = 8", "T = 4").replace("patch_len = 4", "patch_len = 2")
+    cfg.write_text(text.replace("max_epochs = 2", "max_epochs = 1"), encoding="utf-8")
+    common = ["--config", str(cfg), "--data", str(data), "--out"]
+    assert main(["prepare", *common, str(tmp_path / "prep")]) == 0
+    manifest = ["--manifest", str(tmp_path / "prep" / "dataset.manifest")]
+    tables = []
+    for name in ("first", "second"):
+        assert main(["ablate", *common, str(tmp_path / name), *manifest]) == 0
+        tables.append((tmp_path / name / "ablation.csv").read_bytes())
+    assert tables[0] == tables[1]
+    rows = list(csv.DictReader(io.StringIO(tables[0].decode("utf-8"))))
+    assert [row["label"] for row in rows] == [label for label, _ in ABLATION_ROWS]
+    assert all(math.isfinite(float(row[key])) for row in rows for key in ("mae", "mse"))

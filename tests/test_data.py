@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,7 @@ def test_news_round_trip_values(tmp_path):
     write_news_day(path, np.array([[1.0, 0.0], [0.0, 1.0]]))
     batch = load_news_day(path)
     np.testing.assert_array_equal(batch.embeddings, [[1.0, 0.0], [0.0, 1.0]])
+    assert batch.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_news_typical_day_219_articles(tmp_path):
@@ -263,6 +267,18 @@ def test_prepare_dataset_round_trip_manifest(tmp_path):
         assert np.array_equal(ds.stocks[sid].closes_norm, ds2.stocks[sid].closes_norm)
     for a, b in zip(ds.news, ds2.news):
         assert np.array_equal(a, b)
+
+
+def test_prepare_reads_each_news_file_once_and_hashes_those_bytes(tmp_path, monkeypatch):
+    root = toy_dataset_dir(tmp_path / "data", n_days=60, dim=4, seed=3)
+    reads = []
+    real = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or real(path))
+    text = manifest_text(prepare_dataset(root, t_window=8, horizon=1))
+    news = sorted((root / "news").iterdir())
+    assert news and sorted(name for name in reads if name.endswith(".emb")) == [path.name for path in news]
+    for path in news:
+        assert f"file {hashlib.sha256(real(path)).hexdigest()} news/{path.name}\n" in text
 
 
 def test_manifest_detects_changed_data(tmp_path):

@@ -126,3 +126,55 @@ def test_each_day_is_sorted_once_per_model(pooling, monkeypatch):
     # sap sorts every distinct day matrix (empty ones too) exactly once; pasap keeps file order
     days = {id(day) for _, news, _, _ in samples for day in news}
     assert sorted(sorted_ids) == (sorted(days) if pooling == "sap" else [])
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_pool_rows_match_pool_day_per_day(variant):
+    model = ForecastModel(_tiny_cfg(pooling=variant), 4)
+    samples = _windows(model.cfg, n_stocks=2, per_stock=3)
+    pooled, index = model._pool(samples)
+    slots = [(day, emb) for _, news, emb, _ in samples for day in news]
+    assert index.shape == (len(slots),)
+    # one row per distinct (day, stock), in order of first use
+    assert pooled.shape[0] == len({(id(day), id(emb)) for day, emb in slots}) == index.max() + 1
+    first_use = np.unique(index, return_index=True)[1]  # the first slot of each row
+    assert np.all(np.diff(first_use) > 0)
+    w = model.params[snfuse.pooling.PARAM[variant]]
+    for (day, emb), row in zip(slots, index):
+        ref = snfuse.pooling.pool_day(variant, day, emb, w, model.pos_table).pooled.data
+        np.testing.assert_array_equal(pooled.data[row : row + 1], ref)
+        if day.shape[0] == 0:  # the zero-news day: zeros, or the name itself for sap
+            np.testing.assert_array_equal(pooled.data[row], emb if variant == "sap" else 0.0)
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_predict_many_pools_each_day_and_stock_once_per_call(variant, monkeypatch):
+    pooled = []
+    real = snfuse.pooling.pool_day
+    monkeypatch.setattr(snfuse.pooling, "pool_day",
+                        lambda v, day, emb, *rest: pooled.append((id(day), id(emb))) or real(v, day, emb, *rest))
+    model = ForecastModel(_tiny_cfg(pooling=variant), 4)
+    # overlapping windows of two stocks over three chunks: the first stock's last windows
+    # share days with the ones before them in another chunk, so pooling per chunk pools twice
+    samples = _windows(model.cfg, n_stocks=2, per_stock=PREDICT_CHUNK + 4)
+    model.predict_many(samples)
+    distinct = {(id(day), id(emb)) for _, news, emb, _ in samples for day in news}
+    assert len(samples) > PREDICT_CHUNK
+    assert sorted(pooled) == sorted(distinct)
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_a_window_that_repeats_a_day_array_matches_a_window_of_copies(variant):
+    model = ForecastModel(_tiny_cfg(pooling=variant), 4)
+    (prices, news, emb, target), = _windows(model.cfg, n_stocks=1, per_stock=1)
+    repeated = list(news)
+    repeated[4] = repeated[3]  # the same array twice: pooled once and gathered
+    copies = [day.copy() for day in repeated]
+    ref = model.predict_sample(prices, copies, emb)
+    got = model.predict_sample(prices, repeated, emb)
+    np.testing.assert_allclose(got.data, ref.data, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model.predict_many([(prices, repeated, emb, target)]), ref.data, rtol=1e-12, atol=1e-12)
+    pid = snfuse.pooling.PARAM[variant]
+    grad_ref = backward(model.batch_loss([(prices, copies, emb, target)]), model.params)[pid]
+    grad = backward(model.batch_loss([(prices, repeated, emb, target)]), model.params)[pid]
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())

@@ -31,10 +31,7 @@ from snfuse.tensor import (
     no_grad,
     relu,
     reshape,
-    row_dot,
     scale,
-    segment_softmax,
-    segment_sum,
     shift_rows,
     slice_cols,
     slice_rows,
@@ -362,9 +359,6 @@ def test_no_grad_in_one_thread_leaves_another_recording():
 
 
 FORWARD_ONLY = [
-    ("row_dot", lambda a: row_dot(a, a)),
-    ("segment_softmax", lambda a: segment_softmax(a, np.array([0]))),
-    ("segment_sum", lambda a: segment_sum(a, np.array([0]))),
     ("block_matmul", lambda a: block_matmul(np.eye(2), a, 1)),
 ]
 
@@ -378,23 +372,6 @@ def test_forward_only_ops_raise_while_recording(name, fn):
         assert not fn(a).requires_grad
 
 
-def test_segment_ops_match_a_loop_per_segment():
-    rng = np.random.default_rng(3)
-    sizes = [1, 4, 2, 7]
-    starts = np.cumsum([0] + sizes[:-1])
-    logits = rng.normal(size=(sum(sizes), 1)) * 5
-    rows = rng.normal(size=(sum(sizes), 3))
-    with no_grad():
-        weights = segment_softmax(Tensor(logits), starts).data
-        sums = segment_sum(Tensor(rows), starts).data
-    for i, (lo, n) in enumerate(zip(starts, sizes)):
-        ref = softmax_rows(Tensor(logits[lo : lo + n].T)).data.T
-        np.testing.assert_allclose(weights[lo : lo + n], ref, rtol=1e-15)
-        np.testing.assert_allclose(sums[i], rows[lo : lo + n].sum(axis=0), rtol=1e-14)
-    with no_grad(), pytest.raises(NumericError):
-        segment_softmax(Tensor([[np.nan]]), np.array([0]))
-
-
 def test_block_ops_match_each_window_on_its_own():
     rng = np.random.default_rng(4)
     windows, length, width = 3, 5, 4
@@ -406,7 +383,6 @@ def test_block_ops_match_each_window_on_its_own():
         shifted = shift_rows(Tensor(q), 2, windows).data
         assert np.all(shift_rows(Tensor(q), length, windows).data == 0.0)
         np.testing.assert_array_equal(gather_rows(Tensor(q), [4, 0]).data, q[[4, 0]])
-        np.testing.assert_allclose(row_dot(Tensor(q), Tensor(k[:1])).data[:, 0], q @ k[0], rtol=1e-14)
     for i in range(windows):
         rows = slice(i * length, (i + 1) * length)
         heads = []
