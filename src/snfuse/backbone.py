@@ -6,10 +6,10 @@ of a frozen vocabulary matrix. The surrogate itself is a small pre-LN
 encoder whose weights are seeded once and never trained; only the
 reprogramming side and the prediction head carry gradients.
 
-`patchify`, `backbone_forward` and `forward_backbone` take `windows`:
-their rows are that many windows stacked one after another, and each
-window is processed on its own. The training step passes one window;
-stacked inference passes many, without a tape.
+The functions that take `windows` work on that many windows stacked one
+after another and process each window on its own: the training step
+passes its batch, on a tape, and stacked inference a chunk, without one.
+On a tape every window also gets its own copy of the prototypes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .tensor import (
     linear,
     matmul,
     relu,
+    repeat_windows,
     reshape,
     transpose,
 )
@@ -49,26 +50,28 @@ def patchify(features: Tensor, patch_len: int, stride: int, windows: int = 1) ->
     return reshape(gather_rows(features, index), (windows * n_p, patch_len * d))
 
 
-def make_prototypes(vocab: Tensor, w_proj: Tensor) -> Tensor:
-    """Project the V vocabulary rows down to U prototypes along the vocab axis."""
+def make_prototypes(vocab: Tensor, w_proj: Tensor, windows: int = 1) -> Tensor:
+    """Project the V vocabulary rows down to U prototypes along the vocab axis, once per window."""
     v_rows = vocab.shape[0]
     u_rows = w_proj.shape[1]
     if u_rows > v_rows:
         raise ValueError(f"cannot build {u_rows} prototypes from a vocabulary of {v_rows} rows")
-    return matmul(transpose(w_proj), vocab)
+    return matmul(repeat_windows(transpose(w_proj), windows), vocab, windows)
 
 
-def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1) -> Tensor:
+def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1, windows: int = 1) -> Tensor:
     """Lifted patches query the prototypes; prototypes provide keys and values.
 
-    Attention projections are plain matrices (a key bias is invisible to
-    softmax and would be a dead parameter).
+    With windows > 1 the prototypes hold one set per window, and each
+    window's patches attend to their own; with one set every patch attends
+    to it. Attention projections are plain matrices (a key bias is
+    invisible to softmax and would be a dead parameter).
     """
-    lifted = linear(patches, params["reprog.patch_lift.w"], params["reprog.patch_lift.b"])
-    q = matmul(lifted, params["reprog.attn.wq"])
-    k = matmul(prototypes, params["reprog.attn.wk"])
-    v = matmul(prototypes, params["reprog.attn.wv"])
-    return attention(q, k, v, n_heads)
+    lifted = linear(patches, params["reprog.patch_lift.w"], params["reprog.patch_lift.b"], windows)
+    q = matmul(lifted, params["reprog.attn.wq"], windows)
+    k = matmul(prototypes, params["reprog.attn.wk"], windows)
+    v = matmul(prototypes, params["reprog.attn.wv"], windows)
+    return attention(q, k, v, n_heads, windows=windows)
 
 
 def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, windows: int = 1) -> Tensor:
@@ -77,14 +80,14 @@ def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, window
     for layer in range(n_layers):
         p = f"backbone.block{layer}"
         normed = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
-        k = matmul(normed, params[f"{p}.attn.wk"])
-        v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
+        q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"], windows)
+        k = matmul(normed, params[f"{p}.attn.wk"], windows)
+        v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"], windows)
         attended = attention(q, k, v, n_heads, windows=windows)
-        x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
+        x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"], windows))
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),
-                    params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
+        ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"], windows)),
+                    params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], windows)
         x = add(x, ff)
     return layer_norm(x, params["backbone.final_ln.g"], params["backbone.final_ln.b"])
 
@@ -113,4 +116,4 @@ def forward_backbone(
         patch_hidden = gather_rows(hidden, (first * (1 + n_p) + 1 + np.arange(n_p)).reshape(-1))
     d_model = patch_hidden.shape[1]
     flat = reshape(patch_hidden, (windows, n_p * d_model))
-    return linear(flat, params["reprog.head.w"], params["reprog.head.b"])
+    return linear(flat, params["reprog.head.w"], params["reprog.head.b"], windows)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, read_utf8
+from .errors import DataFormatError, decode_utf8, read_utf8
 
 NEWS_MAGIC = b"NEWSEMB1"
 MANIFEST_HEADER = "SNFMANIFEST 1"
@@ -106,15 +106,25 @@ def identity_scaler(dim: int, modality: str) -> Scaler:
     )
 
 
-def load_prices(path: str | Path, stock_id: str | None = None) -> PriceSeries:
-    path = Path(path)
+def _read(path: Path, newline: str | None = None) -> tuple[str, str]:
+    """The file's text, as read_utf8 gives it, and the sha256 of its bytes, from one read."""
     if not path.exists():
         raise FileNotFoundError(str(path))
+    raw = path.read_bytes()
+    return decode_utf8(raw, path, newline), hashlib.sha256(raw).hexdigest()
+
+
+def load_prices(path: str | Path, stock_id: str | None = None) -> PriceSeries:
+    path = Path(path)
+    return _parse_prices(_read(path, newline="")[0], path, stock_id)
+
+
+def _parse_prices(text: str, path: Path, stock_id: str | None) -> PriceSeries:
     sid = stock_id if stock_id is not None else path.parent.name
     dates: list[str] = []
     closes: list[float] = []
     try:
-        rows = list(csv.reader(io.StringIO(read_utf8(path, newline=""), newline="")))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise DataFormatError(f"{path}: {exc}") from exc
     header = rows[0] if rows else None
@@ -174,11 +184,13 @@ def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
 
 def load_contexts(path: str | Path) -> dict[str, StockContext]:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
+    return _parse_contexts(_read(path)[0], path)
+
+
+def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
     contexts: dict[str, StockContext] = {}
     dim: int | None = None
-    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -312,10 +324,6 @@ class PreparedDataset:
         return prices, news, rec.context.name_embedding, target
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def assemble_dataset(
     series: dict[str, PriceSeries],
     news_raw: list[np.ndarray],
@@ -396,18 +404,21 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     if not root.is_dir():
         raise FileNotFoundError(f"data directory not found: {root}")
     names_path = root / "names.tsv"
-    contexts = load_contexts(names_path)
+    text, digest = _read(names_path)
+    contexts = _parse_contexts(text, names_path)
     dim = next(iter(contexts.values())).name_embedding.size
     if expect_dim and dim != expect_dim:
         raise DataFormatError(f"names.tsv embedding dim {dim} does not match configured d={expect_dim}")
 
-    hashes: list[tuple[str, str]] = [("names.tsv", _sha256_file(names_path))]
+    # every file is read once; the manifest hashes the bytes its loader parsed
+    hashes: list[tuple[str, str]] = [("names.tsv", digest)]
 
     series: dict[str, PriceSeries] = {}
     for sid in sorted(contexts):
         price_path = root / sid / "prices.csv"
-        series[sid] = load_prices(price_path, stock_id=sid)
-        hashes.append((f"{sid}/prices.csv", _sha256_file(price_path)))
+        text, digest = _read(price_path, newline="")
+        series[sid] = _parse_prices(text, price_path, sid)
+        hashes.append((f"{sid}/prices.csv", digest))
 
     dates = series[sorted(contexts)[0]].dates
     news_raw: list[np.ndarray] = []

@@ -5,6 +5,7 @@ The CLI maps DataFormatError (and missing files) to exit code 2,
 everything else to exit code 1.
 """
 
+import io
 from pathlib import Path
 
 
@@ -20,10 +21,14 @@ class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required."""
 
 
-def read_utf8(path: Path, newline: str | None = None) -> str:
-    """The file's text, newlines handled as open() does; invalid UTF-8 is a DataFormatError."""
+def decode_utf8(raw: bytes, path: Path, newline: str | None = None) -> str:
+    """path's bytes as text, newlines handled as open() does; invalid UTF-8 is a DataFormatError."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline).read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
+def read_utf8(path: Path, newline: str | None = None) -> str:
+    """The file's text, newlines handled as open() does; invalid UTF-8 is a DataFormatError."""
+    return decode_utf8(Path(path).read_bytes(), path, newline)

@@ -6,10 +6,9 @@ dense-layer outputs through a softmax over learnable logits. Ablation
 flags drop individual views; the softmax renormalizes over whatever stays
 active.
 
-The attention, graph and convolution functions take `windows`: their
-rows are that many equal windows stacked one after another, and every
-window is fused on its own. The training step passes one window; stacked
-inference passes many, without a tape.
+The functions that take `windows` work on that many equal windows stacked
+one after another, and fuse every window on its own: the training step
+passes its batch, on a tape, and stacked inference a chunk, without one.
 """
 
 from __future__ import annotations
@@ -24,10 +23,12 @@ from .tensor import (
     block_matmul,
     concat_cols,
     concat_rows,
+    grad_enabled,
     linear,
     matmul,
     mul,
     relu,
+    repeat_windows,
     shift_rows,
     slice_cols,
     slice_rows,
@@ -59,9 +60,9 @@ def cross_attention(
         raise DimensionError(
             f"key and value sequences must share length, got {k_seq.shape[0]} and {v_seq.shape[0]}"
         )
-    q = matmul(q_seq, wq)
-    k = matmul(k_seq, wk)
-    v = matmul(v_seq, wv)
+    q = matmul(q_seq, wq, windows)
+    k = matmul(k_seq, wk, windows)
+    v = matmul(v_seq, wv, windows)
     return attention(q, k, v, 1, split=False, windows=windows)
 
 
@@ -104,9 +105,9 @@ def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
 
 def causal_conv(h: Tensor, taps: list[Tensor], windows: int = 1) -> Tensor:
     """Left-padded temporal convolution: out[t] = sum_k h[t-k] @ taps[k]."""
-    out = matmul(h, taps[0])
+    out = matmul(h, taps[0], windows)
     for k in range(1, len(taps)):
-        out = add(out, matmul(shift_rows(h, k, windows), taps[k]))
+        out = add(out, matmul(shift_rows(h, k, windows), taps[k], windows))
     return out
 
 
@@ -114,39 +115,45 @@ def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray,
     """One graph-conv layer over stacked [news; price] nodes, ReLU, then the
     causal convolution over the price-node rows.
 
-    Stacked windows compute only the price-node rows, the ones the conv reads.
+    Stacked inference computes only the price-node rows, the ones the conv reads.
     """
     w, b = params["fusion.gcn.w"], params["fusion.gcn.b"]
     t_len = news_seq.shape[0] // windows
     # Two forms. On a tape, the price rows alone change the step's bits: news_train seed 40's
     # best_val_mse moved 59%, far past perfbench's 1e-5 gate. All 2T rows slow inference ~12%.
-    if windows > 1:
+    if windows > 1 and not grad_enabled():
         mixed = add(block_matmul(adjacency[t_len:, :t_len], news_seq, windows),
                     block_matmul(adjacency[t_len:, t_len:], price_seq, windows))
         price_rows = relu(linear(mixed, w, b))
     else:
-        stacked = concat_rows([news_seq, price_seq])
-        hidden = relu(linear(matmul(Tensor(adjacency), stacked), w, b))
-        price_rows = slice_rows(hidden, t_len, 2 * t_len)
+        stacked = concat_rows([news_seq, price_seq], windows)
+        hidden = relu(linear(block_matmul(adjacency, stacked, windows), w, b, windows))
+        price_rows = slice_rows(hidden, t_len, 2 * t_len, windows)
     taps = [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
     return causal_conv(price_rows, taps, windows)
 
 
-def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[Tensor, np.ndarray]:
+def blend(
+    terms: dict[str, Tensor], logits: Tensor, active: list[str], windows: int = 1
+) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted sum over the active terms only.
 
     logits is the full (1, 5) vector in BLEND_TERMS order; inactive entries
-    are excluded from both the softmax and the sum.
+    are excluded from both the softmax and the sum. On a tape each window
+    weighs its terms with its own copy of the logits, so their gradient
+    comes per window; without one, all windows share one copy.
     """
     if not active:
         raise ValueError("no active blend terms; nothing to predict from")
+    windows = windows if grad_enabled() else 1
+    rows = repeat_windows(logits, windows)
     if tuple(active) == BLEND_TERMS:
-        picked = logits
+        picked = rows
     else:
-        picked = concat_cols([slice_cols(logits, i, i + 1) for i in map(BLEND_TERMS.index, active)])
-    weights = softmax_rows(picked)  # (1, k)
+        picked = concat_cols([slice_cols(rows, i, i + 1) for i in map(BLEND_TERMS.index, active)])
+    weights = softmax_rows(picked)  # (windows, k)
     out = None
     for col, name in enumerate(active):
-        piece = mul(slice_cols(weights, col, col + 1), terms[name])
+        piece = mul(slice_cols(weights, col, col + 1), terms[name], windows)
         out = piece if out is None else add(out, piece)
-    return out, weights.data.reshape(-1).copy()
+    return out, weights.data[0].copy()

@@ -7,12 +7,12 @@ named substreams and never updated.
 
 Pooling runs `pool_day` once for each distinct (day, stock) of a call
 (`_pool`); after it, training and inference run one forward (`_fuse`,
-`_predict`) over stacked windows. Training runs `predict_sample` on a
-tape, one window at a time, through fused nodes that match the primitive
-ops bit for bit. Inference runs `predict_many`: no tape, PREDICT_CHUNK
-windows per forward, and each (day, stock) of the whole call pooled once.
-Both sort a day's articles only the first time the model sees that day
-matrix.
+`_predict`) over stacked windows. A training step (`batch_loss`) runs its
+whole batch through that forward on one tape, and its loss and gradients
+equal those of the windows taped one at a time (`predict_sample`) bit for
+bit. Inference runs `predict_many`: no tape, PREDICT_CHUNK windows per
+forward, and each (day, stock) of the whole call pooled once. Both sort a
+day's articles only the first time the model sees that day matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import pooling as pl
 from .config import RunConfig
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, concat_rows, gather_rows, linear, mean_all, mul, no_grad, sub
+from .tensor import Tensor, concat_rows, gather_rows, grad_enabled, linear, mean_all, mul, no_grad, slot_rows, sub
 
 PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
 
@@ -150,35 +150,37 @@ class ForecastModel:
     def _fuse(self, prices: np.ndarray, news_raw: Tensor | None, windows: int) -> Tensor:
         """Blended features from stacked (windows*T,) prices and pooled news rows."""
         p = self.params
-        price_raw = linear(Tensor(prices.reshape(-1, 1)), p["fusion.price_lift.w"], p["fusion.price_lift.b"])
-        price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"])
+        price_raw = linear(Tensor(prices.reshape(-1, 1)), p["fusion.price_lift.w"], p["fusion.price_lift.b"], windows)
+        price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"], windows)
 
         terms: dict[str, Tensor] = {"price": price_seq}
         if news_raw is not None:
-            news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
+            news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"], windows)
             terms["news"] = news_seq
             if self.directions:
                 terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions, windows))
             if "gcn" in self.active_terms:
                 terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency, windows)
-        fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms)
+        fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms, windows)
         return fused
 
     def _predict(self, fused: Tensor, names: np.ndarray, windows: int) -> Tensor:
         """(windows, H) predictions from blended features and (windows, d) name embeddings."""
         cfg, p = self.cfg, self.params
         patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride, windows)
-        prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"])
-        tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads)
+        # on a tape every window gets its own prototype rows, so their gradients come per window
+        sets = windows if grad_enabled() else 1
+        prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], sets)
+        tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads, sets)
         prompt = None
         if cfg.snp:
-            prompt = linear(Tensor(names), p["reprog.prompt.w"], p["reprog.prompt.b"])
+            prompt = linear(Tensor(names), p["reprog.prompt.w"], p["reprog.prompt.b"], windows)
         return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads, windows)
 
-    def _pool(self, samples) -> tuple[Tensor, np.ndarray]:
+    def _pool(self, samples) -> tuple[list[Tensor], np.ndarray]:
         """Each distinct (day, stock) of (prices, news, name_emb, ...) samples pooled once.
 
-        Returns the (U, d) pooled rows, in order of first use, and the row
+        Returns the (1, d) pooled rows, in order of first use, and the row
         of every day slot. Days and name embeddings are recognised by identity.
         """
         cfg = self.cfg
@@ -193,20 +195,25 @@ class ForecastModel:
                     pooled.append(pl.pool_day(cfg.pooling, day, emb, w, self.pos_table, cfg.max_news_per_day,
                                               self.orders).pooled)
                 index.append(rows[key])
-        return concat_rows(pooled), np.asarray(index, dtype=np.intp)
+        return pooled, np.asarray(index, dtype=np.intp)
+
+    def _fuse_windows(self, samples) -> Tensor:
+        """Blended features of (prices, news, name_emb, ...) windows, stacked.
+
+        Every day slot's pooled row is its own slot of one node, so each slot
+        hands the pooling weight its own gradient, window by window, day by day.
+        """
+        for prices, news, *_ in samples:
+            self._check_window(prices, news)
+        news_raw = slot_rows(*self._pool(samples)) if self.cfg.pooling != "none" else None
+        return self._fuse(np.concatenate([s[0] for s in samples]), news_raw, len(samples))
 
     def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """Stock-aware features (T, d) for one window."""
-        self._check_window(prices, news)
-        news_raw = None
-        if self.cfg.pooling != "none":
-            pooled, index = self._pool([(prices, news, name_emb)])
-            # distinct day arrays need no gather, so the training tape keeps its nodes
-            news_raw = pooled if pooled.shape[0] == len(index) else gather_rows(pooled, index)
-        return self._fuse(prices, news_raw, 1)
+        return self._fuse_windows([(prices, news, name_emb)])
 
     def predict_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
-        """(1, H) prediction of normalized closes."""
+        """(1, H) prediction of normalized closes: batch_loss's forward for one window."""
         fused = self.fuse_sample(prices, news, name_emb)
         return self._predict(fused, name_emb.reshape(1, -1), 1)
 
@@ -226,6 +233,7 @@ class ForecastModel:
             pooled = None
             if self.cfg.pooling != "none":
                 pooled, index = self._pool(samples)
+                pooled = concat_rows(pooled)  # drops the list, so the (1, d) parts are freed here
                 index = index.reshape(len(samples), -1)
             for lo in range(0, len(samples), PREDICT_CHUNK):
                 chunk = samples[lo : lo + PREDICT_CHUNK]
@@ -237,12 +245,14 @@ class ForecastModel:
                 out[lo:hi] = self._predict(fused, names, len(chunk)).data
         return out
 
-    def batch_predictions(self, batch) -> Tensor:
-        """(B, H) stacked predictions for (prices, news, name_emb, target) tuples."""
-        preds = [self.predict_sample(prices, news, emb) for prices, news, emb, _ in batch]
-        return concat_rows(preds)
-
     def batch_loss(self, batch) -> Tensor:
-        preds = self.batch_predictions(batch)
+        """MSE of (prices, news, name_emb, target) windows through one stacked forward.
+
+        On a tape the loss and every gradient equal, bit for bit, those of
+        the windows' predict_sample rows concatenated and taped one by one.
+        """
+        fused = self._fuse_windows(batch)
+        names = np.stack([np.reshape(emb, -1) for _, _, emb, _ in batch])
+        preds = self._predict(fused, names, len(batch))
         targets = np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for *_, t in batch])
         return mse_loss(preds, targets)

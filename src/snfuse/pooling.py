@@ -22,8 +22,9 @@ to rounding. pasap is position-sensitive and keeps file order. An
 `OrderMemo` passed as `orders` sorts each day matrix once, however often
 it is pooled.
 
-On a tape, `pool_day` records one node (`tensor.attentive_pool`); without
-one, it serves stacked inference unchanged.
+On a tape, `pool_day` records one node (`tensor.attentive_pool`), and a
+training step replays its backward once per day slot that uses the day
+(`tensor.slot_rows`); without one, it serves stacked inference unchanged.
 
 Every variant refuses a day with more than max_news_per_day articles.
 """

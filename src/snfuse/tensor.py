@@ -6,13 +6,16 @@ central-difference gradient checks are meaningful. Tensors are never
 mutated once an op has consumed them; the optimizer replaces parameter
 arrays between steps.
 
-Four fused ops record one node for a whole chain of primitive ops and
-match that chain bit for bit; the same taped ops serve the training step
-(one window) and stacked inference (many windows).
+Ops that take `windows` work on W equal windows stacked one after
+another: rows [i*L, (i+1)*L) belong to window i. On a tape every product
+over window rows is one np.matmul per window, and each parameter's
+gradient is a piece per window added in window order, so a training step
+over W stacked windows gets the same bits as the windows taped one after
+another. The fused ops record one node for a whole chain of primitive ops
+and match that chain bit for bit.
 
-Inside `no_grad()` no op records parents, so inference builds no tape.
-The one op at the end of this file, `block_matmul`, has no backward and
-raises while gradients are recorded.
+Inside `no_grad()` no op records parents, so inference builds no tape, and
+the products run over the whole stack at once.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericError
+
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 class Tensor:
@@ -106,6 +111,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _fold(pieces: np.ndarray) -> np.ndarray:
+    """((p0 + p1) + p2) + ...: per-window pieces added as a tape that runs the windows one by one adds them."""
+    acc = pieces[0]
+    for piece in pieces[1:]:
+        acc = acc + piece
+    return acc
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     live = tuple(p for p in parents if p.requires_grad) if _recording.get() else ()
@@ -116,7 +129,9 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...], windows: int = 1) -> np.ndarray:
+    if windows > 1 and len(shape) == 1:  # a bias: one sum per window, then folded
+        return _fold(g.reshape(windows, -1, shape[0]).sum(axis=1))
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -125,14 +140,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a, b) -> Tensor:
+def add(a, b, windows: int = 1) -> Tensor:
+    """a + b, broadcast; a (m,) bias over `windows` windows gets its gradient per window, folded."""
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            _accumulate(a, _unbroadcast(g, a.data.shape, windows))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            _accumulate(b, _unbroadcast(g, b.data.shape, windows))
 
     return _node(a.data + b.data, (a, b), bw)
 
@@ -149,16 +165,22 @@ def sub(a, b) -> Tensor:
     return _node(a.data - b.data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b, windows: int = 1) -> Tensor:
+    """a * b, broadcast; with windows > 1, a is (W, 1) and scales each window of b by its own row."""
     a, b = as_tensor(a), as_tensor(b)
+    av, bv = a.data, b.data
+    if windows > 1:
+        av, bv = av.reshape(windows, 1, 1), bv.reshape(windows, -1, bv.shape[1])
+    out = av * bv
 
     def bw(g):
+        g = g.reshape(out.shape)
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            _accumulate(a, _unbroadcast(g * bv, av.shape).reshape(a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            _accumulate(b, _unbroadcast(g * av, bv.shape).reshape(b.data.shape))
 
-    return _node(a.data * b.data, (a, b), bw)
+    return _node(out if windows == 1 else out.reshape(b.data.shape), (a, b), bw)
 
 
 def scale(a, c: float) -> Tensor:
@@ -172,20 +194,31 @@ def scale(a, c: float) -> Tensor:
     return _node(a.data * c, (a,), bw)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, windows: int = 1) -> Tensor:
+    """a @ b, a's rows being `windows` equal windows.
+
+    On a tape the forward, a's gradient and b's gradient pieces are each one
+    np.matmul over (W, L, .) (one 2-D product over W*L rows takes other BLAS
+    paths for some widths), and b's pieces are folded. Without a tape the
+    product runs over all rows at once.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul requires 2-D operands with matching inner extents, got {a.data.shape} x {b.data.shape}"
         )
+    x = a.data.reshape(windows, -1, a.data.shape[1])
+    m = b.data.shape[1]
 
     def bw(g):
+        g3 = g.reshape(windows, -1, m)
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, np.matmul(g3, b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, _fold(np.matmul(x.swapaxes(1, 2), g3)))
 
-    return _node(a.data @ b.data, (a, b), bw)
+    out = np.matmul(x, b.data).reshape(-1, m) if _recording.get() else a.data @ b.data
+    return _node(out, (a, b), bw)
 
 
 def transpose(a) -> Tensor:
@@ -210,17 +243,21 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape).copy(), (a,), bw)
 
 
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
+def concat_rows(parts: Iterable[Tensor], windows: int = 1) -> Tensor:
+    """Each window's rows of every part, one part after another."""
     parts = [as_tensor(p) for p in parts]
-    counts = [p.data.shape[0] for p in parts]
+    counts = [p.data.shape[0] // windows for p in parts]
     offsets = np.cumsum([0] + counts)
+    width = parts[0].data.shape[1]
 
     def bw(g):
+        g3 = g.reshape(windows, -1, width)
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, g[lo:hi])
+                _accumulate(p, g3[:, lo:hi].reshape(p.data.shape))
 
-    return _node(np.concatenate([p.data for p in parts], axis=0), parts, bw)
+    out = np.concatenate([p.data.reshape(windows, -1, width) for p in parts], axis=1)
+    return _node(out.reshape(-1, width), parts, bw)
 
 
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
@@ -236,16 +273,18 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=1), parts, bw)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
+def slice_rows(a, start: int, stop: int, windows: int = 1) -> Tensor:
+    """Rows [start, stop) of each window."""
     a = as_tensor(a)
+    shape = (windows, -1, a.data.shape[1])
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            _accumulate(a, full)
+            full = np.zeros_like(a.data).reshape(shape)
+            full[:, start:stop] = g.reshape(windows, -1, shape[2])
+            _accumulate(a, full.reshape(a.data.shape))
 
-    return _node(a.data[start:stop].copy(), (a,), bw)
+    return _node(a.data.reshape(shape)[:, start:stop].reshape(-1, shape[2]), (a,), bw)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -293,7 +332,11 @@ def _softmax_forward(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    # A saturated softmax gives subnormal gradients, and BLAS products with subnormal
+    # operands run many times slower; flush them to zero.
+    out = y * (g - (g * y).sum(axis=-1, keepdims=True))
+    out[np.abs(out) < _TINY] = 0.0
+    return out
 
 
 def sum_all(a) -> Tensor:
@@ -339,9 +382,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _node(y, (x, gamma, beta), bw)
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b with b broadcast over rows."""
-    return add(matmul(x, w), b)
+def linear(x, w, b, windows: int = 1) -> Tensor:
+    """x @ w + b with b broadcast over rows; `windows` as for matmul."""
+    return add(matmul(x, w, windows), b, windows)
 
 
 # -- fused taped ops -----------------------------------------------------
@@ -351,10 +394,6 @@ def linear(x, w, b) -> Tensor:
 # arrays of the same memory layout (BLAS results depend on it), so values
 # and gradients match the chain bit for bit. Gradients reach each input
 # in the order the chain's backward would deliver them.
-#
-# The ops that take `windows` work on W equal windows stacked one after
-# another: rows [i*L, (i+1)*L) belong to window i. The training step runs
-# them at W = 1, stacked inference at W > 1 inside no_grad().
 
 
 def attentive_pool(w, rows: np.ndarray, name: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
@@ -419,7 +458,8 @@ def attention(q, k, v, n_heads: int, split: bool = True, windows: int = 1) -> Te
                 _accumulate(q, rows(np.matmul(g_logits, kt.swapaxes(2, 3))))
             if k.requires_grad:
                 g_k = rows(np.matmul(qh.swapaxes(2, 3), g_logits).swapaxes(2, 3))
-                _accumulate(k, np.ascontiguousarray(g_k) if split else g_k)
+                # column-major keeps each window's block column-major with several windows too
+                _accumulate(k, np.ascontiguousarray(g_k) if split else np.asfortranarray(g_k))
         if g_v is not None and split:
             _accumulate(v, g_v)
 
@@ -434,7 +474,10 @@ def gather_rows(a, index) -> Tensor:
     def bw(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
+            if np.bincount(index).max(initial=0) > 1:
+                np.add.at(full, index, g)
+            else:
+                full[index] = g + 0.0  # + 0.0 makes -0.0 into +0.0, as adding into zeros does
             _accumulate(a, full)
 
     return _node(a.data[index], (a,), bw)
@@ -459,14 +502,45 @@ def shift_rows(a, k: int, windows: int = 1) -> Tensor:
     return _node(moved(a.data, slice(None, length - k), slice(k, None)), (a,), bw)
 
 
-# -- forward-only op for stacked inference -------------------------------
-#
-# Windows stack as above. This op has no backward.
+def slot_rows(parts: Sequence[Tensor], index) -> Tensor:
+    """Row parts[index[s]] of (1, d) parts for every slot s, as one node.
+
+    The backward runs part index[s]'s own backward on slot s's gradient row,
+    slot by slot, so a part that fills several slots hands its parents one
+    contribution per slot, in slot order, as one part per slot would.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    parents = {id(p): p for part in parts for p in part._parents}
+
+    def bw(g):
+        for s, i in enumerate(index):
+            if parts[i]._backward is not None:
+                parts[i]._backward(g[s : s + 1])
+
+    return _node(np.concatenate([p.data for p in parts])[index], tuple(parents.values()), bw)
+
+
+# -- window ops ------------------------------------------------------------
 
 
 def block_matmul(m: np.ndarray, a, windows: int) -> Tensor:
-    """m @ (each window of a): (W*L', d) rows through an (L, L') matrix to (W*L, d)."""
-    if _recording.get():
-        raise RuntimeError("block_matmul is forward-only; call it inside tensor.no_grad()")
-    x = as_tensor(a).data
-    return Tensor(np.matmul(m, x.reshape(windows, -1, x.shape[1])).reshape(-1, x.shape[1]))
+    """m @ (each window of a): (W*L', d) rows through a constant (L, L') matrix to (W*L, d)."""
+    a = as_tensor(a)
+    width = a.data.shape[1]
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, np.matmul(m.T, g.reshape(windows, -1, width)).reshape(a.data.shape))
+
+    return _node(np.matmul(m, a.data.reshape(windows, -1, width)).reshape(-1, width), (a,), bw)
+
+
+def repeat_windows(a, windows: int) -> Tensor:
+    """a's rows once per window; the backward folds the windows' gradients."""
+    a = as_tensor(a)
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, _fold(g.reshape(windows, *a.data.shape)))
+
+    return _node(np.tile(a.data, (windows, 1)), (a,), bw)

@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -371,3 +373,29 @@ def test_news_scaler_fit_on_training_articles_only(tmp_path):
     fresh = fit_scaler(train_articles, "news")
     np.testing.assert_array_equal(fresh.mean, ds.news_scaler.mean)
     np.testing.assert_array_equal(fresh.std, ds.news_scaler.std)
+
+
+def test_prepare_dataset_reads_each_input_file_once(tmp_path, monkeypatch):
+    data = toy_dataset_dir(tmp_path / "data", n_days=30)
+    reads = Counter()
+    real_open, real_read_bytes = builtins.open, Path.read_bytes
+
+    def counting_open(file, *args, **kwargs):
+        reads[Path(file).relative_to(data).as_posix()] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counting_read_bytes(path):
+        reads[path.relative_to(data).as_posix()] += 1
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    ds = prepare_dataset(data, 8, 1)
+    monkeypatch.undo()
+    news = {f"news/{name.name}" for name in (data / "news").iterdir()}
+    assert set(reads) == {"names.tsv", "alpha/prices.csv", "beta/prices.csv"} | news
+    assert set(reads.values()) == {1}
+    # the manifest hashes exactly the bytes on disk
+    text = manifest_text(ds)
+    for rel in reads:
+        assert hashlib.sha256((data / rel).read_bytes()).hexdigest() in text

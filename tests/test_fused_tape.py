@@ -1,4 +1,5 @@
-"""The fused tape nodes reproduce the primitive-op graphs bit for bit.
+"""The fused tape nodes and the stacked training step reproduce the
+primitive-op graphs of one window at a time bit for bit.
 
 `tensor.attentive_pool`, `tensor.attention`, `tensor.gather_rows` and
 `tensor.shift_rows` each record one node for what used to be a chain of
@@ -7,10 +8,10 @@ reprogramming layer and the frozen backbone (columns sliced even for one
 head), the unsliced single-head cross-attention, the per-patch slices of
 patchify, the padded slices of the causal convolution, and the prompt row
 joined to and cut from the backbone's sequence. The oracles below rebuild
-those chains from the primitive ops; a model run through them must give
-the same loss and the same gradient for every trainable parameter,
-compared with np.array_equal, in every pooling variant, ablation row and
-prompt setting.
+those chains from the primitive ops and run one window at a time; the
+batch's windows stacked through `batch_loss` must give the same loss and
+the same gradient for every trainable parameter, compared with
+np.array_equal, in every pooling variant, ablation row and prompt setting.
 
 The widths (d = d_model = 32, T = 8, 16 prototypes) are ones where
 OpenBLAS 0.3.31 with its Haswell kernels returns different bits for the
@@ -29,20 +30,24 @@ import snfuse.backbone
 import snfuse.fusion
 import snfuse.pooling
 from snfuse.config import RunConfig
-from snfuse.model import ForecastModel
+from snfuse.model import ForecastModel, mse_loss
 from snfuse.optim import backward
 from snfuse.tensor import (
     Tensor,
+    _toposort,
     add,
     concat_cols,
     concat_rows,
     linear,
     matmul,
+    mul,
     reshape,
     scale,
     slice_cols,
     slice_rows,
+    slot_rows,
     softmax_rows,
+    sum_all,
     transpose,
 )
 from snfuse.training import ABLATION_ROWS
@@ -127,9 +132,13 @@ def _batch(cfg, seed=0):
     return out
 
 
-def _loss_and_grads(cfg, batch):
+def _loss_and_grads(cfg, batch, per_window=False):
     model = ForecastModel(cfg, cfg.dim)
-    loss = model.batch_loss(batch)
+    if per_window:
+        preds = concat_rows([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch])
+        loss = mse_loss(preds, np.stack([target for *_, target in batch]))
+    else:
+        loss = model.batch_loss(batch)
     return loss.data.copy(), backward(loss, model.params)
 
 
@@ -142,7 +151,7 @@ def _assert_same_as_chains(cfg, monkeypatch):
     monkeypatch.setattr(snfuse.backbone, "patchify", patchify_chain)
     monkeypatch.setattr(snfuse.fusion, "causal_conv", causal_conv_chain)
     monkeypatch.setattr(snfuse.backbone, "forward_backbone", forward_backbone_chain)
-    chain_loss, chain = _loss_and_grads(cfg, batch)
+    chain_loss, chain = _loss_and_grads(cfg, batch, per_window=True)
     assert np.array_equal(fused_loss, chain_loss)
     assert set(fused) == set(chain)
     differing = [pid for pid in sorted(fused) if not np.array_equal(fused[pid], chain[pid])]
@@ -165,3 +174,66 @@ def test_fused_nodes_match_with_several_reprogram_heads(monkeypatch):
 @pytest.mark.parametrize("patch_len,stride", [(3, 1), (5, 2)])
 def test_fused_nodes_match_with_overlapping_patches(patch_len, stride, monkeypatch):
     _assert_same_as_chains(_cfg(patch_len=patch_len, patch_stride=stride, snp=True), monkeypatch)
+
+
+def _windows(cfg, n_windows, seed=0):
+    """Overlapping windows of two stocks over one news history, as a dataset resolves them
+    (one array per day, one per name), with days that have no articles; window 2 repeats
+    window 0, so every one of its (day, stock) pairs is pooled for two slots."""
+    rng = np.random.default_rng(seed)
+    days = [rng.normal(size=(0 if i % 4 == 2 else int(rng.integers(1, 6)), cfg.dim)) for i in range(cfg.t_window + 3)]
+    names = [rng.normal(size=cfg.dim) for _ in range(2)]
+    out = []
+    for i in range(n_windows):
+        start, stock = (i // 2) % 3, i % 2
+        out.append((rng.normal(size=cfg.t_window), days[start : start + cfg.t_window], names[stock],
+                    rng.normal(size=cfg.horizon)))
+    if n_windows > 2:
+        out[2] = out[0]
+    return out
+
+
+@pytest.mark.parametrize("windows", [1, 3, 4])
+@pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+@pytest.mark.parametrize("label,flags", ABLATION_ROWS, ids=[label for label, _ in ABLATION_ROWS])
+def test_a_stacked_batch_matches_its_windows_taped_one_by_one(pooling, label, flags, snp, windows):
+    no_p2n, no_n2p, no_gcn = flags
+    cfg = _cfg(pooling=pooling, snp=snp, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn, horizon=2)
+    batch = _windows(cfg, windows)
+    stacked_loss, stacked = _loss_and_grads(cfg, batch)
+    looped_loss, looped = _loss_and_grads(cfg, batch, per_window=True)
+    assert np.array_equal(stacked_loss, looped_loss)
+    assert set(stacked) == set(looped)
+    assert [pid for pid in sorted(stacked) if not np.array_equal(stacked[pid], looped[pid])] == []
+
+
+@pytest.mark.parametrize("pooling", ["ap", "cap", "sap", "pasap"])
+def test_pooling_contributions_come_window_major_then_day_ascending(pooling):
+    """The order a tape of one pool node per day slot delivers the pooling weight's
+    contributions in, read off _toposort, is the order slot_rows adds them in."""
+    cfg = _cfg(pooling=pooling)
+    model = ForecastModel(cfg, cfg.dim)
+    batch = _windows(cfg, 4)
+    w = model.params[snfuse.pooling.PARAM[pooling]]
+    parts = [[snfuse.pooling.pool_day(pooling, day, emb, w, model.pos_table).pooled for day in news]
+             for _, news, emb, _ in batch]
+    slots = concat_rows([concat_rows(window) for window in parts])
+    coeff = Tensor(np.random.default_rng(1).normal(size=slots.shape))
+    loss = sum_all(mul(slots, coeff))
+    order = {id(node): pos for pos, node in enumerate(_toposort(loss))}
+    visited = [order[id(part)] for window in parts for part in window if id(part) in order]
+    assert visited == sorted(visited) and len(visited) > cfg.t_window
+    loss.backward()
+    looped, w.grad = w.grad, None
+    pooled, index = model._pool(batch)
+    assert len(pooled) < len(index)  # shared (day, stock) pairs pooled once
+    sum_all(mul(slot_rows(pooled, index), coeff)).backward()
+    assert np.array_equal(w.grad, looped)
+
+
+def test_a_batch_of_four_records_as_many_tape_nodes_as_a_batch_of_one():
+    cfg = _cfg(snp=True)
+    model = ForecastModel(cfg, cfg.dim)
+    batch = _windows(cfg, 4)
+    assert len(_toposort(model.batch_loss(batch))) == len(_toposort(model.batch_loss(batch[:1])))

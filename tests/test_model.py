@@ -7,7 +7,7 @@ from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
 from snfuse.model import PREDICT_CHUNK, ForecastModel
 from snfuse.optim import backward
-from snfuse.tensor import Tensor, grad_enabled
+from snfuse.tensor import Tensor, concat_rows, grad_enabled
 from snfuse.training import ABLATION_ROWS
 
 
@@ -92,7 +92,7 @@ def test_predict_many_of_no_samples_and_on_a_tape():
     model = ForecastModel(_tiny_cfg(), 4)
     assert model.predict_many([]).shape == (0, 1)
     samples = _windows(model.cfg, n_stocks=1, per_stock=3)
-    # the stacked ops refuse to run on a tape, but predict_many opens its own no_grad scope
+    # predict_many opens its own no_grad scope and leaves the caller's recording on
     assert grad_enabled()
     ref = [model.predict_sample(p, n, e).item() for p, n, e, _ in samples]
     np.testing.assert_allclose(model.predict_many(samples)[:, 0], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -132,7 +132,8 @@ def test_each_day_is_sorted_once_per_model(pooling, monkeypatch):
 def test_pool_rows_match_pool_day_per_day(variant):
     model = ForecastModel(_tiny_cfg(pooling=variant), 4)
     samples = _windows(model.cfg, n_stocks=2, per_stock=3)
-    pooled, index = model._pool(samples)
+    parts, index = model._pool(samples)
+    pooled = concat_rows(parts)
     slots = [(day, emb) for _, news, emb, _ in samples for day in news]
     assert index.shape == (len(slots),)
     # one row per distinct (day, stock), in order of first use

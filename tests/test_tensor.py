@@ -25,11 +25,13 @@ from snfuse.tensor import (
     gather_rows,
     grad_enabled,
     layer_norm,
+    linear,
     matmul,
     mean_all,
     mul,
     no_grad,
     relu,
+    repeat_windows,
     reshape,
     scale,
     shift_rows,
@@ -358,20 +360,6 @@ def test_no_grad_in_one_thread_leaves_another_recording():
     assert not worker.is_alive() and seen == [False]
 
 
-FORWARD_ONLY = [
-    ("block_matmul", lambda a: block_matmul(np.eye(2), a, 1)),
-]
-
-
-@pytest.mark.parametrize("name,fn", FORWARD_ONLY, ids=[n for n, _ in FORWARD_ONLY])
-def test_forward_only_ops_raise_while_recording(name, fn):
-    a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    with pytest.raises(RuntimeError, match=f"{name} is forward-only"):
-        fn(Tensor(a.data))
-    with no_grad():
-        assert not fn(a).requires_grad
-
-
 def test_block_ops_match_each_window_on_its_own():
     rng = np.random.default_rng(4)
     windows, length, width = 3, 5, 4
@@ -433,3 +421,68 @@ def test_windowed_shift_rows_gradient_matches_a_loop():
         expected = np.zeros((windows, length, 2))
         expected[:, : max(length - k, 0)] = c.data.reshape(windows, length, 2)[:, k:]
         np.testing.assert_array_equal(stacked, expected.reshape(-1, 2))
+
+
+# ops over W stacked windows of L rows: (name, parameters besides x, op(x, params, windows))
+WINDOWED_OPS = [
+    ("matmul", "w", lambda x, p, w: matmul(x, p["w"], w)),
+    ("linear", "wb", lambda x, p, w: linear(x, p["w"], p["b"], w)),
+    ("mul", "s", lambda x, p, w: mul(slice_cols(repeat_windows(p["s"], w), 1, 2), x, w)),
+    ("repeat_windows", "r", lambda x, p, w: mul(x, repeat_windows(p["r"], w))),
+    ("concat_rows", "w", lambda x, p, w: concat_rows([x, matmul(x, p["w"], w)], w)),
+    ("slice_rows", "w", lambda x, p, w: slice_rows(matmul(x, p["w"], w), 1, 2, w)),
+    ("block_matmul", "w", lambda x, p, w: block_matmul(np.array([[0.5, -1.5], [2.0, 0.25], [1.0, 1.0]]),
+                                                       matmul(x, p["w"], w), w)),
+]
+
+
+@pytest.mark.parametrize("name,used,fn", WINDOWED_OPS, ids=[n for n, _, _ in WINDOWED_OPS])
+def test_windowed_op_gradients_match_each_window_taped_alone(name, used, fn):
+    rng = np.random.default_rng(21)
+    windows, length = 3, 2
+    shapes = {"x": (windows * length, 4), "w": (4, 4), "b": (4,), "s": (1, 2), "r": (length, 4)}
+    params = ParamSet()
+    for pid in "x" + used:
+        params.add(pid, rng.normal(size=shapes[pid]))
+    with no_grad():
+        whole = fn(params["x"], params, windows).data
+    c = Tensor(rng.normal(size=whole.shape))
+
+    def stacked(p):
+        return sum_all(mul(fn(p["x"], p, windows), c))
+
+    def looped(p):
+        outs = [fn(slice_rows(p["x"], i * length, (i + 1) * length), p, 1) for i in range(windows)]
+        return sum_all(mul(concat_rows(outs), c))
+
+    report = finite_diff_check(stacked, params, step=1e-6, tol=1e-6)
+    assert report.passed, report.per_param
+    stacked_grads, looped_grads = backward(stacked(params), params), backward(looped(params), params)
+    for pid in stacked_grads:
+        np.testing.assert_array_equal(stacked_grads[pid], looped_grads[pid])
+    # without a tape the products run over the whole stack
+    np.testing.assert_allclose(fn(params["x"], params, windows).data, whole, rtol=1e-14)
+
+
+def test_a_saturated_softmax_gives_no_subnormal_gradient():
+    params = ParamSet()
+    # exp(-712) is subnormal, and so is every gradient entry it scales
+    x = params.add("x", np.array([[0.0, -712.0, 1.0], [3.0, 2.0, -715.0]]))
+    c = Tensor(np.array([[1.0, -2.0, 0.5], [0.3, 1.0, -1.0]]))
+    assert 0.0 < softmax_rows(x).data[0, 1] < np.finfo(np.float64).tiny
+    g = backward(sum_all(mul(softmax_rows(x), c)), params)["x"]
+    assert g[0, 1] == 0.0 and g[1, 2] == 0.0
+    assert np.all(np.abs(g[g != 0.0]) >= np.finfo(np.float64).tiny)
+    assert np.count_nonzero(g) == 4
+
+
+def test_gather_rows_without_repeats_scatters_as_adding_into_zeros_does():
+    params = ParamSet()
+    x = params.add("x", np.ones((4, 2)))
+    index = [2, 0, 3]
+    c = Tensor(np.array([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]]))
+    g = backward(sum_all(mul(gather_rows(x, index), c)), params)["x"]
+    expected = np.zeros((4, 2))
+    np.add.at(expected, index, c.data)
+    np.testing.assert_array_equal(g, expected)
+    assert not np.any(np.signbit(g))  # the -0.0 entries of c come out +0.0

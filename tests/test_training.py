@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import snfuse.training
-from datagen import checkpoint_bytes
+from datagen import checkpoint_bytes, signal_dataset
 from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
-from snfuse.training import EarlyStopper, EvalReport, load_checkpoint, multi_seed
+from snfuse.model import ForecastModel, mse_loss
+from snfuse.tensor import concat_rows
+from snfuse.training import EarlyStopper, EvalReport, load_checkpoint, multi_seed, save_checkpoint, train
 
 
 def test_load_checkpoint_round_trips_hand_built_file(tmp_path):
@@ -61,3 +63,29 @@ def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
         assert got["mse_std"] == pytest.approx(math.sqrt(7.0), rel=1e-15)
     with pytest.raises(ValueError, match="at least 2 seeds"):
         multi_seed(SimpleNamespace(dim=4), RunConfig(), [1])
+
+
+def _loss_window_by_window(model, batch):
+    """The loss of a batch whose windows are taped one after another through predict_sample."""
+    preds = concat_rows([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch])
+    return mse_loss(preds, np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for *_, t in batch]))
+
+
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+def test_stacked_steps_train_the_checkpoint_that_window_by_window_steps_do(pooling, tmp_path, monkeypatch):
+    # widths where BLAS bits depend on operand layout; 112 train windows in batches of 3 leave one of 1
+    ds = signal_dataset(n_days=92, dim=32)
+    cfg = RunConfig(t_window=8, patch_len=4, patch_stride=4, d_model=32, n_layers=1, n_heads=2, ffn_dim=16,
+                    vocab_size=32, num_prototypes=16, dim=32, pooling=pooling, snp=True, batch_size=3,
+                    max_epochs=2, patience=2)
+
+    def checkpoint(name):
+        model = ForecastModel(cfg, ds.dim)
+        train(model, ds, cfg)
+        save_checkpoint(tmp_path / name, model, "manifest-digest")
+        return (tmp_path / name).read_bytes()
+
+    stacked = checkpoint("stacked.snf")
+    monkeypatch.setattr(ForecastModel, "batch_loss", _loss_window_by_window)
+    assert len(ds.samples["train"]) % cfg.batch_size == 1
+    assert checkpoint("window_by_window.snf") == stacked
