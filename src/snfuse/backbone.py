@@ -6,10 +6,10 @@ of a frozen vocabulary matrix. The surrogate itself is a small pre-LN
 encoder whose weights are seeded once and never trained; only the
 reprogramming side and the prediction head carry gradients.
 
-The functions that take `windows` work on that many windows stacked one
-after another and process each window on its own: the training step
-passes its batch, on a tape, and stacked inference a chunk, without one.
-On a tape every window also gets its own copy of the prototypes.
+Features, patches and tokens are (W, L, .) stacks of W windows, and each
+window is processed on its own: the training step passes its batch, on a
+tape, and stacked inference a chunk, without one. On a tape every window
+also gets its own copy of the prototypes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .tensor import (
     relu,
     repeat_windows,
     reshape,
+    slice_rows,
     transpose,
 )
 
@@ -40,80 +41,67 @@ def num_patches(t_window: int, patch_len: int, stride: int) -> int:
     return (t_window - patch_len) // stride + 1
 
 
-def patchify(features: Tensor, patch_len: int, stride: int, windows: int = 1) -> Tensor:
-    """Cut (T, d) features into flattened time-major patches of patch_len days."""
-    rows, d = features.shape
-    t_window = rows // windows
+def patchify(features: Tensor, patch_len: int, stride: int) -> Tensor:
+    """Cut (W, T, d) features into (W, n_p, patch_len * d) flattened time-major patches of patch_len days."""
+    windows, t_window, d = features.shape
     n_p = num_patches(t_window, patch_len, stride)
-    starts = np.arange(windows)[:, None] * t_window + np.arange(n_p)[None, :] * stride
-    index = (starts[:, :, None] + np.arange(patch_len)).reshape(-1)
-    return reshape(gather_rows(features, index), (windows * n_p, patch_len * d))
+    index = (np.arange(n_p)[:, None] * stride + np.arange(patch_len)).reshape(-1)
+    return reshape(gather_rows(features, index), (windows, n_p, patch_len * d))
 
 
 def make_prototypes(vocab: Tensor, w_proj: Tensor, windows: int = 1) -> Tensor:
-    """Project the V vocabulary rows down to U prototypes along the vocab axis, once per window."""
+    """Project the V vocabulary rows down to U prototypes along the vocab axis: (windows, U, d_model), one set per window."""
     v_rows = vocab.shape[0]
     u_rows = w_proj.shape[1]
     if u_rows > v_rows:
         raise ValueError(f"cannot build {u_rows} prototypes from a vocabulary of {v_rows} rows")
-    return matmul(repeat_windows(transpose(w_proj), windows), vocab, windows)
+    return matmul(repeat_windows(transpose(w_proj), windows), vocab)
 
 
-def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1, windows: int = 1) -> Tensor:
+def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1) -> Tensor:
     """Lifted patches query the prototypes; prototypes provide keys and values.
 
-    With windows > 1 the prototypes hold one set per window, and each
-    window's patches attend to their own; with one set every patch attends
-    to it. Attention projections are plain matrices (a key bias is
-    invisible to softmax and would be a dead parameter).
+    With one prototype set per window, each window's patches attend to
+    their own; with one set, every patch attends to it. Attention
+    projections are plain matrices (a key bias is invisible to softmax and
+    would be a dead parameter).
     """
-    lifted = linear(patches, params["reprog.patch_lift.w"], params["reprog.patch_lift.b"], windows)
-    q = matmul(lifted, params["reprog.attn.wq"], windows)
-    k = matmul(prototypes, params["reprog.attn.wk"], windows)
-    v = matmul(prototypes, params["reprog.attn.wv"], windows)
-    return attention(q, k, v, n_heads, windows=windows)
+    lifted = linear(patches, params["reprog.patch_lift.w"], params["reprog.patch_lift.b"])
+    q = matmul(lifted, params["reprog.attn.wq"])
+    k = matmul(prototypes, params["reprog.attn.wk"])
+    v = matmul(prototypes, params["reprog.attn.wv"])
+    return attention(q, k, v, n_heads)
 
 
-def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int, windows: int = 1) -> Tensor:
+def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int) -> Tensor:
     """Frozen pre-LN encoder stack with a final layer norm."""
     x = tokens
     for layer in range(n_layers):
         p = f"backbone.block{layer}"
         normed = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"], windows)
-        k = matmul(normed, params[f"{p}.attn.wk"], windows)
-        v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"], windows)
-        attended = attention(q, k, v, n_heads, windows=windows)
-        x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"], windows))
+        q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
+        k = matmul(normed, params[f"{p}.attn.wk"])
+        v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
+        attended = attention(q, k, v, n_heads)
+        x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"], windows)),
-                    params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], windows)
+        ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),
+                    params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         x = add(x, ff)
     return layer_norm(x, params["backbone.final_ln.g"], params["backbone.final_ln.b"])
 
 
-def forward_backbone(
-    prompt_token: Tensor | None,
-    patch_tokens: Tensor,
-    params,
-    n_layers: int,
-    n_heads: int,
-    windows: int = 1,
-) -> Tensor:
-    """Run the frozen stack and read the prediction off the patch tokens only.
+def forward_backbone(prompt_token: Tensor | None, patch_tokens: Tensor, params, n_layers: int, n_heads: int) -> Tensor:
+    """Run the frozen stack and read the (W, 1, H) predictions off the (W, n_p, d_model) patch tokens only.
 
-    Stacked windows carry one prompt row each, which leads its window's
-    sequence; the result has one row per window.
+    A (W, 1, d_model) prompt gives every window one prompt row, which leads
+    its window's sequence.
     """
-    n_p = patch_tokens.shape[0] // windows
+    windows, n_p, d_model = patch_tokens.shape
     if prompt_token is None:
-        patch_hidden = backbone_forward(patch_tokens, params, n_layers, n_heads, windows)
+        patch_hidden = backbone_forward(patch_tokens, params, n_layers, n_heads)
     else:
-        first = np.arange(windows)[:, None]
-        seq_index = np.concatenate([first, windows + first * n_p + np.arange(n_p)], axis=1).reshape(-1)
-        seq = gather_rows(concat_rows([prompt_token, patch_tokens]), seq_index)
-        hidden = backbone_forward(seq, params, n_layers, n_heads, windows)
-        patch_hidden = gather_rows(hidden, (first * (1 + n_p) + 1 + np.arange(n_p)).reshape(-1))
-    d_model = patch_hidden.shape[1]
-    flat = reshape(patch_hidden, (windows, n_p * d_model))
-    return linear(flat, params["reprog.head.w"], params["reprog.head.b"], windows)
+        hidden = backbone_forward(concat_rows([prompt_token, patch_tokens]), params, n_layers, n_heads)
+        patch_hidden = slice_rows(hidden, 1, 1 + n_p)
+    flat = reshape(patch_hidden, (windows, 1, n_p * d_model))
+    return linear(flat, params["reprog.head.w"], params["reprog.head.b"])

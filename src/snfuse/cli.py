@@ -145,9 +145,12 @@ def cmd_prepare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise DataFormatError(f"bad --seeds value '{text}'") from exc
+    if len(set(seeds)) != len(seeds) or len(seeds) < 2 or min(seeds) < 0:
+        raise DataFormatError(f"--seeds takes at least 2 distinct non-negative seeds, got '{text}'")
+    return seeds
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -159,7 +162,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if args.seeds:
         seeds = _parse_seeds(args.seeds)
-        summary = multi_seed(ds, cfg, seeds)
+        summary = multi_seed(ds, cfg, seeds, vocab=_load_vocab(cfg))
         (out / "multiseed.csv").write_text(summary.to_csv(), encoding="utf-8")
         for seed, report in zip(seeds, summary.reports):
             seed_dir = out / f"seed_{seed}"
@@ -204,7 +207,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     ds = _build_dataset(args, cfg, _manifest_path(args))
-    rows = ablation_grid(ds, cfg)
+    rows = ablation_grid(ds, cfg, vocab=_load_vocab(cfg))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")

@@ -148,6 +148,10 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
+    """cfg with the given fields replaced; a value validate() refuses is a DataFormatError."""
     out = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
-    out.validate()
+    try:
+        out.validate()
+    except ValueError as exc:
+        raise DataFormatError(f"command-line override: {exc}") from exc
     return out

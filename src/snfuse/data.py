@@ -44,10 +44,6 @@ class DailyNewsBatch:
     embeddings: np.ndarray  # (n, d), n may be 0
     sha256: str  # hex digest of the file's bytes, for the manifest
 
-    @property
-    def count(self) -> int:
-        return self.embeddings.shape[0]
-
 
 @dataclass
 class StockContext:

@@ -6,9 +6,9 @@ dense-layer outputs through a softmax over learnable logits. Ablation
 flags drop individual views; the softmax renormalizes over whatever stays
 active.
 
-The functions that take `windows` work on that many equal windows stacked
-one after another, and fuse every window on its own: the training step
-passes its batch, on a tape, and stacked inference a chunk, without one.
+Every sequence is a (W, T, d) stack of W windows, and each window is
+fused on its own: the training step passes its batch, on a tape, and
+stacked inference a chunk, without one.
 """
 
 from __future__ import annotations
@@ -41,48 +41,43 @@ DIRECTIONS = ("p2n", "n2p")
 CONV_TAPS = 5
 
 
-def cross_attention(
-    q_seq: Tensor,
-    k_seq: Tensor,
-    v_seq: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    windows: int = 1,
-) -> Tensor:
+def cross_attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """softmax(QK'/sqrt(d)) V after separate projection matrices per input.
 
     Projections are bias-free: a key bias shifts every logit in a row by
     the same amount, which softmax ignores, so such a parameter could never
     receive a gradient.
     """
-    if k_seq.shape[0] != v_seq.shape[0]:
+    if k_seq.shape[:-1] != v_seq.shape[:-1] or q_seq.shape[:-2] != k_seq.shape[:-2]:
         raise DimensionError(
-            f"key and value sequences must share length, got {k_seq.shape[0]} and {v_seq.shape[0]}"
+            "queries, keys and values must hold as many windows, and keys and values share length; "
+            f"got {q_seq.shape}, {k_seq.shape} and {v_seq.shape}"
         )
-    q = matmul(q_seq, wq, windows)
-    k = matmul(k_seq, wk, windows)
-    v = matmul(v_seq, wv, windows)
-    return attention(q, k, v, 1, split=False, windows=windows)
+    q = matmul(q_seq, wq)
+    k = matmul(k_seq, wk)
+    v = matmul(v_seq, wv)
+    return attention(q, k, v, 1, split=False)
 
 
-def fuse_directions(
-    news_seq: Tensor, price_seq: Tensor, params, directions: list[str], windows: int = 1
-) -> dict[str, Tensor]:
+def _same_stack(news_seq: Tensor, price_seq: Tensor) -> None:
+    if news_seq.shape[:-1] != price_seq.shape[:-1]:
+        raise DimensionError(
+            f"news and price stacks must share window count and length, got {news_seq.shape} and {price_seq.shape}"
+        )
+
+
+def fuse_directions(news_seq: Tensor, price_seq: Tensor, params, directions: list[str]) -> dict[str, Tensor]:
     """Price-queries-news (p2n) and news-queries-price (n2p), each with its own projections.
 
     Only the named directions are built, so only their weights are read.
     """
-    if news_seq.shape[0] != price_seq.shape[0]:
-        raise DimensionError(
-            f"news and price sequences must share length, got {news_seq.shape[0]} and {price_seq.shape[0]}"
-        )
+    _same_stack(news_seq, price_seq)
     query_and_keys = {"p2n": (price_seq, news_seq), "n2p": (news_seq, price_seq)}
     out = {}
     for name in directions:
         q_seq, kv_seq = query_and_keys[name]
         proj = [params[f"fusion.{name}.w{letter}"] for letter in "qkv"]
-        out[name] = cross_attention(q_seq, kv_seq, kv_seq, *proj, windows)
+        out[name] = cross_attention(q_seq, kv_seq, kv_seq, *proj)
     return out
 
 
@@ -103,40 +98,38 @@ def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def causal_conv(h: Tensor, taps: list[Tensor], windows: int = 1) -> Tensor:
+def causal_conv(h: Tensor, taps: list[Tensor]) -> Tensor:
     """Left-padded temporal convolution: out[t] = sum_k h[t-k] @ taps[k]."""
-    out = matmul(h, taps[0], windows)
+    out = matmul(h, taps[0])
     for k in range(1, len(taps)):
-        out = add(out, matmul(shift_rows(h, k, windows), taps[k], windows))
+        out = add(out, matmul(shift_rows(h, k), taps[k]))
     return out
 
 
-def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray, windows: int = 1) -> Tensor:
+def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray) -> Tensor:
     """One graph-conv layer over stacked [news; price] nodes, ReLU, then the
     causal convolution over the price-node rows.
 
     Stacked inference computes only the price-node rows, the ones the conv reads.
     """
+    _same_stack(news_seq, price_seq)
     w, b = params["fusion.gcn.w"], params["fusion.gcn.b"]
-    t_len = news_seq.shape[0] // windows
+    windows, t_len, _ = news_seq.shape
     # Two forms. On a tape, the price rows alone change the step's bits: news_train seed 40's
     # best_val_mse moved 59%, far past perfbench's 1e-5 gate. All 2T rows slow inference ~12%.
     if windows > 1 and not grad_enabled():
-        mixed = add(block_matmul(adjacency[t_len:, :t_len], news_seq, windows),
-                    block_matmul(adjacency[t_len:, t_len:], price_seq, windows))
+        mixed = add(block_matmul(adjacency[t_len:, :t_len], news_seq),
+                    block_matmul(adjacency[t_len:, t_len:], price_seq))
         price_rows = relu(linear(mixed, w, b))
     else:
-        stacked = concat_rows([news_seq, price_seq], windows)
-        hidden = relu(linear(block_matmul(adjacency, stacked, windows), w, b, windows))
-        price_rows = slice_rows(hidden, t_len, 2 * t_len, windows)
+        hidden = relu(linear(block_matmul(adjacency, concat_rows([news_seq, price_seq])), w, b))
+        price_rows = slice_rows(hidden, t_len, 2 * t_len)
     taps = [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
-    return causal_conv(price_rows, taps, windows)
+    return causal_conv(price_rows, taps)
 
 
-def blend(
-    terms: dict[str, Tensor], logits: Tensor, active: list[str], windows: int = 1
-) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted sum over the active terms only.
+def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[Tensor, np.ndarray]:
+    """Softmax-weighted sum over the active (W, T, d) terms only.
 
     logits is the full (1, 5) vector in BLEND_TERMS order; inactive entries
     are excluded from both the softmax and the sum. On a tape each window
@@ -145,15 +138,14 @@ def blend(
     """
     if not active:
         raise ValueError("no active blend terms; nothing to predict from")
-    windows = windows if grad_enabled() else 1
-    rows = repeat_windows(logits, windows)
+    rows = repeat_windows(logits, terms[active[0]].shape[0] if grad_enabled() else 1)
     if tuple(active) == BLEND_TERMS:
         picked = rows
     else:
         picked = concat_cols([slice_cols(rows, i, i + 1) for i in map(BLEND_TERMS.index, active)])
-    weights = softmax_rows(picked)  # (windows, k)
+    weights = softmax_rows(picked)  # (W, 1, k) on a tape, else (1, 1, k)
     out = None
     for col, name in enumerate(active):
-        piece = mul(slice_cols(weights, col, col + 1), terms[name], windows)
+        piece = mul(slice_cols(weights, col, col + 1), terms[name])
         out = piece if out is None else add(out, piece)
-    return out, weights.data[0].copy()
+    return out, weights.data[0, 0].copy()

@@ -7,12 +7,13 @@ named substreams and never updated.
 
 Pooling runs `pool_day` once for each distinct (day, stock) of a call
 (`_pool`); after it, training and inference run one forward (`_fuse`,
-`_predict`) over stacked windows. A training step (`batch_loss`) runs its
-whole batch through that forward on one tape, and its loss and gradients
-equal those of the windows taped one at a time (`predict_sample`) bit for
-bit. Inference runs `predict_many`: no tape, PREDICT_CHUNK windows per
-forward, and each (day, stock) of the whole call pooled once. Both sort a
-day's articles only the first time the model sees that day matrix.
+`_predict`) over a (W, T, d) stack of W windows, which reads W from the
+shape. A training step (`batch_loss`) runs its whole batch through that
+forward on one tape, and its loss and gradients equal those of the windows
+taped one at a time (`predict_sample`, W = 1) bit for bit. Inference runs
+`predict_many`: no tape, PREDICT_CHUNK windows per forward, and each
+(day, stock) of the whole call pooled once. Both sort a day's articles
+only the first time the model sees that day matrix.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from . import backbone as bb
 from . import fusion as fu
 from . import pooling as pl
 from .config import RunConfig
+from .errors import DataFormatError
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, concat_rows, gather_rows, grad_enabled, linear, mean_all, mul, no_grad, slot_rows, sub
+from .tensor import Tensor, grad_enabled, linear, mean_all, mul, no_grad, reshape, slot_rows, sub
 
 PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
 
@@ -118,7 +120,7 @@ class ForecastModel:
         else:
             vocab = np.asarray(vocab, dtype=np.float64)
             if vocab.shape != (v_rows, d_model):
-                raise ValueError(f"vocabulary shape {vocab.shape} != ({v_rows}, {d_model})")
+                raise DataFormatError(f"vocabulary shape {vocab.shape} != ({v_rows}, {d_model})")
         self.params.add("backbone.vocab", vocab, frozen=True)
 
         for layer in range(cfg.n_layers):
@@ -147,41 +149,44 @@ class ForecastModel:
         if self.cfg.pooling != "none" and len(news) != t_window:
             raise ValueError(f"need {t_window} news slots, got {len(news)}")
 
-    def _fuse(self, prices: np.ndarray, news_raw: Tensor | None, windows: int) -> Tensor:
-        """Blended features from stacked (windows*T,) prices and pooled news rows."""
+    def _fuse(self, prices: np.ndarray, news_raw: Tensor | None) -> Tensor:
+        """Blended (W, T, d) features from (W, T) prices and (W, T, d) pooled news rows."""
         p = self.params
-        price_raw = linear(Tensor(prices.reshape(-1, 1)), p["fusion.price_lift.w"], p["fusion.price_lift.b"], windows)
-        price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"], windows)
+        price_in = Tensor(prices.reshape(len(prices), -1, 1))
+        price_raw = linear(price_in, p["fusion.price_lift.w"], p["fusion.price_lift.b"])
+        price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"])
 
         terms: dict[str, Tensor] = {"price": price_seq}
         if news_raw is not None:
-            news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"], windows)
+            news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
             terms["news"] = news_seq
             if self.directions:
-                terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions, windows))
+                terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
             if "gcn" in self.active_terms:
-                terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency, windows)
-        fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms, windows)
+                terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
+        fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms)
         return fused
 
-    def _predict(self, fused: Tensor, names: np.ndarray, windows: int) -> Tensor:
-        """(windows, H) predictions from blended features and (windows, d) name embeddings."""
+    def _predict(self, fused: Tensor, names: np.ndarray) -> Tensor:
+        """(W, 1, H) predictions from blended (W, T, d) features and (W, d) name embeddings."""
         cfg, p = self.cfg, self.params
-        patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride, windows)
+        windows = fused.shape[0]
+        patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride)
         # on a tape every window gets its own prototype rows, so their gradients come per window
         sets = windows if grad_enabled() else 1
         prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], sets)
-        tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads, sets)
+        tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads)
         prompt = None
         if cfg.snp:
-            prompt = linear(Tensor(names), p["reprog.prompt.w"], p["reprog.prompt.b"], windows)
-        return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads, windows)
+            prompt = linear(Tensor(names.reshape(windows, 1, -1)), p["reprog.prompt.w"], p["reprog.prompt.b"])
+        return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads)
 
     def _pool(self, samples) -> tuple[list[Tensor], np.ndarray]:
         """Each distinct (day, stock) of (prices, news, name_emb, ...) samples pooled once.
 
-        Returns the (1, d) pooled rows, in order of first use, and the row
-        of every day slot. Days and name embeddings are recognised by identity.
+        Returns the (1, d) pooled rows, in order of first use, and the
+        (W, T) row of every day slot. Days and name embeddings are
+        recognised by identity.
         """
         cfg = self.cfg
         w = self.params[pl.PARAM[cfg.pooling]]
@@ -195,7 +200,7 @@ class ForecastModel:
                     pooled.append(pl.pool_day(cfg.pooling, day, emb, w, self.pos_table, cfg.max_news_per_day,
                                               self.orders).pooled)
                 index.append(rows[key])
-        return pooled, np.asarray(index, dtype=np.intp)
+        return pooled, np.asarray(index, dtype=np.intp).reshape(len(samples), -1)
 
     def _fuse_windows(self, samples) -> Tensor:
         """Blended features of (prices, news, name_emb, ...) windows, stacked.
@@ -206,16 +211,16 @@ class ForecastModel:
         for prices, news, *_ in samples:
             self._check_window(prices, news)
         news_raw = slot_rows(*self._pool(samples)) if self.cfg.pooling != "none" else None
-        return self._fuse(np.concatenate([s[0] for s in samples]), news_raw, len(samples))
+        return self._fuse(np.stack([s[0] for s in samples]), news_raw)
 
     def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
-        """Stock-aware features (T, d) for one window."""
+        """Stock-aware features (1, T, d) for one window."""
         return self._fuse_windows([(prices, news, name_emb)])
 
     def predict_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """(1, H) prediction of normalized closes: batch_loss's forward for one window."""
         fused = self.fuse_sample(prices, news, name_emb)
-        return self._predict(fused, name_emb.reshape(1, -1), 1)
+        return reshape(self._predict(fused, name_emb.reshape(1, -1)), (1, self.cfg.horizon))
 
     def predict_many(self, samples) -> np.ndarray:
         """(N, H) predictions for (prices, news, name_emb, ...) tuples, without a tape.
@@ -233,16 +238,14 @@ class ForecastModel:
             pooled = None
             if self.cfg.pooling != "none":
                 pooled, index = self._pool(samples)
-                pooled = concat_rows(pooled)  # drops the list, so the (1, d) parts are freed here
-                index = index.reshape(len(samples), -1)
+                pooled = np.concatenate([part.data for part in pooled])  # drops the list, so the parts are freed here
             for lo in range(0, len(samples), PREDICT_CHUNK):
                 chunk = samples[lo : lo + PREDICT_CHUNK]
                 hi = lo + len(chunk)
-                prices = np.concatenate([s[0] for s in chunk])
-                news_raw = None if pooled is None else gather_rows(pooled, index[lo:hi].reshape(-1))
-                fused = self._fuse(prices, news_raw, len(chunk))
+                news_raw = None if pooled is None else Tensor(pooled[index[lo:hi]])
+                fused = self._fuse(np.stack([s[0] for s in chunk]), news_raw)
                 names = np.stack([np.reshape(s[2], -1) for s in chunk])
-                out[lo:hi] = self._predict(fused, names, len(chunk)).data
+                out[lo:hi] = self._predict(fused, names).data[:, 0]
         return out
 
     def batch_loss(self, batch) -> Tensor:
@@ -253,6 +256,6 @@ class ForecastModel:
         """
         fused = self._fuse_windows(batch)
         names = np.stack([np.reshape(emb, -1) for _, _, emb, _ in batch])
-        preds = self._predict(fused, names, len(batch))
-        targets = np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for *_, t in batch])
+        preds = self._predict(fused, names)
+        targets = np.stack([np.asarray(t, dtype=np.float64).reshape(1, -1) for *_, t in batch])
         return mse_loss(preds, targets)

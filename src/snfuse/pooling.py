@@ -52,8 +52,7 @@ PARAM = {
 @dataclass
 class PoolResult:
     pooled: Tensor  # (1, d)
-    weights: np.ndarray | None  # attention over input rows, original order (sap: name row first)
-    degenerate: bool = False
+    weights: np.ndarray | None  # attention over input rows, original order (sap: name row first); None for no rows
 
 
 def canonical_order(rows: np.ndarray) -> np.ndarray:
@@ -117,7 +116,7 @@ def pool_day(
             "(the length of pasap's positional table)"
         )
     if n == 0 and variant != "sap":
-        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None, degenerate=True)
+        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None)
 
     if variant == "pasap":
         order = slice(None)

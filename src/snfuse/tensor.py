@@ -1,18 +1,19 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-Deliberately small: flat or 2-D row-major arrays, one fresh node per op
-call, one backward walk per graph. Everything runs in float64 so
-central-difference gradient checks are meaningful. Tensors are never
-mutated once an op has consumed them; the optimizer replaces parameter
-arrays between steps.
+Deliberately small: one fresh node per op call, one backward walk per
+graph. Everything runs in float64 so central-difference gradient checks
+are meaningful. Tensors are never mutated once an op has consumed them;
+the optimizer replaces parameter arrays between steps.
 
-Ops that take `windows` work on W equal windows stacked one after
-another: rows [i*L, (i+1)*L) belong to window i. On a tape every product
-over window rows is one np.matmul per window, and each parameter's
-gradient is a piece per window added in window order, so a training step
-over W stacked windows gets the same bits as the windows taped one after
-another. The fused ops record one node for a whole chain of primitive ops
-and match that chain bit for bit.
+A stack of W windows of L rows is a (W, L, d) array, and an op that works
+window by window reads W from the shape; a 2-D (L, d) array is one window.
+Row ops (concat_rows, slice_rows, shift_rows, gather_rows) work on axis -2,
+column ops on axis -1. On a tape every product over window rows is one
+np.matmul over (W, L, .), and each parameter's gradient is a piece per
+window added in window order, so a training step over W stacked windows
+gets the same bits as the windows taped one after another. The fused ops
+record one node for a whole chain of primitive ops and match that chain
+bit for bit.
 
 Inside `no_grad()` no op records parents, so inference builds no tape, and
 the products run over the whole stack at once.
@@ -129,9 +130,9 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...], windows: int = 1) -> np.ndarray:
-    if windows > 1 and len(shape) == 1:  # a bias: one sum per window, then folded
-        return _fold(g.reshape(windows, -1, shape[0]).sum(axis=1))
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if g.ndim == 3 and len(shape) == 1:  # a bias over stacked windows: one sum per window, then folded
+        return _fold(g.sum(axis=1))
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -140,15 +141,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...], windows: int = 1) -> np.
     return g
 
 
-def add(a, b, windows: int = 1) -> Tensor:
-    """a + b, broadcast; a (m,) bias over `windows` windows gets its gradient per window, folded."""
+def add(a, b) -> Tensor:
+    """a + b, broadcast; a (m,) bias over (W, L, m) windows gets its gradient per window, folded."""
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape, windows))
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape, windows))
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(a.data + b.data, (a, b), bw)
 
@@ -165,22 +166,17 @@ def sub(a, b) -> Tensor:
     return _node(a.data - b.data, (a, b), bw)
 
 
-def mul(a, b, windows: int = 1) -> Tensor:
-    """a * b, broadcast; with windows > 1, a is (W, 1) and scales each window of b by its own row."""
+def mul(a, b) -> Tensor:
+    """a * b, broadcast; a (W, 1, 1) a scales each window of (W, L, d) b by its own weight."""
     a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.data, b.data
-    if windows > 1:
-        av, bv = av.reshape(windows, 1, 1), bv.reshape(windows, -1, bv.shape[1])
-    out = av * bv
 
     def bw(g):
-        g = g.reshape(out.shape)
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * bv, av.shape).reshape(a.data.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * av, bv.shape).reshape(b.data.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _node(out if windows == 1 else out.reshape(b.data.shape), (a, b), bw)
+    return _node(a.data * b.data, (a, b), bw)
 
 
 def scale(a, c: float) -> Tensor:
@@ -194,8 +190,8 @@ def scale(a, c: float) -> Tensor:
     return _node(a.data * c, (a,), bw)
 
 
-def matmul(a, b, windows: int = 1) -> Tensor:
-    """a @ b, a's rows being `windows` equal windows.
+def matmul(a, b) -> Tensor:
+    """a @ b: a (L, k) window or (W, L, k) stack of windows through a 2-D b.
 
     On a tape the forward, a's gradient and b's gradient pieces are each one
     np.matmul over (W, L, .) (one 2-D product over W*L rows takes other BLAS
@@ -203,22 +199,20 @@ def matmul(a, b, windows: int = 1) -> Tensor:
     product runs over all rows at once.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul requires 2-D operands with matching inner extents, got {a.data.shape} x {b.data.shape}"
-        )
-    x = a.data.reshape(windows, -1, a.data.shape[1])
-    m = b.data.shape[1]
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
+        raise DimensionError(f"matmul requires (L, k) or (W, L, k) times (k, m), got {a.data.shape} x {b.data.shape}")
+    x = a.data if a.data.ndim == 3 else a.data[None]
+    shape = a.data.shape[:-1] + b.data.shape[1:]
 
     def bw(g):
-        g3 = g.reshape(windows, -1, m)
+        g3 = g if g.ndim == 3 else g[None]
         if a.requires_grad:
             _accumulate(a, np.matmul(g3, b.data.T).reshape(a.data.shape))
         if b.requires_grad:
             _accumulate(b, _fold(np.matmul(x.swapaxes(1, 2), g3)))
 
-    out = np.matmul(x, b.data).reshape(-1, m) if _recording.get() else a.data @ b.data
-    return _node(out, (a, b), bw)
+    out = np.matmul(x, b.data) if _recording.get() else a.data.reshape(-1, b.data.shape[0]) @ b.data
+    return _node(out.reshape(shape), (a, b), bw)
 
 
 def transpose(a) -> Tensor:
@@ -243,48 +237,42 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape).copy(), (a,), bw)
 
 
-def concat_rows(parts: Iterable[Tensor], windows: int = 1) -> Tensor:
+def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     """Each window's rows of every part, one part after another."""
     parts = [as_tensor(p) for p in parts]
-    counts = [p.data.shape[0] // windows for p in parts]
-    offsets = np.cumsum([0] + counts)
-    width = parts[0].data.shape[1]
+    offsets = np.cumsum([0] + [p.data.shape[-2] for p in parts])
 
     def bw(g):
-        g3 = g.reshape(windows, -1, width)
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, g3[:, lo:hi].reshape(p.data.shape))
+                _accumulate(p, g[..., lo:hi, :])
 
-    out = np.concatenate([p.data.reshape(windows, -1, width) for p in parts], axis=1)
-    return _node(out.reshape(-1, width), parts, bw)
+    return _node(np.concatenate([p.data for p in parts], axis=-2), parts, bw)
 
 
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    counts = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + counts)
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, g[:, lo:hi])
+                _accumulate(p, g[..., lo:hi])
 
-    return _node(np.concatenate([p.data for p in parts], axis=1), parts, bw)
+    return _node(np.concatenate([p.data for p in parts], axis=-1), parts, bw)
 
 
-def slice_rows(a, start: int, stop: int, windows: int = 1) -> Tensor:
+def slice_rows(a, start: int, stop: int) -> Tensor:
     """Rows [start, stop) of each window."""
     a = as_tensor(a)
-    shape = (windows, -1, a.data.shape[1])
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data).reshape(shape)
-            full[:, start:stop] = g.reshape(windows, -1, shape[2])
-            _accumulate(a, full.reshape(a.data.shape))
+            full = np.zeros_like(a.data)
+            full[..., start:stop, :] = g
+            _accumulate(a, full)
 
-    return _node(a.data.reshape(shape)[:, start:stop].reshape(-1, shape[2]), (a,), bw)
+    return _node(a.data[..., start:stop, :], (a,), bw)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -293,10 +281,10 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
     def bw(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            full[:, start:stop] = g
+            full[..., start:stop] = g
             _accumulate(a, full)
 
-    return _node(a.data[:, start:stop].copy(), (a,), bw)
+    return _node(a.data[..., start:stop].copy(), (a,), bw)
 
 
 def relu(a) -> Tensor:
@@ -311,10 +299,10 @@ def relu(a) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row-wise softmax with max subtraction; rejects non-finite input."""
+    """Softmax over the last axis with max subtraction; rejects non-finite input."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows requires a 2-D tensor, got shape {a.data.shape}")
+    if a.data.ndim not in (2, 3):
+        raise DimensionError(f"softmax_rows requires a 2-D or 3-D tensor, got shape {a.data.shape}")
     y = _softmax_forward(a.data, "softmax_rows")
 
     def bw(g):
@@ -361,30 +349,31 @@ def mean_all(a) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization with learnable scale/shift, fused backward."""
+    """Per-row normalization with learnable scale/shift, fused backward; gamma and beta get
+    their gradients per window, folded, as a bias does."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     y = xhat * gamma.data + beta.data
 
     def bw(g):
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=0))
+            _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=0))
+            _accumulate(beta, _unbroadcast(g, beta.data.shape))
         if x.requires_grad:
             dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, inv * term)
 
     return _node(y, (x, gamma, beta), bw)
 
 
-def linear(x, w, b, windows: int = 1) -> Tensor:
-    """x @ w + b with b broadcast over rows; `windows` as for matmul."""
-    return add(matmul(x, w, windows), b, windows)
+def linear(x, w, b) -> Tensor:
+    """x @ w + b with b broadcast over rows; x as for matmul."""
+    return add(matmul(x, w), b)
 
 
 # -- fused taped ops -----------------------------------------------------
@@ -418,29 +407,35 @@ def attentive_pool(w, rows: np.ndarray, name: np.ndarray | None = None) -> tuple
     return _node(y @ rows, (w,), bw), y
 
 
-def attention(q, k, v, n_heads: int, split: bool = True, windows: int = 1) -> Tensor:
+def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
     """Multi-head softmax(QK'/sqrt(head width)) V within each window, heads consecutive column blocks.
 
-    Per window and head (a contiguous block, one product of a stacked
-    np.matmul) it matches slice_cols -> transpose -> matmul -> scale ->
-    softmax_rows -> matmul, then concat_cols. split=False (one head) matches
-    matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul on the whole
-    window; k's gradient then stays the transpose of a row-major product.
+    The windows are k's: a (W, L, width) k has W, a 2-D k one. q's windows
+    must match them, or there is one key window that every query row of the
+    stack attends to. Per window and head (a contiguous block, one product
+    of a stacked np.matmul) it matches slice_cols -> transpose -> matmul ->
+    scale -> softmax_rows -> matmul, then concat_cols. split=False (one
+    head) matches matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul
+    on the whole window; k's gradient then stays the transpose of a
+    row-major product.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    width = q.data.shape[1]
+    width = q.data.shape[-1]
     if width % n_heads != 0:
         raise ValueError(f"model width {width} not divisible by {n_heads} heads")
     if not split and n_heads != 1:
         raise ValueError("attention without head splitting takes one head")
+    windows = k.data.shape[0] if k.data.ndim == 3 else 1
+    if windows > 1 and q.data.shape[:-2] != (windows,):
+        raise DimensionError(f"attention over {windows} key windows got queries of shape {q.data.shape}")
     head_dim = width // n_heads
     c = 1.0 / math.sqrt(head_dim)
 
-    def heads(x: np.ndarray) -> np.ndarray:  # (W*L, width) -> (W, heads, L, head_dim) view
+    def heads(x: np.ndarray) -> np.ndarray:  # (W, L, width) -> (W, heads, L, head_dim) view
         return x.reshape(windows, -1, n_heads, head_dim).transpose(0, 2, 1, 3)
 
-    def rows(x: np.ndarray) -> np.ndarray:  # the inverse of heads
-        return x.transpose(0, 2, 1, 3).reshape(-1, width)
+    def rows(x: np.ndarray, shape) -> np.ndarray:  # the inverse of heads
+        return x.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = (np.ascontiguousarray(heads(t.data)) for t in (q, k, v))
     kt = kh.swapaxes(2, 3).copy()
@@ -448,26 +443,27 @@ def attention(q, k, v, n_heads: int, split: bool = True, windows: int = 1) -> Te
 
     def bw(g):
         gh = heads(g)
-        g_v = rows(np.matmul(y.swapaxes(2, 3), gh)) if v.requires_grad else None
+        g_v = rows(np.matmul(y.swapaxes(2, 3), gh), v.data.shape) if v.requires_grad else None
         # the unsplit chain hands v its gradient before q and k, the split one after
         if g_v is not None and not split:
             _accumulate(v, g_v)
         if q.requires_grad or k.requires_grad:
             g_logits = _softmax_backward(np.matmul(gh, vh.swapaxes(2, 3)), y) * c
             if q.requires_grad:
-                _accumulate(q, rows(np.matmul(g_logits, kt.swapaxes(2, 3))))
+                _accumulate(q, rows(np.matmul(g_logits, kt.swapaxes(2, 3)), q.data.shape))
             if k.requires_grad:
-                g_k = rows(np.matmul(qh.swapaxes(2, 3), g_logits).swapaxes(2, 3))
-                # column-major keeps each window's block column-major with several windows too
-                _accumulate(k, np.ascontiguousarray(g_k) if split else np.asfortranarray(g_k))
+                g_k = rows(np.matmul(qh.swapaxes(2, 3), g_logits).swapaxes(2, 3), (-1, width))
+                # the rows of all windows made column-major keep each window's block column-major
+                g_k = np.ascontiguousarray(g_k) if split else np.asfortranarray(g_k)
+                _accumulate(k, g_k.reshape(k.data.shape))
         if g_v is not None and split:
             _accumulate(v, g_v)
 
-    return _node(rows(np.matmul(y, vh)), (q, k, v), bw)
+    return _node(rows(np.matmul(y, vh), q.data.shape), (q, k, v), bw)
 
 
 def gather_rows(a, index) -> Tensor:
-    """Rows a[index]; a repeated row sums its gradients in index order, as slice_rows in that order would."""
+    """Rows index of each window; a repeated row sums its gradients in index order, as slice_rows in that order would."""
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.intp)
 
@@ -475,25 +471,24 @@ def gather_rows(a, index) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             if np.bincount(index).max(initial=0) > 1:
-                np.add.at(full, index, g)
+                np.add.at(full, (..., index, slice(None)), g)
             else:
-                full[index] = g + 0.0  # + 0.0 makes -0.0 into +0.0, as adding into zeros does
+                full[..., index, :] = g + 0.0  # + 0.0 makes -0.0 into +0.0, as adding into zeros does
             _accumulate(a, full)
 
-    return _node(a.data[index], (a,), bw)
+    return _node(a.data[..., index, :], (a,), bw)
 
 
-def shift_rows(a, k: int, windows: int = 1) -> Tensor:
+def shift_rows(a, k: int) -> Tensor:
     """Move every window's rows k >= 0 places later; the first k rows of each window become zero."""
     a = as_tensor(a)
-    n, width = a.data.shape
-    length = n // windows
+    length = a.data.shape[-2]
     k = min(k, length)
 
     def moved(x: np.ndarray, src: slice, dst: slice) -> np.ndarray:
-        out = np.zeros((windows, length, width))
-        out[:, dst] = x.reshape(windows, length, width)[:, src]
-        return out.reshape(n, width)
+        out = np.zeros(a.data.shape)
+        out[..., dst, :] = x[..., src, :]
+        return out
 
     def bw(g):
         if a.requires_grad:
@@ -503,17 +498,19 @@ def shift_rows(a, k: int, windows: int = 1) -> Tensor:
 
 
 def slot_rows(parts: Sequence[Tensor], index) -> Tensor:
-    """Row parts[index[s]] of (1, d) parts for every slot s, as one node.
+    """(W, T, d) rows: slot (w, t) holds part index[w, t] of (1, d) parts, as one node.
 
-    The backward runs part index[s]'s own backward on slot s's gradient row,
-    slot by slot, so a part that fills several slots hands its parents one
-    contribution per slot, in slot order, as one part per slot would.
+    The backward runs each slot's part's own backward on the slot's gradient
+    row, window-major and slot by slot, so a part that fills several slots
+    hands its parents one contribution per slot, in slot order, as one part
+    per slot would.
     """
     index = np.asarray(index, dtype=np.intp)
     parents = {id(p): p for part in parts for p in part._parents}
 
     def bw(g):
-        for s, i in enumerate(index):
+        g = g.reshape(-1, g.shape[-1])
+        for s, i in enumerate(index.reshape(-1)):
             if parts[i]._backward is not None:
                 parts[i]._backward(g[s : s + 1])
 
@@ -523,24 +520,23 @@ def slot_rows(parts: Sequence[Tensor], index) -> Tensor:
 # -- window ops ------------------------------------------------------------
 
 
-def block_matmul(m: np.ndarray, a, windows: int) -> Tensor:
-    """m @ (each window of a): (W*L', d) rows through a constant (L, L') matrix to (W*L, d)."""
+def block_matmul(m: np.ndarray, a) -> Tensor:
+    """m @ each window of a: (W, L', d) windows through a constant (L, L') matrix to (W, L, d)."""
     a = as_tensor(a)
-    width = a.data.shape[1]
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, np.matmul(m.T, g.reshape(windows, -1, width)).reshape(a.data.shape))
+            _accumulate(a, np.matmul(m.T, g))
 
-    return _node(np.matmul(m, a.data.reshape(windows, -1, width)).reshape(-1, width), (a,), bw)
+    return _node(np.matmul(m, a.data), (a,), bw)
 
 
 def repeat_windows(a, windows: int) -> Tensor:
-    """a's rows once per window; the backward folds the windows' gradients."""
+    """`windows` copies of a, stacked as (windows, *a.shape); the backward folds the copies' gradients."""
     a = as_tensor(a)
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, _fold(g.reshape(windows, *a.data.shape)))
+            _accumulate(a, _fold(g))
 
-    return _node(np.tile(a.data, (windows, 1)), (a,), bw)
+    return _node(np.tile(a.data, (windows,) + (1,) * a.data.ndim), (a,), bw)

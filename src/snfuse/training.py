@@ -278,14 +278,14 @@ class AblationRow:
     result: TrainResult
 
 
-def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig) -> list[AblationRow]:
-    """Train and evaluate all 8 fusion-component removals on top of sap pooling."""
+def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig, vocab: np.ndarray | None = None) -> list[AblationRow]:
+    """Train and evaluate all 8 fusion-component removals on top of sap pooling; vocab as for ForecastModel."""
     if base_cfg.pooling != "sap":
         raise ValueError(f"ablation grid requires pooling=sap, got '{base_cfg.pooling}'")
     rows = []
     for label, (no_p2n, no_n2p, no_gcn) in ABLATION_ROWS:
         cfg = replace(base_cfg, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn)
-        model = ForecastModel(cfg, ds.dim, vocab=None)
+        model = ForecastModel(cfg, ds.dim, vocab=vocab)
         result = train(model, ds, cfg)
         report = evaluate(model, ds)
         rows.append(AblationRow(label=label, cfg=cfg, report=report, result=result))
@@ -313,14 +313,16 @@ class MultiSeedSummary:
         return "\n".join(lines) + "\n"
 
 
-def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> MultiSeedSummary:
-    """Independent runs per seed; sample standard deviation (divide by k-1)."""
+def multi_seed(
+    ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int], vocab: np.ndarray | None = None
+) -> MultiSeedSummary:
+    """Independent runs per seed; sample standard deviation (divide by k-1); vocab as for ForecastModel."""
     if len(seeds) < 2:
         raise ValueError(f"multi-seed runs need at least 2 seeds, got {len(seeds)}")
     reports = []
     for seed in seeds:
         cfg = replace(base_cfg, seed=seed)
-        model = ForecastModel(cfg, ds.dim, vocab=None)
+        model = ForecastModel(cfg, ds.dim, vocab=vocab)
         train(model, ds, cfg)
         reports.append(evaluate(model, ds))
     stocks = [r[0] for r in reports[0].rows] + ["average"]

@@ -25,13 +25,14 @@ def test_prototypes_one_hot_selection():
     w[1, 0] = 1.0
     w[3, 1] = 1.0
     out = make_prototypes(vocab, Tensor(w))
-    np.testing.assert_array_equal(out.data, vocab.data[[1, 3]])
+    assert out.shape == (1, 2, 3)
+    np.testing.assert_array_equal(out.data[0], vocab.data[[1, 3]])
 
 
 def test_prototypes_uniform_projection_is_vocab_mean():
     vocab = Tensor(np.random.default_rng(0).normal(size=(8, 3)))
     out = make_prototypes(vocab, Tensor(np.full((8, 2), 1.0 / 8.0)))
-    np.testing.assert_allclose(out.data, np.tile(vocab.data.mean(axis=0), (2, 1)), atol=1e-12)
+    np.testing.assert_allclose(out.data[0], np.tile(vocab.data.mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_prototypes_gradient_hits_projection_not_vocab():
@@ -59,22 +60,23 @@ def test_patchify_counts():
 
 
 def test_patchify_whole_window_single_patch():
-    x = np.arange(12, dtype=float).reshape(4, 3)
+    x = np.arange(12, dtype=float).reshape(1, 4, 3)
     out = patchify(Tensor(x), 4, 1)
-    assert out.shape == (1, 12)
+    assert out.shape == (1, 1, 12)
     np.testing.assert_array_equal(out.data.reshape(-1), x.reshape(-1))
 
 
 def test_patchify_time_major_flattening():
-    x = np.arange(20, dtype=float).reshape(10, 2)
+    x = np.arange(40, dtype=float).reshape(2, 10, 2)
     out = patchify(Tensor(x), 3, 2)
-    assert out.shape == (4, 6)
-    np.testing.assert_array_equal(out.data[1], x[2:5].reshape(-1))
+    assert out.shape == (2, 4, 6)
+    np.testing.assert_array_equal(out.data[0, 1], x[0, 2:5].reshape(-1))
+    np.testing.assert_array_equal(out.data[1, 3], x[1, 6:9].reshape(-1))
 
 
 def test_patchify_len_over_window_rejected():
     with pytest.raises(ValueError, match="exceeds"):
-        patchify(Tensor(np.zeros((3, 2))), 4, 1)
+        patchify(Tensor(np.zeros((1, 3, 2))), 4, 1)
 
 
 # -- reprogramming -----------------------------------------------------------

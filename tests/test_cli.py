@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from datagen import toy_dataset_dir, trading_dates, write_prices
 from snfuse.cli import main
+from snfuse.data import write_news_day
 
 
 def _tiny_cfg(tmp_path):
@@ -14,6 +16,21 @@ def _tiny_cfg(tmp_path):
         "d_model = 8\nn_heads = 2\nffn_dim = 8\nvocab_size = 8\nnum_prototypes = 4\n",
         encoding="utf-8",
     )
+    return path
+
+
+def _prepared(tmp_path, config_lines=""):
+    """A prepared toy dataset: (the --config/--data/--manifest arguments, the config file)."""
+    data = toy_dataset_dir(tmp_path / "data", n_days=95)
+    cfg = _tiny_cfg(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8") + config_lines, encoding="utf-8")
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(prep)]) == 0
+    return ["--config", str(cfg), "--data", str(data), "--manifest", str(prep / "dataset.manifest")], cfg
+
+
+def _vocab_file(path, rows, seed):
+    write_news_day(path, np.random.default_rng(seed).normal(size=(rows, 8)))
     return path
 
 
@@ -69,3 +86,37 @@ def test_each_command_writes_its_own_sidecar(tmp_path):
     for command in ("train", "eval"):
         meta = json.loads((out / f"run_meta.{command}.json").read_text(encoding="utf-8"))
         assert meta["command"] == command and meta["started"] <= meta["finished"]
+
+
+@pytest.mark.parametrize("command,flags,written", [
+    ("train", ["--seeds", "0,1"], "multiseed.csv"),
+    ("ablate", [], "ablation.csv"),
+], ids=["train-seeds", "ablate"])
+def test_multi_seed_and_ablate_use_the_vocab_file(tmp_path, command, flags, written):
+    common, cfg = _prepared(tmp_path)
+    tiny = cfg.read_text(encoding="utf-8")
+    outputs = []
+    for seed in (1, 2):
+        vocab = _vocab_file(tmp_path / f"vocab{seed}.emb", 8, seed)
+        cfg.write_text(tiny + f"vocab_file = {vocab}\n", encoding="utf-8")
+        out = tmp_path / f"out{seed}"
+        assert main([command, *common, "--out", str(out), *flags]) == 0
+        outputs.append((out / written).read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("flags,vocab_rows,message", [
+    (["--seed", "-1"], None, "seed must be non-negative"),
+    (["--seeds", "5"], None, "at least 2"),
+    (["--seeds", ","], None, "at least 2"),
+    (["--seeds", "3,-1"], None, "non-negative"),
+    (["--seeds", "3,3"], None, "distinct"),
+    ([], 4, r"vocabulary shape \(4, 8\)"),
+], ids=["negative-seed", "one-seed", "no-seed", "negative-seeds", "repeated-seed", "vocab-shape"])
+def test_malformed_flag_input_exits_2(tmp_path, capsys, flags, vocab_rows, message):
+    vocab = "" if vocab_rows is None else f"vocab_file = {_vocab_file(tmp_path / 'vocab.emb', vocab_rows, 0)}\n"
+    common, _ = _prepared(tmp_path, vocab)
+    capsys.readouterr()
+    assert main(["train", *common, "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Traceback" not in err

@@ -81,7 +81,6 @@ def test_news_zero_article_day(tmp_path):
     path = tmp_path / "2021-07-01.emb"
     write_news_day(path, np.zeros((0, 8)))
     batch = load_news_day(path)
-    assert batch.count == 0
     assert batch.embeddings.shape == (0, 8)
 
 
@@ -96,7 +95,7 @@ def test_news_round_trip_values(tmp_path):
 def test_news_typical_day_219_articles(tmp_path):
     path = tmp_path / "2021-07-01.emb"
     write_news_day(path, np.random.default_rng(0).normal(size=(219, 16)))
-    assert load_news_day(path).count == 219
+    assert load_news_day(path).embeddings.shape[0] == 219
 
 
 def test_news_bad_magic(tmp_path):

@@ -6,12 +6,15 @@ primitive-op graphs of one window at a time bit for bit.
 primitive ops: the per-day pooling chain, the per-head attention of the
 reprogramming layer and the frozen backbone (columns sliced even for one
 head), the unsliced single-head cross-attention, the per-patch slices of
-patchify, the padded slices of the causal convolution, and the prompt row
-joined to and cut from the backbone's sequence. The oracles below rebuild
-those chains from the primitive ops and run one window at a time; the
-batch's windows stacked through `batch_loss` must give the same loss and
-the same gradient for every trainable parameter, compared with
-np.array_equal, in every pooling variant, ablation row and prompt setting.
+patchify, and the padded slices of the causal convolution. The oracles
+below rebuild those chains from the primitive ops on the (L, d) rows of one
+window, the 2-D form every op also takes, cut out of the layer's (1, L, d)
+stack by `reshape`; the backbone's oracle runs the frozen stack on those
+rows too, with the prompt row joined on top. They run one window at a
+time, and the batch's windows stacked through `batch_loss` must give the
+same loss and the same gradient for every trainable parameter, compared
+with np.array_equal, in every pooling variant, ablation row and prompt
+setting.
 
 The widths (d = d_model = 32, T = 8, 16 prototypes) are ones where
 OpenBLAS 0.3.31 with its Haswell kernels returns different bits for the
@@ -61,9 +64,23 @@ def pool_chain(w, rows, name=None):
     return matmul(attn, Tensor(rows)), attn.data
 
 
-def split_heads_chain(q, k, v, n_heads, windows=1):
+def rows_of(stack):
+    """The (L, d) rows of a (1, L, d) stack of one window, through a reshape node; rows pass as they are."""
+    if len(stack.shape) == 2:
+        return stack
+    assert stack.shape[0] == 1
+    return reshape(stack, stack.shape[1:])
+
+
+def as_stack(rows):
+    """(L, d) rows as a (1, L, d) stack of one window, through a reshape node."""
+    return reshape(rows, (1, *rows.shape))
+
+
+def split_heads_chain(q, k, v, n_heads):
     """Per head: slice_cols -> transpose -> matmul -> scale -> softmax_rows -> matmul."""
-    assert windows == 1
+    stacked = len(q.shape) == 3  # the reprogramming layer's stacks; the backbone oracle passes rows
+    q, k, v = rows_of(q), rows_of(k), rows_of(v)
     head_dim = q.shape[1] // n_heads
     outs = []
     for h in range(n_heads):
@@ -71,49 +88,52 @@ def split_heads_chain(q, k, v, n_heads, windows=1):
         qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
         logits = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(head_dim))
         outs.append(matmul(softmax_rows(logits), vh))
-    return concat_cols(outs) if len(outs) > 1 else outs[0]
+    out = concat_cols(outs) if len(outs) > 1 else outs[0]
+    return as_stack(out) if stacked else out
 
 
 def cross_attention_chain(q, k, v, n_heads, **_):
     """Single head on the whole arrays: matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul."""
     assert n_heads == 1
+    q, k, v = rows_of(q), rows_of(k), rows_of(v)
     logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    return matmul(softmax_rows(logits), v)
+    return as_stack(matmul(softmax_rows(logits), v))
 
 
-def patchify_chain(features, patch_len, stride, windows=1):
+def patchify_chain(features, patch_len, stride):
     """Per patch: slice_rows -> reshape to one row, then concat_rows."""
-    assert windows == 1
+    features = rows_of(features)
     d = features.shape[1]
     n_p = snfuse.backbone.num_patches(features.shape[0], patch_len, stride)
-    return concat_rows([reshape(slice_rows(features, s, s + patch_len), (1, patch_len * d))
-                        for s in range(0, n_p * stride, stride)])
+    return as_stack(concat_rows([reshape(slice_rows(features, s, s + patch_len), (1, patch_len * d))
+                                 for s in range(0, n_p * stride, stride)]))
 
 
-def causal_conv_chain(h, taps, windows=1):
+def causal_conv_chain(h, taps):
     """Zero rows joined on top by concat_rows, then per tap slice_rows -> matmul, summed by add."""
-    assert windows == 1
+    h = rows_of(h)
     t_len, d = h.shape
     k0 = len(taps) - 1
     padded = concat_rows([Tensor(np.zeros((k0, d))), h])
     out = matmul(slice_rows(padded, k0, k0 + t_len), taps[0])
     for k in range(1, len(taps)):
         out = add(out, matmul(slice_rows(padded, k0 - k, k0 - k + t_len), taps[k]))
-    return out
+    return as_stack(out)
 
 
-def forward_backbone_chain(prompt_token, patch_tokens, params, n_layers, n_heads, windows=1):
-    """The prompt row led in by concat_rows and cut off again by slice_rows, then the head."""
-    assert windows == 1
+def forward_backbone_chain(prompt_token, patch_tokens, params, n_layers, n_heads):
+    """The frozen stack on the window's rows, the prompt row led in by concat_rows and cut off
+    again by slice_rows, then the head on one flat row."""
+    patch_tokens = rows_of(patch_tokens)
     n_p = patch_tokens.shape[0]
     if prompt_token is None:
         patch_hidden = snfuse.backbone.backbone_forward(patch_tokens, params, n_layers, n_heads)
     else:
-        hidden = snfuse.backbone.backbone_forward(concat_rows([prompt_token, patch_tokens]), params,
+        hidden = snfuse.backbone.backbone_forward(concat_rows([rows_of(prompt_token), patch_tokens]), params,
                                                   n_layers, n_heads)
         patch_hidden = slice_rows(hidden, 1, 1 + n_p)
     flat = reshape(patch_hidden, (1, n_p * patch_hidden.shape[1]))
-    return linear(flat, params["reprog.head.w"], params["reprog.head.b"])
+    return as_stack(linear(flat, params["reprog.head.w"], params["reprog.head.b"]))
 
 
 def _cfg(**overrides) -> RunConfig:
@@ -227,8 +247,8 @@ def test_pooling_contributions_come_window_major_then_day_ascending(pooling):
     loss.backward()
     looped, w.grad = w.grad, None
     pooled, index = model._pool(batch)
-    assert len(pooled) < len(index)  # shared (day, stock) pairs pooled once
-    sum_all(mul(slot_rows(pooled, index), coeff)).backward()
+    assert len(pooled) < index.size  # shared (day, stock) pairs pooled once
+    sum_all(mul(slot_rows(pooled, index), Tensor(coeff.data.reshape(*index.shape, -1)))).backward()
     assert np.array_equal(w.grad, looped)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from snfuse.fusion import (
     gcn_fuse,
 )
 from snfuse.optim import ParamSet, finite_diff_check
-from snfuse.tensor import Tensor, mul, sum_all
+from snfuse.tensor import Tensor, mul, no_grad, sum_all
 
 
 def _identity_proj(params, prefix, d):
@@ -167,8 +169,8 @@ def test_gcn_identity_graph_passes_price_rows_through():
     d, t = 3, 4
     params = _gcn_params(d)
     rng = np.random.default_rng(2)
-    news = rng.uniform(0.1, 1.0, size=(t, d))
-    price = rng.uniform(0.1, 1.0, size=(t, d))
+    news = rng.uniform(0.1, 1.0, size=(1, t, d))
+    price = rng.uniform(0.1, 1.0, size=(1, t, d))
     adjacency = day_pair_adjacency(t, cross_edges=False)
     out = gcn_fuse(Tensor(news), Tensor(price), params, adjacency)
     # delta kernel at the current tap makes the conv an identity too
@@ -202,13 +204,13 @@ def test_gcn_causality_perturbation_sweep():
     news = rng.uniform(-1, 1, size=(t_len, d))
     price = rng.uniform(-1, 1, size=(t_len, d))
     adjacency = day_pair_adjacency(t_len)
-    base = gcn_fuse(Tensor(news), Tensor(price), params, adjacency).data
+    base = gcn_fuse(Tensor(news[None]), Tensor(price[None]), params, adjacency).data[0]
     for t in range(t_len):
         for target in ("news", "price"):
             bumped_news = news.copy()
             bumped_price = price.copy()
             (bumped_news if target == "news" else bumped_price)[t] += rng.uniform(0.5, 2.0, size=d)
-            out = gcn_fuse(Tensor(bumped_news), Tensor(bumped_price), params, adjacency).data
+            out = gcn_fuse(Tensor(bumped_news[None]), Tensor(bumped_price[None]), params, adjacency).data[0]
             assert np.array_equal(out[:t], base[:t]), f"leak at day {t} via {target}"
             if t <= t_len - 1:
                 assert not np.array_equal(out[t : min(t + 5, t_len)], base[t : min(t + 5, t_len)])
@@ -218,10 +220,10 @@ def test_gcn_full_gradient_check():
     d, t_len = 3, 5
     rng = np.random.default_rng(9)
     params = _gcn_params(d, w=rng.uniform(-1, 1, size=(d, d)), b=rng.uniform(-0.1, 0.1, size=d), rng=rng)
-    news = Tensor(rng.uniform(0.2, 1.0, size=(t_len, d)))
-    price = Tensor(rng.uniform(0.2, 1.0, size=(t_len, d)))
+    news = Tensor(rng.uniform(0.2, 1.0, size=(1, t_len, d)))
+    price = Tensor(rng.uniform(0.2, 1.0, size=(1, t_len, d)))
     adjacency = day_pair_adjacency(t_len)
-    coeff = Tensor(rng.uniform(-1, 1, size=(t_len, d)))
+    coeff = Tensor(rng.uniform(-1, 1, size=(1, t_len, d)))
 
     def f(p):
         return sum_all(mul(gcn_fuse(news, price, p, adjacency), coeff))
@@ -234,7 +236,7 @@ def test_gcn_full_gradient_check():
 
 
 def _terms(rng, t, d, names=BLEND_TERMS):
-    return {name: Tensor(rng.uniform(-1, 1, size=(t, d))) for name in names}
+    return {name: Tensor(rng.uniform(-1, 1, size=(1, t, d))) for name in names}
 
 
 def test_blend_equal_logits_is_plain_average():
@@ -294,7 +296,7 @@ def test_blend_gradient_through_logits():
     terms = _terms(rng, 3, 2)
     params = ParamSet()
     params.add("logits", rng.normal(size=(1, 5)))
-    coeff = Tensor(rng.uniform(-1, 1, size=(3, 2)))
+    coeff = Tensor(rng.uniform(-1, 1, size=(1, 3, 2)))
 
     def f(p):
         out, _ = blend(terms, p["logits"], list(BLEND_TERMS))
@@ -302,3 +304,23 @@ def test_blend_gradient_through_logits():
 
     report = finite_diff_check(f, params, step=1e-6, tol=1e-4)
     assert report.passed, report.per_param
+
+
+# -- stacks of windows ---------------------------------------------------
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["tape", "no-tape"])
+@pytest.mark.parametrize("news_windows,price_windows", [(3, 2), (1, 3), (3, 1)])
+def test_stacks_with_different_window_counts_are_rejected(news_windows, price_windows, grad):
+    rng = np.random.default_rng(15)
+    d, t = 3, 5
+    proj = _random_proj_params(rng, d)
+    news = Tensor(rng.normal(size=(news_windows, t, d)))
+    price = Tensor(rng.normal(size=(price_windows, t, d)))
+    with contextlib.nullcontext() if grad else no_grad():
+        with pytest.raises(DimensionError, match="window count"):
+            fuse_directions(news, price, proj, ["p2n", "n2p"])
+        with pytest.raises(DimensionError, match="window count"):
+            gcn_fuse(news, price, _gcn_params(d, rng=rng), day_pair_adjacency(t))
+        with pytest.raises(DimensionError, match="as many windows"):
+            cross_attention(price, news, news, *(proj[f"fusion.p2n.w{letter}"] for letter in "qkv"))

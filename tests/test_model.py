@@ -135,13 +135,13 @@ def test_pool_rows_match_pool_day_per_day(variant):
     parts, index = model._pool(samples)
     pooled = concat_rows(parts)
     slots = [(day, emb) for _, news, emb, _ in samples for day in news]
-    assert index.shape == (len(slots),)
+    assert index.shape == (len(samples), model.cfg.t_window) and index.size == len(slots)
     # one row per distinct (day, stock), in order of first use
     assert pooled.shape[0] == len({(id(day), id(emb)) for day, emb in slots}) == index.max() + 1
     first_use = np.unique(index, return_index=True)[1]  # the first slot of each row
     assert np.all(np.diff(first_use) > 0)
     w = model.params[snfuse.pooling.PARAM[variant]]
-    for (day, emb), row in zip(slots, index):
+    for (day, emb), row in zip(slots, index.reshape(-1)):
         ref = snfuse.pooling.pool_day(variant, day, emb, w, model.pos_table).pooled.data
         np.testing.assert_array_equal(pooled.data[row : row + 1], ref)
         if day.shape[0] == 0:  # the zero-news day: zeros, or the name itself for sap

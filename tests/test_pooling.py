@@ -47,7 +47,7 @@ def test_ap_identical_rows_convexity():
 def test_ap_zero_news_degenerate():
     _, w = _param([1.0, 1.0])
     res = pool_day("ap", np.zeros((0, 2)), None, w)
-    assert res.degenerate
+    assert res.weights is None
     np.testing.assert_array_equal(res.pooled.data, [[0.0, 0.0]])
 
 
@@ -163,7 +163,7 @@ def test_pasap_zero_news_degenerate_and_length_guard():
     _, wp = _param([1.0, 1.0])
     table = sinusoidal_table(2, 2)
     res = pool_day("pasap", np.zeros((0, 2)), np.ones(2), wp, table)
-    assert res.degenerate
+    assert res.weights is None
     with pytest.raises(ValueError, match="positional table"):
         pool_day("pasap", np.ones((3, 2)), np.ones(2), wp, table)
 

@@ -363,24 +363,35 @@ def test_no_grad_in_one_thread_leaves_another_recording():
 def test_block_ops_match_each_window_on_its_own():
     rng = np.random.default_rng(4)
     windows, length, width = 3, 5, 4
-    q, k, v = (rng.normal(size=(windows * length, width)) for _ in range(3))
+    q, k, v = (rng.normal(size=(windows, length, width)) for _ in range(3))
     m = rng.normal(size=(2, length))
     with no_grad():
-        attended = attention(Tensor(q), Tensor(k), Tensor(v), 2, windows=windows).data
-        mixed = block_matmul(m, Tensor(q), windows).data
-        shifted = shift_rows(Tensor(q), 2, windows).data
-        assert np.all(shift_rows(Tensor(q), length, windows).data == 0.0)
-        np.testing.assert_array_equal(gather_rows(Tensor(q), [4, 0]).data, q[[4, 0]])
+        attended = attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        mixed = block_matmul(m, Tensor(q)).data
+        shifted = shift_rows(Tensor(q), 2).data
+        assert np.all(shift_rows(Tensor(q), length).data == 0.0)
+        np.testing.assert_array_equal(gather_rows(Tensor(q), [4, 0]).data, q[:, [4, 0]])
     for i in range(windows):
-        rows = slice(i * length, (i + 1) * length)
         heads = []
         for lo in (0, 2):
-            logits = q[rows, lo : lo + 2] @ k[rows, lo : lo + 2].T / math.sqrt(2)
-            heads.append(softmax_rows(Tensor(logits)).data @ v[rows, lo : lo + 2])
-        np.testing.assert_allclose(attended[rows], np.concatenate(heads, axis=1), rtol=1e-13)
-        np.testing.assert_allclose(mixed[2 * i : 2 * i + 2], m @ q[rows], rtol=1e-14)
-        np.testing.assert_array_equal(shifted[rows][:2], 0.0)
-        np.testing.assert_array_equal(shifted[rows][2:], q[rows][:-2])
+            logits = q[i, :, lo : lo + 2] @ k[i, :, lo : lo + 2].T / math.sqrt(2)
+            heads.append(softmax_rows(Tensor(logits)).data @ v[i, :, lo : lo + 2])
+        np.testing.assert_allclose(attended[i], np.concatenate(heads, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(mixed[i], m @ q[i], rtol=1e-14)
+        np.testing.assert_array_equal(shifted[i][:2], 0.0)
+        np.testing.assert_array_equal(shifted[i][2:], q[i][:-2])
+
+
+def _window(x, i):
+    """Window i of a (W, L, d) stack as a (1, L, d) stack of its own, through taped ops."""
+    windows, length, width = x.shape
+    rows = slice_rows(reshape(x, (windows * length, width)), i * length, (i + 1) * length)
+    return reshape(rows, (1, length, width))
+
+
+def _looped(outs, c):
+    """sum(c * outs), the windows' outputs joined one after another."""
+    return sum_all(mul(concat_rows(outs), Tensor(c.data.reshape(1, -1, c.shape[-1]))))
 
 
 @pytest.mark.parametrize("n_heads,split", [(1, True), (2, True), (1, False)], ids=["1-head", "2-heads", "unsplit"])
@@ -389,16 +400,15 @@ def test_windowed_attention_gradient_matches_finite_differences_and_a_loop(n_hea
     windows, length, width = 3, 4, 4
     params = ParamSet()
     for name in "qkv":
-        params.add(name, rng.normal(size=(windows * length, width)))
-    c = Tensor(rng.normal(size=(windows * length, width)))
+        params.add(name, rng.normal(size=(windows, length, width)))
+    c = Tensor(rng.normal(size=(windows, length, width)))
 
     def stacked(p):
-        return sum_all(mul(attention(p["q"], p["k"], p["v"], n_heads, split, windows), c))
+        return sum_all(mul(attention(p["q"], p["k"], p["v"], n_heads, split), c))
 
     def looped(p):
-        outs = [attention(*(slice_rows(p[name], i * length, (i + 1) * length) for name in "qkv"), n_heads, split)
-                for i in range(windows)]
-        return sum_all(mul(concat_rows(outs), c))
+        return _looped([attention(*(_window(p[name], i) for name in "qkv"), n_heads, split)
+                        for i in range(windows)], c)
 
     report = finite_diff_check(stacked, params, step=1e-6, tol=1e-6)
     assert report.passed, report.per_param
@@ -407,32 +417,42 @@ def test_windowed_attention_gradient_matches_finite_differences_and_a_loop(n_hea
         np.testing.assert_array_equal(stacked_grads[name], looped_grads[name])
 
 
+def test_attention_rejects_queries_of_another_window_count():
+    k = Tensor(np.zeros((3, 4, 2)))
+    with pytest.raises(DimensionError, match="3 key windows"):
+        attention(Tensor(np.zeros((2, 4, 2))), k, k, 1)
+    with no_grad():  # one key window serves every query window
+        out = attention(Tensor(np.ones((2, 4, 2))), Tensor(np.zeros((1, 3, 2))), Tensor(np.ones((1, 3, 2))), 1)
+    np.testing.assert_array_equal(out.data, np.ones((2, 4, 2)))
+
+
 def test_windowed_shift_rows_gradient_matches_a_loop():
     rng = np.random.default_rng(13)
     windows, length = 3, 4
     params = ParamSet()
-    x = params.add("x", rng.normal(size=(windows * length, 2)))
-    c = Tensor(rng.normal(size=(windows * length, 2)))
+    x = params.add("x", rng.normal(size=(windows, length, 2)))
+    c = Tensor(rng.normal(size=(windows, length, 2)))
     for k in (0, 1, length, length + 2):
-        stacked = backward(sum_all(mul(shift_rows(x, k, windows), c)), params)["x"]
-        looped = backward(sum_all(mul(concat_rows(
-            [shift_rows(slice_rows(x, i * length, (i + 1) * length), k) for i in range(windows)]), c)), params)["x"]
+        stacked = backward(sum_all(mul(shift_rows(x, k), c)), params)["x"]
+        looped = backward(_looped([shift_rows(_window(x, i), k) for i in range(windows)], c), params)["x"]
         np.testing.assert_array_equal(stacked, looped)
         expected = np.zeros((windows, length, 2))
-        expected[:, : max(length - k, 0)] = c.data.reshape(windows, length, 2)[:, k:]
-        np.testing.assert_array_equal(stacked, expected.reshape(-1, 2))
+        expected[:, : max(length - k, 0)] = c.data[:, k:]
+        np.testing.assert_array_equal(stacked, expected)
 
 
-# ops over W stacked windows of L rows: (name, parameters besides x, op(x, params, windows))
+# ops over a (W, L, 4) stack x: (name, parameters besides x, op(x, params)); W comes from x's shape
 WINDOWED_OPS = [
-    ("matmul", "w", lambda x, p, w: matmul(x, p["w"], w)),
-    ("linear", "wb", lambda x, p, w: linear(x, p["w"], p["b"], w)),
-    ("mul", "s", lambda x, p, w: mul(slice_cols(repeat_windows(p["s"], w), 1, 2), x, w)),
-    ("repeat_windows", "r", lambda x, p, w: mul(x, repeat_windows(p["r"], w))),
-    ("concat_rows", "w", lambda x, p, w: concat_rows([x, matmul(x, p["w"], w)], w)),
-    ("slice_rows", "w", lambda x, p, w: slice_rows(matmul(x, p["w"], w), 1, 2, w)),
-    ("block_matmul", "w", lambda x, p, w: block_matmul(np.array([[0.5, -1.5], [2.0, 0.25], [1.0, 1.0]]),
-                                                       matmul(x, p["w"], w), w)),
+    ("matmul", "w", lambda x, p: matmul(x, p["w"])),
+    ("linear", "wb", lambda x, p: linear(x, p["w"], p["b"])),
+    ("mul", "s", lambda x, p: mul(slice_cols(repeat_windows(p["s"], x.shape[0]), 1, 2), x)),
+    ("repeat_windows", "r", lambda x, p: mul(x, repeat_windows(p["r"], x.shape[0]))),
+    ("concat_rows", "w", lambda x, p: concat_rows([x, matmul(x, p["w"])])),
+    ("slice_rows", "w", lambda x, p: slice_rows(matmul(x, p["w"]), 1, 2)),
+    ("block_matmul", "w", lambda x, p: block_matmul(np.array([[0.5, -1.5], [2.0, 0.25], [1.0, 1.0]]),
+                                                    matmul(x, p["w"]))),
+    ("gather_rows", "w", lambda x, p: gather_rows(matmul(x, p["w"]), [1, 0, 1])),
+    ("layer_norm", "gb", lambda x, p: layer_norm(x, p["g"], p["b"])),
 ]
 
 
@@ -440,20 +460,19 @@ WINDOWED_OPS = [
 def test_windowed_op_gradients_match_each_window_taped_alone(name, used, fn):
     rng = np.random.default_rng(21)
     windows, length = 3, 2
-    shapes = {"x": (windows * length, 4), "w": (4, 4), "b": (4,), "s": (1, 2), "r": (length, 4)}
+    shapes = {"x": (windows, length, 4), "w": (4, 4), "b": (4,), "s": (1, 2), "r": (length, 4), "g": (4,)}
     params = ParamSet()
     for pid in "x" + used:
         params.add(pid, rng.normal(size=shapes[pid]))
     with no_grad():
-        whole = fn(params["x"], params, windows).data
+        whole = fn(params["x"], params).data
     c = Tensor(rng.normal(size=whole.shape))
 
     def stacked(p):
-        return sum_all(mul(fn(p["x"], p, windows), c))
+        return sum_all(mul(fn(p["x"], p), c))
 
     def looped(p):
-        outs = [fn(slice_rows(p["x"], i * length, (i + 1) * length), p, 1) for i in range(windows)]
-        return sum_all(mul(concat_rows(outs), c))
+        return _looped([fn(_window(p["x"], i), p) for i in range(windows)], c)
 
     report = finite_diff_check(stacked, params, step=1e-6, tol=1e-6)
     assert report.passed, report.per_param
@@ -461,7 +480,7 @@ def test_windowed_op_gradients_match_each_window_taped_alone(name, used, fn):
     for pid in stacked_grads:
         np.testing.assert_array_equal(stacked_grads[pid], looped_grads[pid])
     # without a tape the products run over the whole stack
-    np.testing.assert_allclose(fn(params["x"], params, windows).data, whole, rtol=1e-14)
+    np.testing.assert_allclose(fn(params["x"], params).data, whole, rtol=1e-14)
 
 
 def test_a_saturated_softmax_gives_no_subnormal_gradient():
