@@ -7,9 +7,9 @@ encoder whose weights are seeded once and never trained; only the
 reprogramming side and the prediction head carry gradients.
 
 Features, patches and tokens are (W, L, .) stacks of W windows, and each
-window is processed on its own: the training step passes its batch, on a
-tape, and stacked inference a chunk, without one. On a tape every window
-also gets its own copy of the prototypes.
+window is processed on its own, by the same arithmetic on a tape and off
+one. On a tape every window also gets its own copy of the prototypes;
+without one, all windows share one copy, which gives the same bits.
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args, cfg)
         _sidecar(args.out, args.command, started)
         return code
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime/numeric failures

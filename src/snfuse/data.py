@@ -40,7 +40,6 @@ class PriceSeries:
 
 @dataclass
 class DailyNewsBatch:
-    day: str
     embeddings: np.ndarray  # (n, d), n may be 0
     sha256: str  # hex digest of the file's bytes, for the manifest
 
@@ -64,7 +63,6 @@ class Scaler:
     mean: np.ndarray
     std: np.ndarray
     constant: np.ndarray  # bool, same shape as std
-    modality: str  # "price" | "news"
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         denom = np.where(self.constant, 1.0, self.std)
@@ -92,14 +90,12 @@ def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
     else:
         raise ValueError(f"scaler input must be 1-D or 2-D, got shape {arr.shape}")
     constant = std == 0.0
-    return Scaler(mean=mean, std=std, constant=constant, modality=modality)
+    return Scaler(mean=mean, std=std, constant=constant)
 
 
-def identity_scaler(dim: int, modality: str) -> Scaler:
+def identity_scaler(dim: int) -> Scaler:
     """Pass-through scaler for datasets with no training-span articles at all."""
-    return Scaler(
-        mean=np.zeros(dim), std=np.ones(dim), constant=np.zeros(dim, dtype=bool), modality=modality
-    )
+    return Scaler(mean=np.zeros(dim), std=np.ones(dim), constant=np.zeros(dim, dtype=bool))
 
 
 def _read(path: Path, newline: str | None = None) -> tuple[str, str]:
@@ -167,7 +163,7 @@ def load_news_day(path: str | Path) -> DailyNewsBatch:
     values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}: payload contains non-finite floats")
-    return DailyNewsBatch(day=path.stem, embeddings=values.reshape(n, d), sha256=hashlib.sha256(raw).hexdigest())
+    return DailyNewsBatch(embeddings=values.reshape(n, d), sha256=hashlib.sha256(raw).hexdigest())
 
 
 def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
@@ -355,7 +351,7 @@ def assemble_dataset(
     if train_articles:
         news_scaler = fit_scaler(np.concatenate(train_articles, axis=0), "news")
     else:
-        news_scaler = identity_scaler(dim, "news")
+        news_scaler = identity_scaler(dim)
     news_norm = [news_scaler.transform(m) if m.shape[0] else m for m in news_raw]
 
     stocks: dict[str, StockRecord] = {}

@@ -1,8 +1,8 @@
 """Exception classes shared across the package, and the text-file reader
 that reports invalid UTF-8 as one of them.
 
-The CLI maps DataFormatError (and missing files) to exit code 2,
-everything else to exit code 1.
+The CLI maps DataFormatError (and a missing path, or a path of the wrong
+kind) to exit code 2, everything else to exit code 1.
 """
 
 import io

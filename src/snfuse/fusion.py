@@ -7,8 +7,7 @@ flags drop individual views; the softmax renormalizes over whatever stays
 active.
 
 Every sequence is a (W, T, d) stack of W windows, and each window is
-fused on its own: the training step passes its batch, on a tape, and
-stacked inference a chunk, without one.
+fused on its own, by the same arithmetic on a tape and off one.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .tensor import (
     block_matmul,
     concat_cols,
     concat_rows,
-    grad_enabled,
     linear,
     matmul,
     mul,
@@ -31,7 +29,6 @@ from .tensor import (
     repeat_windows,
     shift_rows,
     slice_cols,
-    slice_rows,
     softmax_rows,
 )
 
@@ -81,7 +78,7 @@ def fuse_directions(news_seq: Tensor, price_seq: Tensor, params, directions: lis
     return out
 
 
-def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
+def day_pair_adjacency(t_window: int) -> np.ndarray:
     """Symmetric-normalized adjacency over 2T nodes (news_1..T, price_1..T).
 
     One undirected edge links each day's news node to its price node; every
@@ -89,10 +86,9 @@ def day_pair_adjacency(t_window: int, cross_edges: bool = True) -> np.ndarray:
     """
     n = 2 * t_window
     a = np.eye(n)
-    if cross_edges:
-        for t in range(t_window):
-            a[t, t_window + t] = 1.0
-            a[t_window + t, t] = 1.0
+    for t in range(t_window):
+        a[t, t_window + t] = 1.0
+        a[t_window + t, t] = 1.0
     deg = a.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -110,20 +106,15 @@ def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray)
     """One graph-conv layer over stacked [news; price] nodes, ReLU, then the
     causal convolution over the price-node rows.
 
-    Stacked inference computes only the price-node rows, the ones the conv reads.
+    Only the price-node rows, the ones the conv reads, are computed: the
+    last T rows of the (2T x 2T) adjacency times all 2T nodes, so every
+    product still sums over all 2T nodes and each row gets the bits of the
+    full layer's row.
     """
     _same_stack(news_seq, price_seq)
-    w, b = params["fusion.gcn.w"], params["fusion.gcn.b"]
-    windows, t_len, _ = news_seq.shape
-    # Two forms. On a tape, the price rows alone change the step's bits: news_train seed 40's
-    # best_val_mse moved 59%, far past perfbench's 1e-5 gate. All 2T rows slow inference ~12%.
-    if windows > 1 and not grad_enabled():
-        mixed = add(block_matmul(adjacency[t_len:, :t_len], news_seq),
-                    block_matmul(adjacency[t_len:, t_len:], price_seq))
-        price_rows = relu(linear(mixed, w, b))
-    else:
-        hidden = relu(linear(block_matmul(adjacency, concat_rows([news_seq, price_seq])), w, b))
-        price_rows = slice_rows(hidden, t_len, 2 * t_len)
+    t_len = news_seq.shape[-2]
+    mixed = block_matmul(adjacency[t_len:], concat_rows([news_seq, price_seq]))
+    price_rows = relu(linear(mixed, params["fusion.gcn.w"], params["fusion.gcn.b"]))
     taps = [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
     return causal_conv(price_rows, taps)
 
@@ -132,18 +123,18 @@ def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[
     """Softmax-weighted sum over the active (W, T, d) terms only.
 
     logits is the full (1, 5) vector in BLEND_TERMS order; inactive entries
-    are excluded from both the softmax and the sum. On a tape each window
-    weighs its terms with its own copy of the logits, so their gradient
-    comes per window; without one, all windows share one copy.
+    are excluded from both the softmax and the sum. Each window weighs its
+    terms with its own copy of the logits, so their gradient comes per
+    window.
     """
     if not active:
         raise ValueError("no active blend terms; nothing to predict from")
-    rows = repeat_windows(logits, terms[active[0]].shape[0] if grad_enabled() else 1)
+    rows = repeat_windows(logits, terms[active[0]].shape[0])
     if tuple(active) == BLEND_TERMS:
         picked = rows
     else:
         picked = concat_cols([slice_cols(rows, i, i + 1) for i in map(BLEND_TERMS.index, active)])
-    weights = softmax_rows(picked)  # (W, 1, k) on a tape, else (1, 1, k)
+    weights = softmax_rows(picked)  # (W, 1, k)
     out = None
     for col, name in enumerate(active):
         piece = mul(slice_cols(weights, col, col + 1), terms[name])

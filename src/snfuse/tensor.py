@@ -8,15 +8,14 @@ the optimizer replaces parameter arrays between steps.
 A stack of W windows of L rows is a (W, L, d) array, and an op that works
 window by window reads W from the shape; a 2-D (L, d) array is one window.
 Row ops (concat_rows, slice_rows, shift_rows, gather_rows) work on axis -2,
-column ops on axis -1. On a tape every product over window rows is one
-np.matmul over (W, L, .), and each parameter's gradient is a piece per
-window added in window order, so a training step over W stacked windows
-gets the same bits as the windows taped one after another. The fused ops
-record one node for a whole chain of primitive ops and match that chain
-bit for bit.
+column ops on axis -1. Every product over window rows is one np.matmul
+over (W, L, .), and each parameter's gradient is a piece per window added
+in window order, so a training step over W stacked windows gets the same
+bits as the windows taped one after another. The fused ops record one node
+for a whole chain of primitive ops and match that chain bit for bit.
 
-Inside `no_grad()` no op records parents, so inference builds no tape, and
-the products run over the whole stack at once.
+Inside `no_grad()` no op records parents, so inference builds no tape; the
+arithmetic is the same as on one.
 """
 
 from __future__ import annotations
@@ -193,10 +192,9 @@ def scale(a, c: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     """a @ b: a (L, k) window or (W, L, k) stack of windows through a 2-D b.
 
-    On a tape the forward, a's gradient and b's gradient pieces are each one
-    np.matmul over (W, L, .) (one 2-D product over W*L rows takes other BLAS
-    paths for some widths), and b's pieces are folded. Without a tape the
-    product runs over all rows at once.
+    The forward, a's gradient and b's gradient pieces are each one np.matmul
+    over (W, L, .) (one 2-D product over W*L rows takes other BLAS paths for
+    some widths), and b's pieces are folded.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
@@ -211,8 +209,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _fold(np.matmul(x.swapaxes(1, 2), g3)))
 
-    out = np.matmul(x, b.data) if _recording.get() else a.data.reshape(-1, b.data.shape[0]) @ b.data
-    return _node(out.reshape(shape), (a, b), bw)
+    return _node(np.matmul(x, b.data).reshape(shape), (a, b), bw)
 
 
 def transpose(a) -> Tensor:

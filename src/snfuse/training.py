@@ -77,7 +77,6 @@ class TrainResult:
     history: list[EpochRecord]
     best_epoch: int
     best_val_mse: float
-    steps_per_epoch: int
 
 
 def _resolve(ds: PreparedDataset, samples: list[WindowSample]):
@@ -109,7 +108,6 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
         )
     train_resolved = _resolve(ds, train_samples)
     val_resolved = _resolve(ds, val_samples)
-    steps_per_epoch = -(-len(train_resolved) // cfg.batch_size)
 
     state = init_adam(model.params, cfg.lr)
     stopper = EarlyStopper(cfg.patience)
@@ -139,12 +137,7 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
             break
 
     model.params.restore(best_snapshot)
-    return TrainResult(
-        history=history,
-        best_epoch=stopper.best_epoch,
-        best_val_mse=stopper.best,
-        steps_per_epoch=steps_per_epoch,
-    )
+    return TrainResult(history=history, best_epoch=stopper.best_epoch, best_val_mse=stopper.best)
 
 
 @dataclass
@@ -152,8 +145,6 @@ class EvalReport:
     rows: list[tuple[str, float, float]]  # (stock, MAE, MSE), sorted by stock
     avg_mae: float
     avg_mse: float
-    seed: int
-    cfg_hash: str
 
     def to_csv(self) -> str:
         lines = ["stock,mae,mse"]
@@ -184,7 +175,7 @@ def evaluate(model: ForecastModel, ds: PreparedDataset, split: str = "test") -> 
         lo = hi
     avg_mae = float(np.mean([r[1] for r in rows]))
     avg_mse = float(np.mean([r[2] for r in rows]))
-    return EvalReport(rows=rows, avg_mae=avg_mae, avg_mse=avg_mse, seed=model.cfg.seed, cfg_hash=config_hash(model.cfg))
+    return EvalReport(rows=rows, avg_mae=avg_mae, avg_mse=avg_mse)
 
 
 # -- checkpoints -------------------------------------------------------

@@ -120,3 +120,25 @@ def test_malformed_flag_input_exits_2(tmp_path, capsys, flags, vocab_rows, messa
     assert main(["train", *common, "--out", str(tmp_path / "out"), *flags]) == 2
     err = capsys.readouterr().err
     assert re.search(message, err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key,path", [
+    ("train", "--config", "adir"),
+    ("train", "--manifest", "adir"),
+    ("eval", "--checkpoint", "adir"),
+    ("train", "vocab_file", "adir"),
+    ("train", "--out", "afile"),
+    ("train", "--out", "afile/out"),
+], ids=["config-dir", "manifest-dir", "checkpoint-dir", "vocab-dir", "out-file", "out-under-file"])
+def test_a_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, key, path):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x\n", encoding="utf-8")
+    path = str(tmp_path / path)
+    common, _ = _prepared(tmp_path, f"vocab_file = {path}\n" if key == "vocab_file" else "")
+    flags = dict(zip(common[::2], common[1::2]), **{"--out": str(tmp_path / "out")})
+    if key.startswith("--"):
+        flags[key] = path
+    capsys.readouterr()
+    assert main([command, *(part for pair in flags.items() for part in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -14,8 +14,8 @@ from snfuse.fusion import (
     fuse_directions,
     gcn_fuse,
 )
-from snfuse.optim import ParamSet, finite_diff_check
-from snfuse.tensor import Tensor, mul, no_grad, sum_all
+from snfuse.optim import ParamSet, backward, finite_diff_check
+from snfuse.tensor import Tensor, block_matmul, concat_rows, linear, mul, no_grad, relu, slice_rows, sum_all
 
 
 def _identity_proj(params, prefix, d):
@@ -151,7 +151,12 @@ def _gcn_params(d, w=None, b=None, taps=None, rng=None):
 
 
 def test_adjacency_self_loops_only_is_identity():
-    np.testing.assert_allclose(day_pair_adjacency(4, cross_edges=False), np.eye(8), atol=1e-15)
+    # off its T cross edges the adjacency is the self-loops alone, halved, as every node has degree 2
+    t = 4
+    cross = np.eye(2 * t, k=t) + np.eye(2 * t, k=-t)
+    a = day_pair_adjacency(t)
+    np.testing.assert_allclose(a * (1.0 - cross), 0.5 * np.eye(2 * t), atol=1e-15)
+    np.testing.assert_allclose(a * cross, 0.5 * cross, atol=1e-15)
 
 
 def test_adjacency_with_edges_halves_degree_two_nodes():
@@ -171,8 +176,7 @@ def test_gcn_identity_graph_passes_price_rows_through():
     rng = np.random.default_rng(2)
     news = rng.uniform(0.1, 1.0, size=(1, t, d))
     price = rng.uniform(0.1, 1.0, size=(1, t, d))
-    adjacency = day_pair_adjacency(t, cross_edges=False)
-    out = gcn_fuse(Tensor(news), Tensor(price), params, adjacency)
+    out = gcn_fuse(Tensor(news), Tensor(price), params, np.eye(2 * t))
     # delta kernel at the current tap makes the conv an identity too
     np.testing.assert_allclose(out.data, price, atol=1e-12)
 
@@ -230,6 +234,39 @@ def test_gcn_full_gradient_check():
 
     report = finite_diff_check(f, params, step=1e-6, tol=1e-4)
     assert report.passed, report.per_param
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["tape", "no-tape"])
+@pytest.mark.parametrize("d", [8, 64])
+@pytest.mark.parametrize("t_len", [8, 20])
+@pytest.mark.parametrize("windows", [1, 3])
+def test_gcn_price_rows_match_the_full_layer_bit_for_bit(windows, t_len, d, grad):
+    # the full form: the layer over all 2T nodes, then its price rows
+    rng = np.random.default_rng(16)
+    params = _gcn_params(d, w=rng.uniform(-1, 1, size=(d, d)), b=rng.uniform(-0.5, 0.5, size=d), rng=rng)
+    params.add("news", rng.uniform(-1, 1, size=(windows, t_len, d)))
+    params.add("price", rng.uniform(-1, 1, size=(windows, t_len, d)))
+    adjacency = day_pair_adjacency(t_len)
+    coeff = Tensor(rng.uniform(-1, 1, size=(windows, t_len, d)))
+    taps = [params[f"fusion.conv.tap{k}"] for k in range(5)]
+
+    def full(p):
+        nodes = block_matmul(adjacency, concat_rows([p["news"], p["price"]]))
+        hidden = relu(linear(nodes, p["fusion.gcn.w"], p["fusion.gcn.b"]))
+        return causal_conv(slice_rows(hidden, t_len, 2 * t_len), taps)
+
+    runs = []
+    for form in (full, lambda p: gcn_fuse(p["news"], p["price"], p, adjacency)):
+        with contextlib.nullcontext() if grad else no_grad():
+            out = form(params)
+        grads = backward(sum_all(mul(out, coeff)), params) if grad else {}
+        params.clear_grads()
+        runs.append((out.data, grads))
+    (ref, ref_grads), (got, got_grads) = runs
+    assert np.array_equal(got, ref)
+    assert set(got_grads) == set(ref_grads) == (set(params.ids()) if grad else set())
+    for pid, g in ref_grads.items():
+        assert np.array_equal(got_grads[pid], g), pid
 
 
 # -- blend -----------------------------------------------------------------

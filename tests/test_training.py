@@ -49,7 +49,7 @@ def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
 
     def fake_evaluate(model, ds):
         mae, mse = figures[model.cfg.seed]
-        return EvalReport(rows=[("alpha", mae, mse)], avg_mae=mae, avg_mse=mse, seed=model.cfg.seed, cfg_hash="")
+        return EvalReport(rows=[("alpha", mae, mse)], avg_mae=mae, avg_mse=mse)
 
     monkeypatch.setattr(snfuse.training, "evaluate", fake_evaluate)
     summary = multi_seed(SimpleNamespace(dim=4), RunConfig(), [1, 2, 3])
