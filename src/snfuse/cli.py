@@ -1,5 +1,11 @@
 """Operator surface: prepare, train, eval, ablate, gradcheck, report.
 
+Flags: every command takes --out (required), --config and the overrides
+--pooling, --snp, --horizon, --no-gcn, --no-p2n, --no-n2p and --seed.
+Every command but gradcheck requires --data; train, eval, ablate and
+report require --manifest; eval and report require --checkpoint; only
+train takes --seeds. argparse refuses a missing or unknown flag (exit 2).
+
 Exit codes: 0 success, 1 runtime/numeric failure, 2 input/format failure.
 Outputs are byte-deterministic for a fixed seed; wall-clock timestamps go
 only into the run_meta.<command>.json sidecar, one per command, so `eval`
@@ -32,11 +38,13 @@ from .training import (
     ablation_csv,
     ablation_grid,
     apply_checkpoint,
+    csv_text,
     evaluate,
     history_csv,
     load_checkpoint,
     multi_seed,
     save_checkpoint,
+    stock_predictions,
     toy_gradient_check,
     train,
 )
@@ -44,7 +52,6 @@ from .training import (
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--data", type=Path, help="data directory")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--pooling", choices=VARIANTS)
     p.add_argument("--snp", choices=["on", "off"])
@@ -53,7 +60,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-p2n", action="store_true", default=None)
     p.add_argument("--no-n2p", action="store_true", default=None)
     p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", type=str, help="comma-separated seeds for multi-seed runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,10 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if name != "gradcheck":
+            p.add_argument("--data", type=Path, required=True, help="data directory")
         if name in ("train", "eval", "ablate", "report"):
-            p.add_argument("--manifest", type=Path, help="manifest written by prepare")
+            p.add_argument("--manifest", type=Path, required=True, help="manifest written by prepare")
         if name in ("eval", "report"):
             p.add_argument("--checkpoint", type=Path, required=True)
+        if name == "train":
+            p.add_argument("--seeds", type=str, help="comma-separated seeds for multi-seed runs")
     return parser
 
 
@@ -104,18 +114,6 @@ def _sidecar(out_dir: Path, command: str, started: float) -> None:
     (out_dir / f"run_meta.{command}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _require_data(args: argparse.Namespace) -> Path:
-    if args.data is None:
-        raise DataFormatError("--data is required for this command")
-    return args.data
-
-
-def _manifest_path(args: argparse.Namespace) -> Path:
-    if getattr(args, "manifest", None) is None:
-        raise DataFormatError("--manifest is required for this command")
-    return args.manifest
-
-
 def _load_vocab(cfg: RunConfig):
     if not cfg.vocab_file:
         return None
@@ -123,17 +121,17 @@ def _load_vocab(cfg: RunConfig):
     return batch.embeddings
 
 
-def _build_dataset(args: argparse.Namespace, cfg: RunConfig, manifest: Path | None):
-    ds = prepare_dataset(_require_data(args), cfg.t_window, cfg.horizon, expect_dim=cfg.dim)
-    if manifest is not None:
-        verify_manifest(ds, manifest)
+def _build_dataset(args: argparse.Namespace, cfg: RunConfig):
+    """The dataset under --data, checked against --manifest on the commands that take one."""
+    ds = prepare_dataset(args.data, cfg.t_window, cfg.horizon, expect_dim=cfg.dim)
+    if "manifest" in args:
+        verify_manifest(ds, args.manifest)
     return ds
 
 
 def cmd_prepare(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg, manifest=None)
+    ds = _build_dataset(args, cfg)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     write_manifest(ds, out / "dataset.manifest")
     sizes = ds.splits.sizes()
     print(f"prepared {len(ds.dates)} trading days: train/val/test = {sizes[0]}/{sizes[1]}/{sizes[2]}")
@@ -154,14 +152,12 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
-    manifest = _manifest_path(args)
-    ds = _build_dataset(args, cfg, manifest)
-    digest = manifest_hash(manifest)
+    seeds = _parse_seeds(args.seeds) if args.seeds else None  # refuse bad input before reading the data
+    ds = _build_dataset(args, cfg)
+    digest = manifest_hash(args.manifest)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
-    if args.seeds:
-        seeds = _parse_seeds(args.seeds)
+    if seeds:
         summary = multi_seed(ds, cfg, seeds, vocab=_load_vocab(cfg))
         (out / "multiseed.csv").write_text(summary.to_csv(), encoding="utf-8")
         for seed, report in zip(seeds, summary.reports):
@@ -181,11 +177,10 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds) -> ForecastModel:
-    manifest = _manifest_path(args)
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.cfg_hash != config_hash(cfg):
         raise DataFormatError("checkpoint was trained with a different configuration; refusing to evaluate")
-    if ckpt.manifest_hash != manifest_hash(manifest):
+    if ckpt.manifest_hash != manifest_hash(args.manifest):
         raise DataFormatError("checkpoint was trained against a different dataset manifest; refusing to evaluate")
     model = ForecastModel(cfg, ds.dim, vocab=_load_vocab(cfg))
     apply_checkpoint(model, ckpt)
@@ -193,67 +188,54 @@ def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds) -> ForecastMode
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg, _manifest_path(args))
+    ds = _build_dataset(args, cfg)
     model = _checked_model(args, cfg, ds)
     report = evaluate(model, ds)
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "eval.csv").write_text(report.to_csv(), encoding="utf-8")
-    for stock, mae, mse in report.rows:
+    (args.out / "eval.csv").write_text(report.to_csv(), encoding="utf-8")
+    for stock, mae, mse in report.table:
         print(f"{stock}: MAE {mae:.6f}  MSE {mse:.6f}")
-    print(f"average: MAE {report.avg_mae:.6f}  MSE {report.avg_mse:.6f}")
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg, _manifest_path(args))
+    ds = _build_dataset(args, cfg)
     rows = ablation_grid(ds, cfg, vocab=_load_vocab(cfg))
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
+    (args.out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     for row in rows:
         print(f"{row.label}: MAE {row.report.avg_mae:.6f}  MSE {row.report.avg_mse:.6f}")
-    print(f"ablation table: {out / 'ablation.csv'}")
+    print(f"ablation table: {args.out / 'ablation.csv'}")
     return 0
 
 
 def cmd_gradcheck(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = toy_gradient_check(cfg)
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     lines = [f"{pid} {err:.3e}" for pid, err in sorted(report.per_param.items())]
     status = "PASS" if report.passed else "FAIL"
     lines.append(f"worst {report.worst_param} {report.worst_error:.3e} tol {report.tol:.1e} {status}")
-    (out / "gradcheck.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (args.out / "gradcheck.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"gradcheck {status}: worst relative error {report.worst_error:.3e} ({report.worst_param})")
     return 0 if report.passed else 1
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg, _manifest_path(args))
+    ds = _build_dataset(args, cfg)
     model = _checked_model(args, cfg, ds)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    for stock in sorted(ds.stocks):
-        samples = [s for s in ds.samples["test"] if s.stock_id == stock]
-        resolved = [ds.sample_arrays(s) for s in samples]
-        lines = ["window_end_date,target_date,step,actual,predicted"]
-        series = []
-        for s, (*_, target), pred in zip(samples, resolved, model.predict_many(resolved)):
-            end_date = ds.dates[s.start + s.t_window - 1]
-            for step, day in enumerate(s.target_days):
-                lines.append(
-                    f"{end_date},{ds.dates[day]},{step + 1},{float(target[step])!r},{float(pred[step])!r}"
-                )
-            series.append((ds.dates[s.target_days.start], float(target[0]), float(pred[0])))
-        (out / f"{stock}_predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _maybe_plot(out / f"{stock}_predictions.svg", stock, series)
+    for stock, samples, preds, targets in stock_predictions(model, ds):
+        rows = [
+            (ds.dates[s.start + s.t_window - 1], ds.dates[day], step + 1, target[step], pred[step])
+            for s, pred, target in zip(samples, preds, targets)
+            for step, day in enumerate(s.target_days)
+        ]
+        header = "window_end_date,target_date,step,actual,predicted"
+        (out / f"{stock}_predictions.csv").write_text(csv_text(header, rows), encoding="utf-8")
+        _maybe_plot(out / f"{stock}_predictions.svg", stock, targets[:, 0], preds[:, 0])
     print(f"wrote per-stock prediction reports to {out}")
     return 0
 
 
-def _maybe_plot(path: Path, stock: str, series: list[tuple[str, float, float]]) -> None:
-    """Best-effort static plot; silently skipped when matplotlib is absent."""
+def _maybe_plot(path: Path, stock: str, actual: np.ndarray, predicted: np.ndarray) -> None:
+    """Best-effort static plot of the first forecast step; silently skipped when matplotlib is absent."""
     try:
         import matplotlib
 
@@ -261,9 +243,7 @@ def _maybe_plot(path: Path, stock: str, series: list[tuple[str, float, float]]) 
         import matplotlib.pyplot as plt
     except Exception:
         return
-    dates = np.arange(len(series))
-    actual = [row[1] for row in series]
-    predicted = [row[2] for row in series]
+    dates = np.arange(len(actual))
     fig, ax = plt.subplots(figsize=(8, 4))
     ax.plot(dates, actual, label="actual")
     ax.plot(dates, predicted, label="predicted")

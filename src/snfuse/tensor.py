@@ -178,17 +178,6 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), bw)
 
 
-def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
-
-    return _node(a.data * c, (a,), bw)
-
-
 def matmul(a, b) -> Tensor:
     """a @ b: a (L, k) window or (W, L, k) stack of windows through a 2-D b.
 
@@ -322,16 +311,6 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = y * (g - (g * y).sum(axis=-1, keepdims=True))
     out[np.abs(out) < _TINY] = 0.0
     return out
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, float(g)))
-
-    return _node(np.asarray(a.data.sum()), (a,), bw)
 
 
 def mean_all(a) -> Tensor:

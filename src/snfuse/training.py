@@ -3,6 +3,7 @@ the 8-row ablation grid, and multi-seed summaries."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -42,6 +43,14 @@ def metrics(pred: np.ndarray, target: np.ndarray) -> tuple[float, float]:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
     return float(np.abs(diff).mean()), float((diff * diff).mean())
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one comma-joined line per row; floats as repr, so they read back bit for bit."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class EarlyStopper:
@@ -88,8 +97,7 @@ def _targets(resolved) -> np.ndarray:
 
 
 def _dataset_mse(model: ForecastModel, resolved) -> float:
-    errs = (model.predict_many(resolved) - _targets(resolved)) ** 2
-    return float(errs.reshape(-1).mean())
+    return metrics(model.predict_many(resolved), _targets(resolved))[1]
 
 
 def _first_nonfinite(model: ForecastModel) -> str:
@@ -103,7 +111,7 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
     train_samples = ds.samples["train"]
     val_samples = ds.samples["val"]
     if not train_samples or not val_samples:
-        raise ValueError(
+        raise DataFormatError(
             f"need non-empty train and val splits, got {len(train_samples)} train / {len(val_samples)} val samples"
         )
     train_resolved = _resolve(ds, train_samples)
@@ -146,33 +154,35 @@ class EvalReport:
     avg_mae: float
     avg_mse: float
 
+    @property
+    def table(self) -> list[tuple[str, float, float]]:
+        """The per-stock rows, then ("average", avg_mae, avg_mse)."""
+        return [*self.rows, ("average", self.avg_mae, self.avg_mse)]
+
     def to_csv(self) -> str:
-        lines = ["stock,mae,mse"]
-        for stock, mae, mse in self.rows:
-            lines.append(f"{stock},{mae!r},{mse!r}")
-        lines.append(f"average,{self.avg_mae!r},{self.avg_mse!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("stock,mae,mse", self.table)
 
 
-def evaluate(model: ForecastModel, ds: PreparedDataset, split: str = "test") -> EvalReport:
-    samples = ds.samples[split]
+def stock_predictions(
+    model: ForecastModel, ds: PreparedDataset
+) -> list[tuple[str, list[WindowSample], np.ndarray, np.ndarray]]:
+    """Score the test split: per stock in sorted order, (stock, its samples, (n, H) predictions,
+    (n, H) targets), all windows through one predict_many call."""
+    samples = sorted(ds.samples["test"], key=lambda s: s.stock_id)  # stable: day order within a stock
     if not samples:
-        raise ValueError(f"no samples in split '{split}'")
-    by_stock: dict[str, list[WindowSample]] = {}
-    for s in samples:
-        if s.stock_id not in ds.stocks:
-            raise ValueError(f"sample references unknown stock '{s.stock_id}'")
-        by_stock.setdefault(s.stock_id, []).append(s)
-    stocks = sorted(by_stock)
-    resolved = [ds.sample_arrays(s) for stock in stocks for s in by_stock[stock]]
+        raise DataFormatError("the test split has no samples; the dataset needs more trading days")
+    resolved = _resolve(ds, samples)
     preds, targets = model.predict_many(resolved), _targets(resolved)
-    rows = []
-    lo = 0
-    for stock in stocks:
-        hi = lo + len(by_stock[stock])
-        mae, mse = metrics(preds[lo:hi].reshape(-1), targets[lo:hi].reshape(-1))
-        rows.append((stock, mae, mse))
-        lo = hi
+    out, lo = [], 0
+    for stock, group in itertools.groupby(samples, key=lambda s: s.stock_id):
+        group = list(group)
+        out.append((stock, group, preds[lo : lo + len(group)], targets[lo : lo + len(group)]))
+        lo += len(group)
+    return out
+
+
+def evaluate(model: ForecastModel, ds: PreparedDataset) -> EvalReport:
+    rows = [(stock, *metrics(preds, targets)) for stock, _, preds, targets in stock_predictions(model, ds)]
     avg_mae = float(np.mean([r[1] for r in rows]))
     avg_mse = float(np.mean([r[2] for r in rows]))
     return EvalReport(rows=rows, avg_mae=avg_mae, avg_mse=avg_mse)
@@ -272,7 +282,7 @@ class AblationRow:
 def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig, vocab: np.ndarray | None = None) -> list[AblationRow]:
     """Train and evaluate all 8 fusion-component removals on top of sap pooling; vocab as for ForecastModel."""
     if base_cfg.pooling != "sap":
-        raise ValueError(f"ablation grid requires pooling=sap, got '{base_cfg.pooling}'")
+        raise DataFormatError(f"ablation grid requires pooling=sap, got '{base_cfg.pooling}'")
     rows = []
     for label, (no_p2n, no_n2p, no_gcn) in ABLATION_ROWS:
         cfg = replace(base_cfg, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn)
@@ -284,10 +294,7 @@ def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig, vocab: np.ndarray | 
 
 
 def ablation_csv(rows: list[AblationRow]) -> str:
-    lines = ["label,mae,mse"]
-    for row in rows:
-        lines.append(f"{row.label},{row.report.avg_mae!r},{row.report.avg_mse!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text("label,mae,mse", [(row.label, row.report.avg_mae, row.report.avg_mse) for row in rows])
 
 
 @dataclass
@@ -297,11 +304,11 @@ class MultiSeedSummary:
     reports: list[EvalReport] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["stock,mae_mean,mae_std,mse_mean,mse_std"]
-        for stock in sorted(self.per_stock):
-            s = self.per_stock[stock]
-            lines.append(f"{stock},{s['mae_mean']!r},{s['mae_std']!r},{s['mse_mean']!r},{s['mse_std']!r}")
-        return "\n".join(lines) + "\n"
+        rows = [
+            (stock, s["mae_mean"], s["mae_std"], s["mse_mean"], s["mse_std"])
+            for stock, s in sorted(self.per_stock.items())
+        ]
+        return csv_text("stock,mae_mean,mae_std,mse_mean,mse_std", rows)
 
 
 def multi_seed(
@@ -316,16 +323,11 @@ def multi_seed(
         model = ForecastModel(cfg, ds.dim, vocab=vocab)
         train(model, ds, cfg)
         reports.append(evaluate(model, ds))
-    stocks = [r[0] for r in reports[0].rows] + ["average"]
     per_stock: dict[str, dict[str, float]] = {}
-    for idx, stock in enumerate(stocks):
-        if stock == "average":
-            maes = np.array([r.avg_mae for r in reports])
-            mses = np.array([r.avg_mse for r in reports])
-        else:
-            maes = np.array([r.rows[idx][1] for r in reports])
-            mses = np.array([r.rows[idx][2] for r in reports])
-        per_stock[stock] = {
+    for rows in zip(*(r.table for r in reports)):  # one stock's row from every seed
+        maes = np.array([row[1] for row in rows])
+        mses = np.array([row[2] for row in rows])
+        per_stock[rows[0][0]] = {
             "mae_mean": float(maes.mean()),
             "mae_std": float(maes.std(ddof=1)),
             "mse_mean": float(mses.mean()),
@@ -335,10 +337,8 @@ def multi_seed(
 
 
 def history_csv(result: TrainResult) -> str:
-    lines = ["epoch,train_mse,val_mse,improved"]
-    for rec in result.history:
-        lines.append(f"{rec.epoch},{rec.train_mse!r},{rec.val_mse!r},{int(rec.improved)}")
-    return "\n".join(lines) + "\n"
+    rows = [(rec.epoch, rec.train_mse, rec.val_mse, int(rec.improved)) for rec in result.history]
+    return csv_text("epoch,train_mse,val_mse,improved", rows)
 
 
 def toy_gradient_check(cfg: RunConfig, step: float = 1e-6, tol: float = 1e-4):

@@ -1,13 +1,42 @@
-"""Independent scalar-loop oracles.
+"""Independent scalar-loop oracles, and two taped ops that only the tests use.
 
-Everything here is pure Python over nested lists (math.exp, explicit
-loops), deliberately sharing no code with the package so the two routes
-can disagree. Used to freeze expected values for the equation tests.
+The oracles are pure Python over nested lists (math.exp, explicit loops),
+deliberately sharing no code with the package so the two routes can
+disagree. Used to freeze expected values for the equation tests.
+
+`scale` and `sum_all` are tape ops in the package's form: the primitive
+chains that the fused ops must match bit for bit multiply by a constant,
+and the gradient tests reduce an output to a scalar loss.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from snfuse.tensor import Tensor, _accumulate, _node, as_tensor
+
+
+def scale(a, c: float) -> Tensor:
+    a = as_tensor(a)
+    c = float(c)
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, g * c)
+
+    return _node(a.data * c, (a,), bw)
+
+
+def sum_all(a) -> Tensor:
+    a = as_tensor(a)
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, np.full_like(a.data, float(g)))
+
+    return _node(np.asarray(a.data.sum()), (a,), bw)
 
 
 def softmax_vec(logits):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import scaled_attention_oracle
+from oracles import scaled_attention_oracle, sum_all
 from snfuse.backbone import (
     backbone_forward,
     forward_backbone,
@@ -13,7 +13,7 @@ from snfuse.backbone import (
 from snfuse.config import RunConfig
 from snfuse.model import ForecastModel
 from snfuse.optim import ParamSet, backward
-from snfuse.tensor import Tensor, sum_all
+from snfuse.tensor import Tensor
 
 
 # -- prototypes ----------------------------------------------------------

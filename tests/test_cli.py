@@ -1,12 +1,17 @@
 import json
 import re
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from datagen import toy_dataset_dir, trading_dates, write_prices
 from snfuse.cli import main
-from snfuse.data import write_news_day
+from snfuse.config import load_config
+from snfuse.data import manifest_hash, write_news_day
+from snfuse.model import ForecastModel
+from snfuse.training import save_checkpoint
 
 
 def _tiny_cfg(tmp_path):
@@ -122,6 +127,12 @@ def test_malformed_flag_input_exits_2(tmp_path, capsys, flags, vocab_rows, messa
     assert re.search(message, err) and "Traceback" not in err
 
 
+def test_malformed_seeds_are_refused_before_the_data_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main(["train", "--data", missing, "--manifest", missing, "--out", str(tmp_path / "out"), "--seeds", "5"]) == 2
+    assert "--seeds takes at least 2 distinct non-negative seeds, got '5'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,key,path", [
     ("train", "--config", "adir"),
     ("train", "--manifest", "adir"),
@@ -142,3 +153,117 @@ def test_a_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, key, path):
     assert main([command, *(part for pair in flags.items() for part in pair)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# The path flags each command requires; argparse refuses a command line without one.
+REQUIRED = {
+    "prepare": ["--data"],
+    "train": ["--data", "--manifest"],
+    "eval": ["--data", "--manifest", "--checkpoint"],
+    "ablate": ["--data", "--manifest"],
+    "gradcheck": [],
+    "report": ["--data", "--manifest", "--checkpoint"],
+}
+
+
+def _refused(tmp_path, capsys, command, drop=None, extra=()):
+    """Exit code and stderr of a command line that argparse refuses, after checking it wrote nothing."""
+    out = tmp_path / "out"
+    flags = [part for flag in REQUIRED[command] if flag != drop for part in (flag, str(tmp_path / flag[2:]))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out), *flags, *extra])
+    assert not out.exists()
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in REQUIRED.items() for flag in flags if flag != "--checkpoint"
+])
+def test_a_missing_data_or_manifest_flag_exits_2_before_any_output(tmp_path, capsys, command, flag):
+    code, err = _refused(tmp_path, capsys, command, drop=flag)
+    assert code == 2 and f"the following arguments are required: {flag}" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("prepare", ["--seeds", "0,1"]),
+    ("eval", ["--seeds", "0,1"]),
+    ("ablate", ["--seeds", "0,1"]),
+    ("report", ["--seeds", "0,1"]),
+    ("gradcheck", ["--seeds", "0,1"]),
+    ("gradcheck", ["--data", "data"]),
+], ids=["prepare-seeds", "eval-seeds", "ablate-seeds", "report-seeds", "gradcheck-seeds", "gradcheck-data"])
+def test_a_flag_the_command_does_not_read_exits_2_before_any_output(tmp_path, capsys, command, extra):
+    code, err = _refused(tmp_path, capsys, command, extra=extra)
+    assert code == 2 and f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+@pytest.mark.parametrize("command,message", [
+    ("train", "need non-empty train and val splits, got 40 train / 0 val samples"),
+    ("eval", "the test split has no samples"),
+    ("report", "the test split has no samples"),
+], ids=["train", "eval", "report"])
+def test_a_dataset_with_empty_splits_exits_2(tmp_path, capsys, command, message):
+    # 40 days split 28/4/8, and a window spans T + H = 9 days: prepare accepts it with no val or test windows
+    data = toy_dataset_dir(tmp_path / "data", n_days=40)
+    cfg = _tiny_cfg(tmp_path)
+    prep, out = tmp_path / "prep", tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(prep)]) == 0
+    manifest = prep / "dataset.manifest"
+    checkpoint = []
+    if command != "train":  # train cannot write one, so save an untrained model against this manifest
+        save_checkpoint(tmp_path / "untrained.snf", ForecastModel(load_config(cfg), 6), manifest_hash(manifest))
+        checkpoint = ["--checkpoint", str(tmp_path / "untrained.snf")]
+    capsys.readouterr()
+    code = main([command, "--config", str(cfg), "--data", str(data), "--manifest", str(manifest), "--out", str(out),
+                 *checkpoint])
+    err = capsys.readouterr().err
+    assert code == 2 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "pasap"])
+def test_ablate_with_a_pooling_other_than_sap_exits_2(tmp_path, capsys, pooling):
+    common, _ = _prepared(tmp_path)
+    capsys.readouterr()
+    assert main(["ablate", *common, "--out", str(tmp_path / "out"), "--pooling", pooling]) == 2
+    assert f"ablation grid requires pooling=sap, got '{pooling}'" in capsys.readouterr().err
+
+
+def _report(tmp_path, common):
+    out = tmp_path / "run"
+    assert main(["train", *common, "--out", str(out)]) == 0
+    assert main(["report", *common, "--out", str(out), "--checkpoint", str(out / "checkpoint.snf")]) == 0
+    return out
+
+
+def test_report_plots_the_first_step_of_each_stock_through_matplotlib(tmp_path, monkeypatch):
+    common, _ = _prepared(tmp_path)
+    plt = mock.MagicMock(name="pyplot")
+    figures = []
+
+    def subplots(**kwargs):
+        figures.append((mock.MagicMock(name="figure"), mock.MagicMock(name="axes")))
+        return figures[-1]
+
+    plt.subplots.side_effect = subplots
+    matplotlib = mock.MagicMock(name="matplotlib", pyplot=plt)
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+    out = _report(tmp_path, common)
+
+    matplotlib.use.assert_called_with("Agg")
+    assert len(figures) == 2
+    assert [call.args[0] for call in plt.close.call_args_list] == [fig for fig, _ in figures]
+    for stock, (fig, ax) in zip(["alpha", "beta"], figures):
+        fig.savefig.assert_called_once_with(out / f"{stock}_predictions.svg", metadata={"Date": None})
+        rows = [line.split(",") for line in (out / f"{stock}_predictions.csv").read_text().splitlines()[1:]]
+        (x, actual), (_, predicted) = (call.args for call in ax.plot.call_args_list)
+        np.testing.assert_array_equal(x, np.arange(len(rows)))
+        assert [float(r[3]) for r in rows] == list(actual) and [float(r[4]) for r in rows] == list(predicted)
+
+
+def test_report_without_matplotlib_writes_only_the_csvs(tmp_path, monkeypatch):
+    common, _ = _prepared(tmp_path)
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib raises ImportError
+    out = _report(tmp_path, common)
+    written = sorted(p.name for p in out.iterdir() if p.name.endswith((".csv", ".svg")))
+    assert written == ["alpha_predictions.csv", "beta_predictions.csv", "history.csv"]

@@ -32,6 +32,7 @@ import pytest
 import snfuse.backbone
 import snfuse.fusion
 import snfuse.pooling
+from oracles import scale, sum_all
 from snfuse.config import RunConfig
 from snfuse.model import ForecastModel, mse_loss
 from snfuse.optim import backward
@@ -45,12 +46,10 @@ from snfuse.tensor import (
     matmul,
     mul,
     reshape,
-    scale,
     slice_cols,
     slice_rows,
     slot_rows,
     softmax_rows,
-    sum_all,
     transpose,
 )
 from snfuse.training import ABLATION_ROWS

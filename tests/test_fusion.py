@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from oracles import cross_attention_oracle, scaled_attention_oracle
+from oracles import cross_attention_oracle, scaled_attention_oracle, sum_all
 from snfuse.errors import DimensionError
 from snfuse.fusion import (
     BLEND_TERMS,
@@ -15,7 +15,7 @@ from snfuse.fusion import (
     gcn_fuse,
 )
 from snfuse.optim import ParamSet, backward, finite_diff_check
-from snfuse.tensor import Tensor, block_matmul, concat_rows, linear, mul, no_grad, relu, slice_rows, sum_all
+from snfuse.tensor import Tensor, block_matmul, concat_rows, linear, mul, no_grad, relu, slice_rows
 
 
 def _identity_proj(params, prefix, d):

@@ -8,11 +8,12 @@ from oracles import (
     pool_sap_oracle,
     sinusoid_oracle,
     softmax_vec,
+    sum_all,
 )
 from snfuse.errors import DataFormatError
 from snfuse.optim import ParamSet, finite_diff_check
 from snfuse.pooling import pool_day, sinusoidal_table
-from snfuse.tensor import Tensor, sum_all
+from snfuse.tensor import Tensor
 
 
 def _param(values):
