@@ -9,7 +9,9 @@ train takes --seeds. argparse refuses a missing or unknown flag (exit 2).
 Exit codes: 0 success, 1 runtime/numeric failure, 2 input/format failure.
 Outputs are byte-deterministic for a fixed seed; wall-clock timestamps go
 only into the run_meta.<command>.json sidecar, one per command, so `eval`
-into the directory `train` wrote keeps both.
+into the directory `train` wrote keeps both. effective.cfg and the sidecar
+are written once the command returns, so a command that fails leaves the
+effective.cfg of an earlier run in --out as it was.
 """
 
 from __future__ import annotations
@@ -89,27 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.pooling is not None:
-        overrides["pooling"] = args.pooling
-    if args.snp is not None:
-        overrides["snp"] = args.snp == "on"
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    for flag in ("no_gcn", "no_p2n", "no_n2p"):
-        if getattr(args, flag) is not None:
-            overrides[flag] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return with_overrides(cfg, **overrides)
+    snp = {"on": True, "off": False}.get(args.snp)
+    return with_overrides(cfg, pooling=args.pooling, snp=snp, horizon=args.horizon, no_gcn=args.no_gcn,
+                          no_p2n=args.no_p2n, no_n2p=args.no_n2p, seed=args.seed)
 
 
-def _echo(out_dir: Path, cfg: RunConfig) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _record_run(out_dir: Path, cfg: RunConfig, command: str, started: float) -> None:
     (out_dir / "effective.cfg").write_text(config_text(cfg), encoding="utf-8")
-
-
-def _sidecar(out_dir: Path, command: str, started: float) -> None:
     meta = {"command": command, "started": started, "finished": time.time()}
     (out_dir / f"run_meta.{command}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
@@ -272,9 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         cfg = _effective_config(args)
-        _echo(args.out, cfg)
+        args.out.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](args, cfg)
-        _sidecar(args.out, args.command, started)
+        _record_run(args.out, cfg, args.command, started)
         return code
     except (DataFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

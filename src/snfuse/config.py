@@ -101,11 +101,9 @@ def _parse_value(key: str, text: str, kind: type):
 def load_config(path: str | Path) -> RunConfig:
     """Parse a key=value file; '#' starts a comment, blank lines ignored."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     cfg = RunConfig()
     seen: set[str] = set()
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path)[0].splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,7 +146,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
-    """cfg with the given fields replaced; a value validate() refuses is a DataFormatError."""
+    """cfg with each field given a value other than None replaced; a value validate() refuses is a DataFormatError."""
     out = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
     try:
         out.validate()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, decode_utf8, read_utf8
+from .errors import DataFormatError, read_utf8
 
 NEWS_MAGIC = b"NEWSEMB1"
 MANIFEST_HEADER = "SNFMANIFEST 1"
@@ -68,10 +68,6 @@ class Scaler:
         denom = np.where(self.constant, 1.0, self.std)
         return (values - self.mean) / denom
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        denom = np.where(self.constant, 1.0, self.std)
-        return values * denom + self.mean
-
 
 def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
     """Arithmetic mean and population standard deviation (divide by N).
@@ -98,17 +94,9 @@ def identity_scaler(dim: int) -> Scaler:
     return Scaler(mean=np.zeros(dim), std=np.ones(dim), constant=np.zeros(dim, dtype=bool))
 
 
-def _read(path: Path, newline: str | None = None) -> tuple[str, str]:
-    """The file's text, as read_utf8 gives it, and the sha256 of its bytes, from one read."""
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    raw = path.read_bytes()
-    return decode_utf8(raw, path, newline), hashlib.sha256(raw).hexdigest()
-
-
 def load_prices(path: str | Path, stock_id: str | None = None) -> PriceSeries:
     path = Path(path)
-    return _parse_prices(_read(path, newline="")[0], path, stock_id)
+    return _parse_prices(read_utf8(path, newline="")[0], path, stock_id)
 
 
 def _parse_prices(text: str, path: Path, stock_id: str | None) -> PriceSeries:
@@ -149,8 +137,6 @@ def _parse_prices(text: str, path: Path, stock_id: str | None) -> PriceSeries:
 
 def load_news_day(path: str | Path) -> DailyNewsBatch:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     raw = path.read_bytes()
     if len(raw) < 16:
         raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -176,7 +162,7 @@ def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
 
 def load_contexts(path: str | Path) -> dict[str, StockContext]:
     path = Path(path)
-    return _parse_contexts(_read(path)[0], path)
+    return _parse_contexts(read_utf8(path)[0], path)
 
 
 def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
@@ -247,7 +233,6 @@ class WindowSample:
     start: int  # first window day index
     t_window: int
     horizon: int
-    split: str
 
     @property
     def window_days(self) -> range:
@@ -266,17 +251,11 @@ def build_windows(
     Returns per-split samples plus the count of otherwise-valid windows
     skipped for crossing a split boundary.
     """
-    if total_days < t_window + horizon + 3:
-        raise ValueError(
-            f"series of {total_days} days too short for T={t_window}, H={horizon} (need >= {t_window + horizon + 3})"
-        )
     span = t_window + horizon
     samples: dict[str, list[WindowSample]] = {"train": [], "val": [], "test": []}
     for name, lo, hi in splits.as_list():
         for start in range(lo, hi - span + 1):
-            samples[name].append(
-                WindowSample(stock_id=stock_id, start=start, t_window=t_window, horizon=horizon, split=name)
-            )
+            samples[name].append(WindowSample(stock_id=stock_id, start=start, t_window=t_window, horizon=horizon))
     kept = sum(len(v) for v in samples.values())
     possible = max(0, total_days - span + 1)
     return samples, possible - kept
@@ -285,7 +264,6 @@ def build_windows(
 @dataclass
 class StockRecord:
     context: StockContext
-    closes_raw: np.ndarray
     closes_norm: np.ndarray
     price_scaler: Scaler
 
@@ -360,7 +338,6 @@ def assemble_dataset(
         scaler = fit_scaler(closes[:train_hi], "price")
         stocks[sid] = StockRecord(
             context=contexts[sid],
-            closes_raw=closes,
             closes_norm=scaler.transform(closes),
             price_scaler=scaler,
         )
@@ -396,7 +373,7 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     if not root.is_dir():
         raise FileNotFoundError(f"data directory not found: {root}")
     names_path = root / "names.tsv"
-    text, digest = _read(names_path)
+    text, digest = read_utf8(names_path)
     contexts = _parse_contexts(text, names_path)
     dim = next(iter(contexts.values())).name_embedding.size
     if expect_dim and dim != expect_dim:
@@ -408,7 +385,7 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     series: dict[str, PriceSeries] = {}
     for sid in sorted(contexts):
         price_path = root / sid / "prices.csv"
-        text, digest = _read(price_path, newline="")
+        text, digest = read_utf8(price_path, newline="")
         series[sid] = _parse_prices(text, price_path, sid)
         hashes.append((f"{sid}/prices.csv", digest))
 
@@ -483,9 +460,7 @@ def write_manifest(ds: PreparedDataset, path: str | Path) -> None:
 def verify_manifest(ds: PreparedDataset, path: str | Path) -> None:
     """Require the stored manifest to match the freshly rebuilt dataset byte for byte."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    stored = read_utf8(path)
+    stored = read_utf8(path)[0]
     current = manifest_text(ds)
     if stored != current:
         raise DataFormatError(

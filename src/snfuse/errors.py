@@ -1,10 +1,14 @@
-"""Exception classes shared across the package, and the text-file reader
-that reports invalid UTF-8 as one of them.
+"""Exception classes shared across the package, and the one text-file reader.
+
+`read_utf8` reads a file once and returns its text together with the
+sha256 of its bytes; invalid UTF-8 is a DataFormatError. A missing path
+raises the OS's FileNotFoundError, with no check of its own beforehand.
 
 The CLI maps DataFormatError (and a missing path, or a path of the wrong
 kind) to exit code 2, everything else to exit code 1.
 """
 
+import hashlib
 import io
 from pathlib import Path
 
@@ -21,14 +25,11 @@ class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required."""
 
 
-def decode_utf8(raw: bytes, path: Path, newline: str | None = None) -> str:
-    """path's bytes as text, newlines handled as open() does; invalid UTF-8 is a DataFormatError."""
+def read_utf8(path: Path, newline: str | None = None) -> tuple[str, str]:
+    """The file's text, newlines handled as open() does, and the sha256 of its bytes, from one read."""
+    raw = Path(path).read_bytes()
     try:
-        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline).read()
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline).read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-
-
-def read_utf8(path: Path, newline: str | None = None) -> str:
-    """The file's text, newlines handled as open() does; invalid UTF-8 is a DataFormatError."""
-    return decode_utf8(Path(path).read_bytes(), path, newline)
+    return text, hashlib.sha256(raw).hexdigest()

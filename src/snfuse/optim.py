@@ -46,9 +46,6 @@ class ParamSet:
     def trainable_ids(self) -> list[str]:
         return sorted(set(self._tensors) - self.frozen)
 
-    def frozen_ids(self) -> list[str]:
-        return sorted(self.frozen)
-
     def clear_grads(self) -> None:
         for t in self._tensors.values():
             t.grad = None
@@ -65,14 +62,12 @@ class ParamSet:
 def backward(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
     """Reverse-mode gradients for every trainable parameter.
 
-    Raises ValueError if the loss is not scalar or if some trainable
-    parameter is unreachable from it (that means the model registered a
-    dead parameter), and NumericError naming the first trainable parameter
-    (in id order) whose gradient holds a non-finite value. Frozen
-    parameters never appear in the returned map.
+    Raises ValueError if the loss is not scalar (from Tensor.backward) or
+    if some trainable parameter is unreachable from it (that means the
+    model registered a dead parameter), and NumericError naming the first
+    trainable parameter (in id order) whose gradient holds a non-finite
+    value. Frozen parameters never appear in the returned map.
     """
-    if loss.data.size != 1:
-        raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     loss.backward()
     grads: dict[str, np.ndarray] = {}
     missing = []

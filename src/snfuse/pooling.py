@@ -57,8 +57,6 @@ class PoolResult:
 
 def canonical_order(rows: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (first column primary)."""
-    if rows.shape[0] <= 1:
-        return np.arange(rows.shape[0])
     return np.lexsort(rows.T[::-1])
 
 

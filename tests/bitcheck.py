@@ -5,7 +5,7 @@
 
 `dump` imports snfuse from the source tree given by --src and writes, for
 every configuration of the grid, the loss and every trainable gradient of
-`batch_loss` at W = 1, 2, 3 and 4 stacked windows, `predict_sample` of one
+`batch_loss` at W = 1, 2, 3, 4 and 8 stacked windows, `predict_sample` of one
 window, and `predict_many` over 70 windows (three inference chunks). The
 grid is 4 width sets (the tests' d = 32, news_train's, signal_train's, and
 overlapping patches with 4 reprogram heads) x 5 poolings x the 8 ablation
@@ -44,7 +44,7 @@ WIDTHS = {
 }
 ARTICLES = {"tests": (1, 5), "news_train": (10, 30), "signal_train": (3, 3), "overlap_heads": (1, 5)}
 POOLINGS = ("none", "ap", "cap", "sap", "pasap")
-BATCH_SIZES = (1, 2, 3, 4)
+BATCH_SIZES = (1, 2, 3, 4, 8)  # 8: numpy sums an axis of 8 or more rows pairwise
 PREDICTED = 70
 
 

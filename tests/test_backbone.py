@@ -204,7 +204,7 @@ def test_model_end_to_end_determinism_fresh_instances():
 
 def test_frozen_ids_cover_vocab_and_blocks_only():
     model = _model()
-    frozen = set(model.params.frozen_ids())
+    frozen = model.params.frozen
     assert "backbone.vocab" in frozen
     assert all(pid.startswith("backbone.") for pid in frozen)
     trainable = model.params.trainable_ids()

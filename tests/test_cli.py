@@ -140,7 +140,12 @@ def test_malformed_seeds_are_refused_before_the_data_is_read(tmp_path, capsys):
     ("train", "vocab_file", "adir"),
     ("train", "--out", "afile"),
     ("train", "--out", "afile/out"),
-], ids=["config-dir", "manifest-dir", "checkpoint-dir", "vocab-dir", "out-file", "out-under-file"])
+    ("train", "--config", "missing"),
+    ("train", "--manifest", "missing"),
+    ("eval", "--checkpoint", "missing"),
+    ("train", "vocab_file", "missing"),
+], ids=["config-dir", "manifest-dir", "checkpoint-dir", "vocab-dir", "out-file", "out-under-file",
+        "config-missing", "manifest-missing", "checkpoint-missing", "vocab-missing"])
 def test_a_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, key, path):
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("x\n", encoding="utf-8")
@@ -153,6 +158,23 @@ def test_a_path_of_the_wrong_kind_exits_2(tmp_path, capsys, command, key, path):
     assert main([command, *(part for pair in flags.items() for part in pair)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"'{path}'" in err  # the OS's own message, e.g. "[Errno 2] No such file or directory: '<path>'"
+
+
+def test_a_refused_command_leaves_the_effective_config_of_the_run_before_it(tmp_path, capsys):
+    common, _ = _prepared(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", *common, "--out", str(out)]) == 0
+    before = (out / "effective.cfg").read_bytes()
+    assert b"pooling = sap\n" in before
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    for target in (out, fresh):
+        assert main(["eval", *common, "--out", str(target), "--checkpoint", str(out / "checkpoint.snf"),
+                     "--pooling", "ap"]) == 2
+        assert "trained with a different configuration" in capsys.readouterr().err
+    assert (out / "effective.cfg").read_bytes() == before
+    assert not (out / "run_meta.eval.json").exists() and not (fresh / "effective.cfg").exists()
 
 
 # The path flags each command requires; argparse refuses a command line without one.

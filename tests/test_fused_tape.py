@@ -219,7 +219,20 @@ def _windows(cfg, n_windows, seed=0):
 def test_a_stacked_batch_matches_its_windows_taped_one_by_one(pooling, label, flags, snp, windows):
     no_p2n, no_n2p, no_gcn = flags
     cfg = _cfg(pooling=pooling, snp=snp, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn, horizon=2)
-    batch = _windows(cfg, windows)
+    _assert_stacked_matches_looped(cfg, _windows(cfg, windows))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+def test_eight_stacked_windows_match_their_windows_taped_one_by_one(pooling, seed):
+    """From 8 rows on, numpy sums an axis pairwise, not in row order; only the window-order
+    fold of the per-window gradient pieces (tensor._fold) keeps the one-by-one tape's bits.
+    With numpy's sum in its place, reprog.head.b differs for every pooling at one seed or more."""
+    cfg = _cfg(pooling=pooling, horizon=1, snp=True)
+    _assert_stacked_matches_looped(cfg, _windows(cfg, 8, seed))
+
+
+def _assert_stacked_matches_looped(cfg, batch):
     stacked_loss, stacked = _loss_and_grads(cfg, batch)
     looped_loss, looped = _loss_and_grads(cfg, batch, per_window=True)
     assert np.array_equal(stacked_loss, looped_loss)
