@@ -28,7 +28,6 @@ from . import __version__
 from .config import RunConfig, config_hash, config_text, load_config, with_overrides
 from .data import (
     load_news_day,
-    manifest_hash,
     prepare_dataset,
     verify_manifest,
     write_manifest,
@@ -110,15 +109,14 @@ def _load_vocab(cfg: RunConfig):
 
 
 def _build_dataset(args: argparse.Namespace, cfg: RunConfig):
-    """The dataset under --data, checked against --manifest on the commands that take one."""
+    """The dataset under --data, checked against --manifest on the commands that take one,
+    and the manifest's sha256 (None without one)."""
     ds = prepare_dataset(args.data, cfg.t_window, cfg.horizon, expect_dim=cfg.dim)
-    if "manifest" in args:
-        verify_manifest(ds, args.manifest)
-    return ds
+    return ds, (verify_manifest(ds, args.manifest) if "manifest" in args else None)
 
 
 def cmd_prepare(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg)
+    ds, _ = _build_dataset(args, cfg)
     out: Path = args.out
     write_manifest(ds, out / "dataset.manifest")
     sizes = ds.splits.sizes()
@@ -141,8 +139,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else None  # refuse bad input before reading the data
-    ds = _build_dataset(args, cfg)
-    digest = manifest_hash(args.manifest)
+    ds, digest = _build_dataset(args, cfg)
     out: Path = args.out
 
     if seeds:
@@ -164,11 +161,11 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds) -> ForecastModel:
+def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds, digest: str) -> ForecastModel:
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.cfg_hash != config_hash(cfg):
         raise DataFormatError("checkpoint was trained with a different configuration; refusing to evaluate")
-    if ckpt.manifest_hash != manifest_hash(args.manifest):
+    if ckpt.manifest_hash != digest:
         raise DataFormatError("checkpoint was trained against a different dataset manifest; refusing to evaluate")
     model = ForecastModel(cfg, ds.dim, vocab=_load_vocab(cfg))
     apply_checkpoint(model, ckpt)
@@ -176,8 +173,8 @@ def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds) -> ForecastMode
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg)
-    model = _checked_model(args, cfg, ds)
+    ds, digest = _build_dataset(args, cfg)
+    model = _checked_model(args, cfg, ds, digest)
     report = evaluate(model, ds)
     (args.out / "eval.csv").write_text(report.to_csv(), encoding="utf-8")
     for stock, mae, mse in report.table:
@@ -186,7 +183,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg)
+    ds, _ = _build_dataset(args, cfg)
     rows = ablation_grid(ds, cfg, vocab=_load_vocab(cfg))
     (args.out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     for row in rows:
@@ -206,8 +203,8 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds = _build_dataset(args, cfg)
-    model = _checked_model(args, cfg, ds)
+    ds, digest = _build_dataset(args, cfg)
+    model = _checked_model(args, cfg, ds, digest)
     out: Path = args.out
     for stock, samples, preds, targets in stock_predictions(model, ds):
         rows = [

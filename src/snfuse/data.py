@@ -457,16 +457,13 @@ def write_manifest(ds: PreparedDataset, path: str | Path) -> None:
     Path(path).write_text(manifest_text(ds), encoding="utf-8", newline="\n")
 
 
-def verify_manifest(ds: PreparedDataset, path: str | Path) -> None:
-    """Require the stored manifest to match the freshly rebuilt dataset byte for byte."""
+def verify_manifest(ds: PreparedDataset, path: str | Path) -> str:
+    """Require the stored manifest to match the freshly rebuilt dataset byte for byte;
+    returns the sha256 of the stored file, from the same single read."""
     path = Path(path)
-    stored = read_utf8(path)[0]
-    current = manifest_text(ds)
-    if stored != current:
+    stored, digest = read_utf8(path)
+    if stored != manifest_text(ds):
         raise DataFormatError(
             f"{path}: manifest does not match the data directory contents (re-run prepare)"
         )
-
-
-def manifest_hash(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return digest

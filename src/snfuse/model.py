@@ -6,15 +6,16 @@ The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated.
 
 Training and inference run one forward (`_forward`): pool each distinct
-(day, stock) of a call once (`_pool`), then fuse and predict a (W, T, d)
-stack of W windows (`_fuse`, `_predict`), which reads W from the shape. A
-training step (`batch_loss`) runs its whole batch through it on one tape,
-and its loss and gradients equal those of the windows taped one at a time
-(`predict_sample`, W = 1) bit for bit. Inference (`predict_many`) runs the
-same forward without a tape, PREDICT_CHUNK windows at a time, and pools
-each (day, stock) of the whole call once; each of its rows equals
-`predict_sample`'s bit for bit. A day's articles are sorted only the first
-time the model sees that day matrix.
+(day, stock) of a call once, in one call of the stacked pooling kernel
+(`_pool`), then fuse and predict a (W, T, d) stack of W windows (`_fuse`,
+`_predict`), which reads W from the shape. A training step (`batch_loss`)
+runs its whole batch through it on one tape, and its loss and gradients
+equal those of the windows taped one at a time (`predict_sample`, W = 1)
+bit for bit. Inference (`predict_many`) runs the same forward without a
+tape, PREDICT_CHUNK windows at a time, and pools each (day, stock) of the
+whole call once, with at most one kernel call per chunk; each of its rows
+equals `predict_sample`'s bit for bit. A day's articles are sorted only the
+first time the model sees that day matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import RunConfig
 from .errors import DataFormatError
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, grad_enabled, linear, mean_all, mul, no_grad, reshape, slot_rows, sub
+from .tensor import Tensor, grad_enabled, linear, mean_all, mul, no_grad, reshape, sub
 
 PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
 
@@ -183,40 +184,43 @@ class ForecastModel:
             prompt = linear(Tensor(names.reshape(windows, 1, -1)), p["reprog.prompt.w"], p["reprog.prompt.b"])
         return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads)
 
-    def _pool(self, samples, memo: dict | None = None) -> tuple[list[Tensor], np.ndarray]:
-        """Each distinct (day, stock) of (prices, news, name_emb, ...) samples pooled once.
+    def _pool(self, samples, memo: dict | None = None) -> Tensor:
+        """(W, T, d) pooled rows of the day slots of (prices, news, name_emb, ...) samples.
 
-        Returns the (1, d) pooled rows, in order of first use, and the
-        (W, T) row of every day slot. Days and name embeddings are
-        recognised by identity; a (day, stock) already in memo is not
-        pooled again, and one pooled here is added to it.
+        Each distinct (day, stock) is pooled once, by one call of the stacked
+        kernel; days and name embeddings are recognised by identity. Without
+        memo the rows are the kernel's taped node. With one (inference), only
+        pairs not yet in memo go to the kernel, and they are added to it.
         """
         cfg = self.cfg
-        w = self.params[pl.PARAM[cfg.pooling]]
-        memo = {} if memo is None else memo
-        rows: dict[tuple[int, int], int] = {}
-        pooled, index = [], []
+        rows: dict[tuple[int, int], int] = {}  # (day, stock) -> its pair
+        pairs, index = [], []
         for _, news, emb, *_ in samples:
             for day in news:
                 key = (id(day), id(emb))
                 if key not in rows:
-                    if key not in memo:
-                        memo[key] = pl.pool_day(cfg.pooling, day, emb, w, self.pos_table, cfg.max_news_per_day,
-                                                self.orders).pooled
-                    rows[key] = len(pooled)
-                    pooled.append(memo[key])
+                    rows[key] = len(pairs)
+                    pairs.append((day, emb))
                 index.append(rows[key])
-        return pooled, np.asarray(index, dtype=np.intp).reshape(len(samples), -1)
+        index = np.asarray(index, dtype=np.intp).reshape(len(samples), -1)
+        args = (self.params[pl.PARAM[cfg.pooling]], self.pos_table, cfg.max_news_per_day, self.orders)
+        if memo is None:
+            return pl.pool_slots(cfg.pooling, pairs, index, *args)[0]
+        fresh = [key for key in rows if key not in memo]
+        if fresh:
+            pooled = pl.pool_slots(cfg.pooling, [pairs[rows[key]] for key in fresh], np.arange(len(fresh)), *args)[0]
+            memo.update(zip(fresh, pooled.data))
+        return Tensor(np.stack([memo[key] for key in rows])[index])
 
     def _fuse_windows(self, samples, memo: dict | None = None) -> Tensor:
         """Blended features of (prices, news, name_emb, ...) windows, stacked.
 
-        Every day slot's pooled row is its own slot of one node, so each slot
-        hands the pooling weight its own gradient, window by window, day by day.
+        Every day slot's pooled row hands the pooling weight its own
+        gradient, window by window, day by day.
         """
         for prices, news, *_ in samples:
             self._check_window(prices, news)
-        news_raw = slot_rows(*self._pool(samples, memo)) if self.cfg.pooling != "none" else None
+        news_raw = self._pool(samples, memo) if self.cfg.pooling != "none" else None
         return self._fuse(np.stack([s[0] for s in samples]), news_raw)
 
     def _forward(self, samples, memo: dict | None = None) -> Tensor:

@@ -1,6 +1,6 @@
 """Collapse one day's news matrix into a single vector.
 
-All variants run one kernel, `pool_day`: the attentive pooling of Lin et
+All variants run one kernel: the attentive pooling of Lin et
 al. (arXiv 1703.03130) with one attention hop, a softmax over per-row
 logits and a weighted sum of the rows. Each row x is scored linearly,
 query . x, not with Lin et al.'s w2' tanh(W1 x). The query is the
@@ -22,9 +22,15 @@ to rounding. pasap is position-sensitive and keeps file order. An
 `OrderMemo` passed as `orders` sorts each day matrix once, however often
 it is pooled.
 
-On a tape, `pool_day` records one node (`tensor.attentive_pool`), and a
-training step replays its backward once per day slot that uses the day
-(`tensor.slot_rows`); without one, it serves stacked inference unchanged.
+A call pools many (day, stock) pairs at once (`pool_slots`): pairs with the
+same number of rows are stacked as one (G, rows, d) array, and each product
+of the chain is one np.matmul over that stack, so every pair gets the bits
+it would get pooled on its own. The stacks are one per row count, not one
+padded to the longest day: padding would move the bits. The result is one
+taped node whose rows fill the day slots of W windows, and its backward runs
+each slot's gradient row through the stacked chain and adds the slots'
+contributions into w window by window, day by day, as one node per slot
+would. `pool_day` is that call on one pair and one slot.
 
 Every variant refuses a day with more than max_news_per_day articles.
 """
@@ -32,11 +38,12 @@ Every variant refuses a day with more than max_news_per_day articles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError
-from .tensor import Tensor, attentive_pool
+from .tensor import Tensor, _accumulate, _node, _softmax_backward, _softmax_forward, as_tensor
 
 VARIANTS = ("none", "ap", "cap", "sap", "pasap")
 
@@ -88,6 +95,87 @@ def sinusoidal_table(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
+def pool_slots(
+    variant: str,
+    pairs: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    index,
+    w: Tensor,
+    table: np.ndarray | None = None,
+    max_news: int | None = None,
+    orders: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[Tensor, list[np.ndarray | None]]:
+    """(news, name_emb) pairs pooled once each with w, slot s holding pair index[s], as one node.
+
+    Returns the index.shape + (d,) slot rows, with w their only parent, and
+    each pair's (1, rows) attention over its rows in stacked order (sap: name
+    row first; None for no rows). orders sorts a day matrix, canonical_order
+    by default. max_news defaults to the table length when a table is given,
+    else no limit.
+    """
+    if variant not in PARAM:
+        raise ValueError(f"unknown pooling variant '{variant}'")
+    if variant == "pasap" and table is None:
+        raise ValueError("pasap pooling needs a positional table")
+    if max_news is None and table is not None:
+        max_news = table.shape[0]
+    orders = canonical_order if orders is None else orders
+    w = as_tensor(w)
+    d = w.data.shape[0]
+    lead = 1 if variant == "sap" else 0
+    groups: dict[int, list[int]] = {}  # rows per pair -> the pairs with that many, in stack order
+    for p, (news, _) in enumerate(pairs):
+        n = news.shape[0]
+        if max_news is not None and n > max_news:
+            raise DataFormatError(
+                f"a day holds {n} articles, more than max_news_per_day = {max_news} "
+                "(the length of pasap's positional table)"
+            )
+        if lead + n:  # a day without articles pools to zeros (sap: to its name row)
+            groups.setdefault(lead + n, []).append(p)
+
+    pooled = np.zeros((len(pairs), d))
+    attention: list[np.ndarray | None] = [None] * len(pairs)
+    stacks = []
+    for count, members in groups.items():
+        rows = np.empty((len(members), count, d))
+        for j, p in enumerate(members):
+            news, name = pairs[p]
+            if variant == "pasap":
+                rows[j] = news + name.reshape(1, d) + table[:count]
+            else:
+                rows[j, lead:] = news[orders(news)]
+                if lead:
+                    rows[j, 0] = name.reshape(d)
+        names = np.stack([np.reshape(pairs[p][1], (1, d)) for p in members]) if variant == "cap" else None
+        query = w.data.reshape(1, d) if names is None else np.matmul(names, w.data)
+        y = _softmax_forward(np.matmul(query, rows.swapaxes(1, 2)), "pool_slots")
+        pooled[members] = np.matmul(y, rows).reshape(-1, d)
+        for j, p in enumerate(members):
+            attention[p] = y[j]
+        stacks.append((members, rows, names, y))
+    flat = np.asarray(index, dtype=np.intp).reshape(-1)
+
+    def bw(g):
+        g = g.reshape(-1, d)
+        group, at = np.full(len(pairs), -1), np.empty(len(pairs), dtype=np.intp)
+        for k, (members, *_) in enumerate(stacks):
+            group[members], at[members] = k, np.arange(len(members))
+        slot_group = group[flat]
+        pieces = np.empty((len(flat), *w.data.shape))  # each slot's contribution to w
+        for k, (_, rows, names, y) in enumerate(stacks):
+            slots = np.flatnonzero(slot_group == k)
+            j = at[flat[slots]]
+            r = rows[j]
+            g_logits = _softmax_backward(np.matmul(g[slots].reshape(-1, 1, d), r.swapaxes(1, 2)), y[j])
+            g_query = np.matmul(g_logits, r)
+            pieces[slots] = (g_query.reshape(len(slots), d) if names is None
+                             else np.matmul(names[j].swapaxes(1, 2), g_query))
+        for s in np.flatnonzero(slot_group >= 0):  # slot by slot, as a tape of one pool node per slot adds them
+            _accumulate(w, pieces[s])
+
+    return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), attention
+
+
 def pool_day(
     variant: str,
     news: np.ndarray,
@@ -97,39 +185,18 @@ def pool_day(
     max_news: int | None = None,
     orders: OrderMemo | None = None,
 ) -> PoolResult:
-    """Pool (n, d) news rows with the variant's trainable tensor w; ap ignores name_emb.
+    """Pool (n, d) news rows with the variant's trainable tensor w: pool_slots on one pair and one slot.
 
-    max_news defaults to the table length when a table is given, else no limit.
+    ap ignores name_emb. max_news defaults to the table length when a table
+    is given, else no limit.
     """
-    if variant not in PARAM:
-        raise ValueError(f"unknown pooling variant '{variant}'")
-    if variant == "pasap" and table is None:
-        raise ValueError("pasap pooling needs a positional table")
-    if max_news is None and table is not None:
-        max_news = table.shape[0]
-    n, d = news.shape
-    if max_news is not None and n > max_news:
-        raise DataFormatError(
-            f"a day holds {n} articles, more than max_news_per_day = {max_news} "
-            "(the length of pasap's positional table)"
-        )
-    if n == 0 and variant != "sap":
-        return PoolResult(pooled=Tensor(np.zeros((1, d))), weights=None)
-
-    if variant == "pasap":
-        order = slice(None)
-        rows = news + name_emb.reshape(1, d) + table[:n]
-    else:
-        order = (canonical_order if orders is None else orders)(news)
-        rows = news[order]
+    orders = OrderMemo() if orders is None else orders
+    pooled, (attn,) = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, table, max_news, orders)
+    if attn is None:
+        return PoolResult(pooled=pooled, weights=None)
     lead = 1 if variant == "sap" else 0
-    if lead:
-        rows = np.concatenate([name_emb.reshape(1, d), rows], axis=0)
-
-    pooled, attn = attentive_pool(w, rows, name_emb if variant == "cap" else None)  # attn: (1, lead + n)
-
-    sorted_weights = attn.reshape(-1)
-    weights = np.empty(lead + n)
-    weights[:lead] = sorted_weights[:lead]
-    weights[lead:][order] = sorted_weights[lead:]
+    order = slice(None) if variant == "pasap" else orders(news)
+    weights = np.empty(attn.size)
+    weights[:lead] = attn[0, :lead]
+    weights[lead:][order] = attn[0, lead:]
     return PoolResult(pooled=pooled, weights=weights)

@@ -358,29 +358,9 @@ def linear(x, w, b) -> Tensor:
 # above, and runs that chain's numpy expressions in the same order, on
 # arrays of the same memory layout (BLAS results depend on it), so values
 # and gradients match the chain bit for bit. Gradients reach each input
-# in the order the chain's backward would deliver them.
-
-
-def attentive_pool(w, rows: np.ndarray, name: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """softmax(query rows') rows: the (1, d) pooled row and the (1, n) attention.
-
-    The query is w as a (1, d) row, or for a (d, d) w the (d,) name through
-    it. Matches reshape (or name @ w) -> matmul -> softmax_rows -> matmul;
-    the backward adds one contribution to w.
-    """
-    w = as_tensor(w)
-    rows = np.asarray(rows, dtype=np.float64)
-    d = rows.shape[1]
-    name_row = None if name is None else np.asarray(name, dtype=np.float64).reshape(1, d)
-    query = w.data.reshape((1, d)).copy() if name_row is None else name_row @ w.data
-    y = _softmax_forward(query @ rows.T, "attentive_pool")
-
-    def bw(g):
-        if w.requires_grad:
-            g_query = _softmax_backward(g @ rows.T, y) @ rows
-            _accumulate(w, g_query.reshape(w.data.shape) if name_row is None else name_row.T @ g_query)
-
-    return _node(y @ rows, (w,), bw), y
+# in the order the chain's backward would deliver them. The fused ops are
+# `attention`, `gather_rows` and `shift_rows` here, and the stacked pooling
+# node `pooling.pool_slots`, built from the same `_node` and softmax helpers.
 
 
 def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
@@ -471,26 +451,6 @@ def shift_rows(a, k: int) -> Tensor:
             _accumulate(a, moved(g, slice(k, None), slice(None, length - k)))
 
     return _node(moved(a.data, slice(None, length - k), slice(k, None)), (a,), bw)
-
-
-def slot_rows(parts: Sequence[Tensor], index) -> Tensor:
-    """(W, T, d) rows: slot (w, t) holds part index[w, t] of (1, d) parts, as one node.
-
-    The backward runs each slot's part's own backward on the slot's gradient
-    row, window-major and slot by slot, so a part that fills several slots
-    hands its parents one contribution per slot, in slot order, as one part
-    per slot would.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    parents = {id(p): p for part in parts for p in part._parents}
-
-    def bw(g):
-        g = g.reshape(-1, g.shape[-1])
-        for s, i in enumerate(index.reshape(-1)):
-            if parts[i]._backward is not None:
-                parts[i]._backward(g[s : s + 1])
-
-    return _node(np.concatenate([p.data for p in parts])[index], tuple(parents.values()), bw)
 
 
 # -- window ops ------------------------------------------------------------

@@ -1,0 +1,138 @@
+"""Time two source trees against each other in one process, in alternating rounds.
+
+    python tests/abtime.py run --a <tree>/src --b <tree>/src --workload W --rounds N [--seed S] [--tiny]
+
+`run` copies each tree's `snfuse` package into a temporary directory under
+its own package name (every import inside `snfuse` is relative, so the
+copies load side by side), writes the data directory of one of perfbench's
+workloads with `perfbench/workloads.py`'s seeded generator, and times the
+workload's phase for both trees: `train()` for a training workload,
+`evaluate()` of the seed-initialised model (the model perfbench's
+checkpoint holds) for an evaluation workload. Each round times both trees,
+a first in even rounds and b first in odd ones, each on a fresh dataset and
+model, after one untimed warm-up of each. BLAS runs on one thread, as in
+perfbench.
+
+It prints every round's times, the median of the b/a time ratios and the
+number of rounds b was faster, then exits 1 if the two trees' best
+validation MSE or test MSE differ in any round, else 0. --tiny shrinks the
+workload (2 stocks, 240 days, at most 3 articles a day of width at most 8,
+one epoch), for a smoke test.
+
+On a host whose speed drifts, separate processes cannot resolve a 5%
+effect; interleaving both trees in one process can:
+
+    python tests/abtime.py run --a parent/src --b src --workload signal_train --rounds 15
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, pinned before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import gc  # noqa: E402
+import importlib  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+from workloads import WORKLOADS, generate, run_config  # noqa: E402
+
+NAMES = {"a": "snfuse_abtime_a", "b": "snfuse_abtime_b"}
+
+
+def load(src: Path, name: str, into: Path) -> dict:
+    """Tree src's snfuse, copied to into/name and imported under that name."""
+    shutil.copytree(src / "snfuse", into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("config", "data", "model", "training")}
+
+
+def workload(name: str, tiny: bool):
+    w = WORKLOADS[name]
+    if tiny:
+        lo, hi = w.articles
+        w = dataclasses.replace(w, n_stocks=2, n_days=240, dim=min(w.dim, 8), articles=(min(lo, 3), min(hi, 3)),
+                                epochs=1)
+    return w
+
+
+def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, float | None, float]:
+    """(seconds, best validation MSE or None, test MSE) of one timed phase on a fresh dataset and model."""
+    ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+    model = tree["model"].ForecastModel(cfg, ds.dim)
+    gc.collect()
+    start = time.perf_counter()
+    best = tree["training"].train(model, ds, cfg).best_val_mse if w.kind == "train" else None
+    trained = time.perf_counter()
+    test = tree["training"].evaluate(model, ds).avg_mse
+    return (trained if w.kind == "train" else time.perf_counter()) - start, best, test
+
+
+def rounds_of(trees: dict, w, cfgs: dict, data_dir: Path, rounds: int) -> bool:
+    """Print every round and the summary; True when the trees' outputs differ in some round."""
+    for k, tree in trees.items():  # warm-up, untimed
+        phase(tree, dataclasses.replace(w, epochs=1), cfgs[k], data_dir)
+    ratios, b_won, differ = [], 0, False
+    for r in range(rounds):
+        got = {k: phase(trees[k], w, cfgs[k], data_dir) for k in ("ab" if r % 2 == 0 else "ba")}
+        ratio = got["b"][0] / got["a"][0]
+        ratios.append(ratio)
+        b_won += ratio < 1.0
+        same = got["a"][1:] == got["b"][1:]
+        differ |= not same
+        print(f"round {r}: a {got['a'][0]:.4f} s  b {got['b'][0]:.4f} s  b/a {ratio:.3f}"
+              + ("" if same else f"  outputs differ: a {got['a'][1:]} b {got['b'][1:]}"))
+    print(f"{w.name}: median b/a {statistics.median(ratios):.3f}; b faster in {b_won} of {rounds} rounds")
+    return differ
+
+
+def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool = False) -> int:
+    w = workload(name, tiny)
+    paths = list(sys.path)
+    with tempfile.TemporaryDirectory(prefix="abtime-") as tmp:
+        tmp = Path(tmp)
+        try:
+            sys.path[:0] = [str(tmp), str(a.resolve())]  # a's snfuse.data writes the generator's files
+            trees = {k: load(src.resolve(), NAMES[k], tmp) for k, src in (("a", a), ("b", b))}
+            data_dir = generate(w, seed, tmp / "data")
+            base = dataclasses.asdict(run_config(w))
+            cfgs = {k: tree["config"].RunConfig(**base) for k, tree in trees.items()}
+            differ = rounds_of(trees, w, cfgs, data_dir, rounds)
+        finally:
+            sys.path[:] = paths
+            for mod in [m for m in sys.modules if m.split(".")[0] in NAMES.values()]:
+                del sys.modules[mod]
+    if differ:
+        print("the trees' best validation MSE or test MSE differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="time both trees' phase in alternating rounds")
+    p_run.add_argument("--a", type=Path, required=True, help="the baseline source tree (holds snfuse/)")
+    p_run.add_argument("--b", type=Path, required=True, help="the source tree timed against it")
+    p_run.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p_run.add_argument("--rounds", type=int, required=True)
+    p_run.add_argument("--seed", type=int, default=2081, help="the generator's seed")
+    p_run.add_argument("--tiny", action="store_true", help="a small workload, for a smoke test")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    return run(args.a, args.b, args.workload, args.rounds, args.seed, args.tiny)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

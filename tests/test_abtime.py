@@ -1,0 +1,24 @@
+import shutil
+from pathlib import Path
+
+import abtime
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_one_tree_against_itself_passes_and_a_tree_that_trains_differently_fails(tmp_path, capsys):
+    args = ["run", "--a", str(SRC), "--workload", "signal_train", "--tiny"]
+    assert abtime.main([*args, "--b", str(SRC), "--rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("outputs differ") == 0
+    assert "signal_train: median b/a " in out and " of 2 rounds" in out
+
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))
+    model = changed / "snfuse" / "model.py"
+    text = model.read_text(encoding="utf-8")
+    init = "normal(0.0, 1.0 / np.sqrt(d), size=d)"  # the pooling weight's initial spread
+    assert init in text
+    model.write_text(text.replace(init, "normal(0.0, 2.0 / np.sqrt(d), size=d)"), encoding="utf-8")
+    assert abtime.main([*args, "--b", str(changed), "--rounds", "1"]) == 1
+    assert "outputs differ" in capsys.readouterr().out

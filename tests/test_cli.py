@@ -1,6 +1,10 @@
+import builtins
+import hashlib
+import io
 import json
 import re
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 from datagen import toy_dataset_dir, trading_dates, write_prices
 from snfuse.cli import main
 from snfuse.config import load_config
-from snfuse.data import manifest_hash, write_news_day
+from snfuse.data import write_news_day
 from snfuse.model import ForecastModel
 from snfuse.training import save_checkpoint
 
@@ -91,6 +95,26 @@ def test_each_command_writes_its_own_sidecar(tmp_path):
     for command in ("train", "eval"):
         meta = json.loads((out / f"run_meta.{command}.json").read_text(encoding="utf-8"))
         assert meta["command"] == command and meta["started"] <= meta["finished"]
+
+
+def test_train_and_eval_read_the_manifest_once(tmp_path, monkeypatch):
+    args, _ = _prepared(tmp_path)
+    out = tmp_path / "run"
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if Path(str(file)).name == "dataset.manifest" and not set(mode) & set("wax+"):
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # Path.read_bytes and Path.read_text open through it
+    monkeypatch.setattr(builtins, "open", counting_open)
+    common = [*args, "--out", str(out)]
+    assert main(["train", *common]) == 0
+    assert len(reads) == 1
+    assert main(["eval", *common, "--checkpoint", str(out / "checkpoint.snf")]) == 0
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("command,flags,written", [
@@ -233,7 +257,8 @@ def test_a_dataset_with_empty_splits_exits_2(tmp_path, capsys, command, message)
     manifest = prep / "dataset.manifest"
     checkpoint = []
     if command != "train":  # train cannot write one, so save an untrained model against this manifest
-        save_checkpoint(tmp_path / "untrained.snf", ForecastModel(load_config(cfg), 6), manifest_hash(manifest))
+        save_checkpoint(tmp_path / "untrained.snf", ForecastModel(load_config(cfg), 6),
+                        hashlib.sha256(manifest.read_bytes()).hexdigest())
         checkpoint = ["--checkpoint", str(tmp_path / "untrained.snf")]
     capsys.readouterr()
     code = main([command, "--config", str(cfg), "--data", str(data), "--manifest", str(manifest), "--out", str(out),

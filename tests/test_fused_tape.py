@@ -1,12 +1,12 @@
 """The fused tape nodes and the stacked training step reproduce the
 primitive-op graphs of one window at a time bit for bit.
 
-`tensor.attentive_pool`, `tensor.attention`, `tensor.gather_rows` and
+`pooling.pool_slots`, `tensor.attention`, `tensor.gather_rows` and
 `tensor.shift_rows` each record one node for what used to be a chain of
-primitive ops: the per-day pooling chain, the per-head attention of the
-reprogramming layer and the frozen backbone (columns sliced even for one
-head), the unsliced single-head cross-attention, the per-patch slices of
-patchify, and the padded slices of the causal convolution. The oracles
+primitive ops: the pooling chain of every day slot, the per-head attention
+of the reprogramming layer and the frozen backbone (columns sliced even for
+one head), the unsliced single-head cross-attention, the per-patch slices
+of patchify, and the padded slices of the causal convolution. The oracles
 below rebuild those chains from the primitive ops on the (L, d) rows of one
 window, the 2-D form every op also takes, cut out of the layer's (1, L, d)
 stack by `reshape`; the backbone's oracle runs the frozen stack on those
@@ -48,7 +48,6 @@ from snfuse.tensor import (
     reshape,
     slice_cols,
     slice_rows,
-    slot_rows,
     softmax_rows,
     transpose,
 )
@@ -61,6 +60,29 @@ def pool_chain(w, rows, name=None):
     query = reshape(w, (1, d)) if name is None else matmul(Tensor(name.reshape(1, d)), w)
     attn = softmax_rows(matmul(query, Tensor(rows.T)))
     return matmul(attn, Tensor(rows)), attn.data
+
+
+def day_rows(pooling, day, emb, table):
+    """The rows a day is pooled over: its articles in canonical order (sap: the name row
+    first), or for pasap in file order with the name and the position codes added."""
+    if pooling == "pasap":
+        return day + emb.reshape(1, -1) + table[: len(day)]
+    rows = day[snfuse.pooling.canonical_order(day)]
+    return np.concatenate([emb.reshape(1, -1), rows]) if pooling == "sap" else rows
+
+
+def pool_slots_chain(model, samples, memo=None):
+    """ForecastModel._pool as a chain: every day slot pooled on its own through pool_chain
+    (zeros for a day without rows), the slots joined by concat_rows."""
+    cfg = model.cfg
+    w = model.params[snfuse.pooling.PARAM[cfg.pooling]]
+    slots = []
+    for _, news, emb, *_ in samples:
+        for day in news:
+            rows = day_rows(cfg.pooling, day, emb, model.pos_table)
+            name = emb if cfg.pooling == "cap" else None
+            slots.append(pool_chain(w, rows, name)[0] if len(rows) else Tensor(np.zeros((1, cfg.dim))))
+    return reshape(concat_rows(slots), (len(samples), cfg.t_window, cfg.dim))
 
 
 def rows_of(stack):
@@ -164,7 +186,7 @@ def _loss_and_grads(cfg, batch, per_window=False):
 def _assert_same_as_chains(cfg, monkeypatch):
     batch = _batch(cfg)
     fused_loss, fused = _loss_and_grads(cfg, batch)
-    monkeypatch.setattr(snfuse.pooling, "attentive_pool", pool_chain)
+    monkeypatch.setattr(ForecastModel, "_pool", pool_slots_chain)
     monkeypatch.setattr(snfuse.fusion, "attention", cross_attention_chain)
     monkeypatch.setattr(snfuse.backbone, "attention", split_heads_chain)
     monkeypatch.setattr(snfuse.backbone, "patchify", patchify_chain)
@@ -241,9 +263,10 @@ def _assert_stacked_matches_looped(cfg, batch):
 
 
 @pytest.mark.parametrize("pooling", ["ap", "cap", "sap", "pasap"])
-def test_pooling_contributions_come_window_major_then_day_ascending(pooling):
-    """The order a tape of one pool node per day slot delivers the pooling weight's
-    contributions in, read off _toposort, is the order slot_rows adds them in."""
+def test_pooling_contributions_come_window_major_then_day_ascending(pooling, monkeypatch):
+    """The order a tape of one pool_day node per day slot delivers the pooling weight's
+    contributions in, read off _toposort, is the order the stacked kernel adds them in:
+    its w gradient equals that tape's bit for bit."""
     cfg = _cfg(pooling=pooling)
     model = ForecastModel(cfg, cfg.dim)
     batch = _windows(cfg, 4)
@@ -258,9 +281,13 @@ def test_pooling_contributions_come_window_major_then_day_ascending(pooling):
     assert visited == sorted(visited) and len(visited) > cfg.t_window
     loss.backward()
     looped, w.grad = w.grad, None
-    pooled, index = model._pool(batch)
-    assert len(pooled) < index.size  # shared (day, stock) pairs pooled once
-    sum_all(mul(slot_rows(pooled, index), Tensor(coeff.data.reshape(*index.shape, -1)))).backward()
+    handed = []
+    real = snfuse.pooling.pool_slots
+    monkeypatch.setattr(snfuse.pooling, "pool_slots",
+                        lambda v, pairs, *rest: handed.append(len(pairs)) or real(v, pairs, *rest))
+    pooled = model._pool(batch)
+    assert len(handed) == 1 and handed[0] < len(batch) * cfg.t_window  # shared (day, stock) pairs pooled once
+    sum_all(mul(pooled, Tensor(coeff.data.reshape(pooled.shape)))).backward()
     assert np.array_equal(w.grad, looped)
 
 

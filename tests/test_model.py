@@ -7,7 +7,7 @@ from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
 from snfuse.model import PREDICT_CHUNK, ForecastModel
 from snfuse.optim import backward
-from snfuse.tensor import Tensor, concat_rows, grad_enabled
+from snfuse.tensor import Tensor, grad_enabled
 from snfuse.training import ABLATION_ROWS
 
 
@@ -126,32 +126,43 @@ def test_each_day_is_sorted_once_per_model(pooling, monkeypatch):
     assert sorted(sorted_ids) == (sorted(days) if pooling == "sap" else [])
 
 
+def _kernel_calls(monkeypatch) -> list[list[tuple[int, int]]]:
+    """The (id(day), id(name)) pairs handed to each call of the stacked pooling kernel, one list per call."""
+    calls = []
+    real = snfuse.pooling.pool_slots
+
+    def recording(variant, pairs, *rest):
+        calls.append([(id(day), id(emb)) for day, emb in pairs])
+        return real(variant, pairs, *rest)
+
+    monkeypatch.setattr(snfuse.pooling, "pool_slots", recording)
+    return calls
+
+
 @pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
-def test_pool_rows_match_pool_day_per_day(variant):
+def test_pool_rows_match_pool_day_per_day(variant, monkeypatch):
     model = ForecastModel(_tiny_cfg(pooling=variant), 4)
     samples = _windows(model.cfg, n_stocks=2, per_stock=3)
-    parts, index = model._pool(samples)
-    pooled = concat_rows(parts)
+    calls = _kernel_calls(monkeypatch)
+    pooled = model._pool(samples)
     slots = [(day, emb) for _, news, emb, _ in samples for day in news]
-    assert index.shape == (len(samples), model.cfg.t_window) and index.size == len(slots)
-    # one row per distinct (day, stock), in order of first use
-    assert pooled.shape[0] == len({(id(day), id(emb)) for day, emb in slots}) == index.max() + 1
-    first_use = np.unique(index, return_index=True)[1]  # the first slot of each row
-    assert np.all(np.diff(first_use) > 0)
+    assert pooled.shape == (len(samples), model.cfg.t_window, model.cfg.dim)
+    # one kernel call, handed each distinct (day, stock) once, in order of first use
+    assert calls == [list(dict.fromkeys((id(day), id(emb)) for day, emb in slots))]
+    assert len(calls[0]) < len(slots)
+    model.batch_loss(samples)
+    assert len(calls) == 2
     w = model.params[snfuse.pooling.PARAM[variant]]
-    for (day, emb), row in zip(slots, index.reshape(-1)):
+    for (day, emb), row in zip(slots, pooled.data.reshape(len(slots), -1)):
         ref = snfuse.pooling.pool_day(variant, day, emb, w, model.pos_table).pooled.data
-        np.testing.assert_array_equal(pooled.data[row : row + 1], ref)
+        np.testing.assert_array_equal(row[None], ref)
         if day.shape[0] == 0:  # the zero-news day: zeros, or the name itself for sap
-            np.testing.assert_array_equal(pooled.data[row], emb if variant == "sap" else 0.0)
+            np.testing.assert_array_equal(row, emb if variant == "sap" else 0.0)
 
 
 @pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
 def test_predict_many_pools_each_day_and_stock_once_per_call(variant, monkeypatch):
-    pooled = []
-    real = snfuse.pooling.pool_day
-    monkeypatch.setattr(snfuse.pooling, "pool_day",
-                        lambda v, day, emb, *rest: pooled.append((id(day), id(emb))) or real(v, day, emb, *rest))
+    calls = _kernel_calls(monkeypatch)
     model = ForecastModel(_tiny_cfg(pooling=variant), 4)
     # overlapping windows of two stocks over three chunks: the first stock's last windows
     # share days with the ones before them in another chunk, so pooling per chunk pools twice
@@ -159,7 +170,8 @@ def test_predict_many_pools_each_day_and_stock_once_per_call(variant, monkeypatc
     model.predict_many(samples)
     distinct = {(id(day), id(emb)) for _, news, emb, _ in samples for day in news}
     assert len(samples) > PREDICT_CHUNK
-    assert sorted(pooled) == sorted(distinct)
+    assert len(calls) <= -(-len(samples) // PREDICT_CHUNK)  # at most one kernel call per chunk
+    assert sorted(pair for call in calls for pair in call) == sorted(distinct)
 
 
 @pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])

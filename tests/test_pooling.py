@@ -12,8 +12,8 @@ from oracles import (
 )
 from snfuse.errors import DataFormatError
 from snfuse.optim import ParamSet, finite_diff_check
-from snfuse.pooling import pool_day, sinusoidal_table
-from snfuse.tensor import Tensor
+from snfuse.pooling import pool_day, pool_slots, sinusoidal_table
+from snfuse.tensor import Tensor, concat_rows, mul, reshape
 
 
 def _param(values):
@@ -310,3 +310,39 @@ def test_only_cap_weighs_the_articles_by_name(variant):
         assert gap > 1e-2
     else:
         assert gap <= 1e-12
+
+
+# -- many days in one kernel call -----------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_one_call_over_mixed_row_counts_matches_pool_day_slot_by_slot(variant):
+    """Days with 0, 1 and several articles (two with 4, one at the limit), a (day, stock)
+    repeated within a window and across windows, and two names: one stacked call gives
+    the rows and the w gradient of a tape of one pool_day node per slot, bit for bit."""
+    rng = np.random.default_rng(11)
+    d, limit = 5, 6
+    w, table = _variant_args(variant, d, limit, rng)
+    days = [rng.normal(size=(n, d)) for n in (0, 1, 4, 4, 2, 1, limit)]
+    names = [rng.normal(size=d), rng.normal(size=d)]
+    windows = [[(0, 0), (1, 0), (2, 0), (2, 0)],
+               [(2, 1), (3, 1), (4, 1), (5, 1)],
+               [(1, 0), (6, 0), (0, 1), (2, 0)]]
+    pair_of: dict[tuple[int, int], int] = {}
+    index = [[pair_of.setdefault(slot, len(pair_of)) for slot in window] for window in windows]
+    pairs = [(days[day], names[name]) for day, name in pair_of]
+    got, _ = pool_slots(variant, pairs, np.array(index), w, table, limit)
+    slots = [pool_day(variant, days[day], names[name], w, table, limit).pooled for window in windows
+             for day, name in window]
+    ref = reshape(concat_rows(slots), (len(windows), len(windows[0]), d))
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.data, ref.data)
+    coeff = Tensor(rng.normal(size=ref.shape))
+    sum_all(mul(ref, coeff)).backward()
+    looped, w.grad = w.grad, None
+    sum_all(mul(got, coeff)).backward()
+    np.testing.assert_array_equal(w.grad, looped)
+
+    over = rng.normal(size=(limit + 1, d))
+    with pytest.raises(DataFormatError, match=f"{limit + 1} articles.*max_news_per_day = {limit}"):
+        pool_slots(variant, pairs + [(over, names[1])], np.arange(len(pairs) + 1), w, table, limit)
