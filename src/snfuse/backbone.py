@@ -20,7 +20,8 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    concat_rows,
+    concat,
+    cut,
     gather_rows,
     layer_norm,
     linear,
@@ -28,7 +29,6 @@ from .tensor import (
     relu,
     repeat_windows,
     reshape,
-    slice_rows,
     transpose,
 )
 
@@ -101,7 +101,7 @@ def forward_backbone(prompt_token: Tensor | None, patch_tokens: Tensor, params, 
     if prompt_token is None:
         patch_hidden = backbone_forward(patch_tokens, params, n_layers, n_heads)
     else:
-        hidden = backbone_forward(concat_rows([prompt_token, patch_tokens]), params, n_layers, n_heads)
-        patch_hidden = slice_rows(hidden, 1, 1 + n_p)
+        hidden = backbone_forward(concat([prompt_token, patch_tokens], -2), params, n_layers, n_heads)
+        patch_hidden = cut(hidden, 1, 1 + n_p, -2)
     flat = reshape(patch_hidden, (windows, 1, n_p * d_model))
     return linear(flat, params["reprog.head.w"], params["reprog.head.b"])

@@ -26,12 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash, config_text, load_config, with_overrides
-from .data import (
-    load_news_day,
-    prepare_dataset,
-    verify_manifest,
-    write_manifest,
-)
+from .data import prepare_dataset, verify_manifest, write_manifest
 from .errors import DataFormatError
 from .model import ForecastModel
 from .pooling import VARIANTS
@@ -101,13 +96,6 @@ def _record_run(out_dir: Path, cfg: RunConfig, command: str, started: float) -> 
     (out_dir / f"run_meta.{command}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_vocab(cfg: RunConfig):
-    if not cfg.vocab_file:
-        return None
-    batch = load_news_day(cfg.vocab_file)
-    return batch.embeddings
-
-
 def _build_dataset(args: argparse.Namespace, cfg: RunConfig):
     """The dataset under --data, checked against --manifest on the commands that take one,
     and the manifest's sha256 (None without one)."""
@@ -143,7 +131,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out: Path = args.out
 
     if seeds:
-        summary = multi_seed(ds, cfg, seeds, vocab=_load_vocab(cfg))
+        summary = multi_seed(ds, cfg, seeds)
         (out / "multiseed.csv").write_text(summary.to_csv(), encoding="utf-8")
         for seed, report in zip(seeds, summary.reports):
             seed_dir = out / f"seed_{seed}"
@@ -152,7 +140,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"multi-seed summary over seeds {seeds}: {out / 'multiseed.csv'}")
         return 0
 
-    model = ForecastModel(cfg, ds.dim, vocab=_load_vocab(cfg))
+    model = ForecastModel(cfg, ds.dim)
     result = train(model, ds, cfg)
     save_checkpoint(out / "checkpoint.snf", model, digest)
     (out / "history.csv").write_text(history_csv(result), encoding="utf-8")
@@ -167,7 +155,7 @@ def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds, digest: str) ->
         raise DataFormatError("checkpoint was trained with a different configuration; refusing to evaluate")
     if ckpt.manifest_hash != digest:
         raise DataFormatError("checkpoint was trained against a different dataset manifest; refusing to evaluate")
-    model = ForecastModel(cfg, ds.dim, vocab=_load_vocab(cfg))
+    model = ForecastModel(cfg, ds.dim)
     apply_checkpoint(model, ckpt)
     return model
 
@@ -184,7 +172,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     ds, _ = _build_dataset(args, cfg)
-    rows = ablation_grid(ds, cfg, vocab=_load_vocab(cfg))
+    rows = ablation_grid(ds, cfg)
     (args.out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     for row in rows:
         print(f"{row.label}: MAE {row.report.avg_mae:.6f}  MSE {row.report.avg_mse:.6f}")

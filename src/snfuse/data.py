@@ -307,7 +307,8 @@ def assemble_dataset(
     """Scale, window, and split already-loaded series and news matrices.
 
     splits defaults to the chronological 70/10/20 rule; passing explicit
-    ranges supports synthetic fixtures with hand-picked span lengths.
+    ranges supports synthetic fixtures with hand-picked span lengths. A
+    split without a window is refused.
     """
     dim = next(iter(contexts.values())).name_embedding.size
     dates = series[sorted(contexts)[0]].dates
@@ -349,6 +350,12 @@ def assemble_dataset(
         for split_name in samples:
             samples[split_name].extend(per_stock[split_name])
         skipped += skip
+    empty = [name for name, split in samples.items() if not split]
+    if empty:
+        raise DataFormatError(
+            f"{total_days} trading days leave no window of T={t_window}, H={horizon} in the "
+            f"{' and '.join(empty)} split{'s' if len(empty) > 1 else ''}; the dataset needs more trading days"
+        )
 
     hashes = sorted(file_hashes, key=lambda pair: pair[0]) if file_hashes else []
     return PreparedDataset(

@@ -20,15 +20,14 @@ from .tensor import (
     add,
     attention,
     block_matmul,
-    concat_cols,
-    concat_rows,
+    concat,
+    cut,
     linear,
     matmul,
     mul,
     relu,
     repeat_windows,
     shift_rows,
-    slice_cols,
     softmax_rows,
 )
 
@@ -113,7 +112,7 @@ def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray)
     """
     _same_stack(news_seq, price_seq)
     t_len = news_seq.shape[-2]
-    mixed = block_matmul(adjacency[t_len:], concat_rows([news_seq, price_seq]))
+    mixed = block_matmul(adjacency[t_len:], concat([news_seq, price_seq], -2))
     price_rows = relu(linear(mixed, params["fusion.gcn.w"], params["fusion.gcn.b"]))
     taps = [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
     return causal_conv(price_rows, taps)
@@ -133,10 +132,10 @@ def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[
     if tuple(active) == BLEND_TERMS:
         picked = rows
     else:
-        picked = concat_cols([slice_cols(rows, i, i + 1) for i in map(BLEND_TERMS.index, active)])
+        picked = concat([cut(rows, i, i + 1, -1) for i in map(BLEND_TERMS.index, active)], -1)
     weights = softmax_rows(picked)  # (W, 1, k)
     out = None
     for col, name in enumerate(active):
-        piece = mul(slice_cols(weights, col, col + 1), terms[name])
+        piece = mul(cut(weights, col, col + 1, -1), terms[name])
         out = piece if out is None else add(out, piece)
     return out, weights.data[0, 0].copy()

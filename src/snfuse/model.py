@@ -3,7 +3,8 @@
 Only parameters the active configuration actually uses are registered, so
 every trainable tensor is guaranteed a gradient from any generic batch.
 The frozen set (vocabulary plus the surrogate blocks) is seeded once from
-named substreams and never updated.
+named substreams and never updated; a named `vocab_file` replaces the
+seeded vocabulary, and the model reads it itself.
 
 Training and inference run one forward (`_forward`): pool each distinct
 (day, stock) of a call once, in one call of the stacked pooling kernel
@@ -26,10 +27,11 @@ from . import backbone as bb
 from . import fusion as fu
 from . import pooling as pl
 from .config import RunConfig
+from .data import load_news_day
 from .errors import DataFormatError
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, grad_enabled, linear, mean_all, mul, no_grad, reshape, sub
+from .tensor import Tensor, add, grad_enabled, linear, mean_all, mul, no_grad, reshape
 
 PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
 
@@ -38,12 +40,12 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    diff = sub(pred, Tensor(target))
+    diff = add(pred, Tensor(-target))  # IEEE 754 defines a - b as a + (-b), signed zeros included
     return mean_all(mul(diff, diff))
 
 
 class ForecastModel:
-    def __init__(self, cfg: RunConfig, dim: int, vocab: np.ndarray | None = None):
+    def __init__(self, cfg: RunConfig, dim: int):
         cfg.validate()
         if dim < 1:
             raise ValueError(f"embedding dim must be >= 1, got {dim}")
@@ -53,10 +55,9 @@ class ForecastModel:
         self.active_terms = self._active_terms()
         self.directions = [t for t in self.active_terms if t in fu.DIRECTIONS]
         self.params = ParamSet()
-        self.pos_table = pl.sinusoidal_table(cfg.max_news_per_day, dim) if cfg.pooling == "pasap" else None
         self.adjacency = fu.day_pair_adjacency(cfg.t_window)
         self.orders = pl.OrderMemo()
-        self._register(vocab)
+        self._register()
 
     def _active_terms(self) -> list[str]:
         cfg = self.cfg
@@ -82,7 +83,7 @@ class ForecastModel:
         self._add_matrix(f"{name}.w", fan_in, fan_out)
         self._add_bias(f"{name}.b", fan_out)
 
-    def _register(self, vocab: np.ndarray | None) -> None:
+    def _register(self) -> None:
         cfg, d = self.cfg, self.dim
 
         if cfg.pooling != "none":
@@ -117,12 +118,12 @@ class ForecastModel:
             self._dense("reprog.prompt", d, d_model)
         self._dense("reprog.head", self.n_patches * d_model, cfg.horizon)
 
-        if vocab is None:
+        if not cfg.vocab_file:
             vocab = substream(cfg.seed, "frozen/backbone.vocab").standard_normal((v_rows, d_model))
         else:
-            vocab = np.asarray(vocab, dtype=np.float64)
+            vocab = load_news_day(cfg.vocab_file).embeddings
             if vocab.shape != (v_rows, d_model):
-                raise DataFormatError(f"vocabulary shape {vocab.shape} != ({v_rows}, {d_model})")
+                raise DataFormatError(f"{cfg.vocab_file}: vocabulary shape {vocab.shape} != ({v_rows}, {d_model})")
         self.params.add("backbone.vocab", vocab, frozen=True)
 
         for layer in range(cfg.n_layers):
@@ -203,7 +204,7 @@ class ForecastModel:
                     pairs.append((day, emb))
                 index.append(rows[key])
         index = np.asarray(index, dtype=np.intp).reshape(len(samples), -1)
-        args = (self.params[pl.PARAM[cfg.pooling]], self.pos_table, cfg.max_news_per_day, self.orders)
+        args = (self.params[pl.PARAM[cfg.pooling]], cfg.max_news_per_day, self.orders)
         if memo is None:
             return pl.pool_slots(cfg.pooling, pairs, index, *args)[0]
         fresh = [key for key in rows if key not in memo]

@@ -37,9 +37,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def ids(self) -> list[str]:
         return sorted(self._tensors)
 

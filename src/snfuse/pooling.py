@@ -11,7 +11,8 @@ d x d map. ap ignores the name. The others use it as follows:
 - sap prepends the name as an extra row (a day without articles pools to
   it exactly), which competes only with the articles as a whole;
 - pasap adds the name and sinusoidal position codes to every row, so the
-  name shifts every logit by one constant, which the softmax cancels.
+  name shifts every logit by one constant, which the softmax cancels. The
+  codes are built once per call, as long as the call's longest day.
 
 So only cap changes the relative weights of the articles by name.
 
@@ -32,7 +33,8 @@ each slot's gradient row through the stacked chain and adds the slots'
 contributions into w window by window, day by day, as one node per slot
 would. `pool_day` is that call on one pair and one slot.
 
-Every variant refuses a day with more than max_news_per_day articles.
+Every variant refuses a day with more than max_news articles (the model
+passes max_news_per_day).
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ def pool_slots(
     pairs: Sequence[tuple[np.ndarray, np.ndarray | None]],
     index,
     w: Tensor,
-    table: np.ndarray | None = None,
     max_news: int | None = None,
     orders: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[Tensor, list[np.ndarray | None]]:
@@ -109,15 +110,10 @@ def pool_slots(
     Returns the index.shape + (d,) slot rows, with w their only parent, and
     each pair's (1, rows) attention over its rows in stacked order (sap: name
     row first; None for no rows). orders sorts a day matrix, canonical_order
-    by default. max_news defaults to the table length when a table is given,
-    else no limit.
+    by default. max_news=None means no limit.
     """
     if variant not in PARAM:
         raise ValueError(f"unknown pooling variant '{variant}'")
-    if variant == "pasap" and table is None:
-        raise ValueError("pasap pooling needs a positional table")
-    if max_news is None and table is not None:
-        max_news = table.shape[0]
     orders = canonical_order if orders is None else orders
     w = as_tensor(w)
     d = w.data.shape[0]
@@ -126,13 +122,12 @@ def pool_slots(
     for p, (news, _) in enumerate(pairs):
         n = news.shape[0]
         if max_news is not None and n > max_news:
-            raise DataFormatError(
-                f"a day holds {n} articles, more than max_news_per_day = {max_news} "
-                "(the length of pasap's positional table)"
-            )
+            raise DataFormatError(f"a day holds {n} articles, more than max_news_per_day = {max_news}")
         if lead + n:  # a day without articles pools to zeros (sap: to its name row)
             groups.setdefault(lead + n, []).append(p)
 
+    # pasap's codes: a row depends only on its position and d, so the call's longest day sets the length
+    table = sinusoidal_table(max(groups, default=0), d) if variant == "pasap" else None
     pooled = np.zeros((len(pairs), d))
     attention: list[np.ndarray | None] = [None] * len(pairs)
     stacks = []
@@ -181,17 +176,15 @@ def pool_day(
     news: np.ndarray,
     name_emb: np.ndarray | None,
     w: Tensor,
-    table: np.ndarray | None = None,
     max_news: int | None = None,
     orders: OrderMemo | None = None,
 ) -> PoolResult:
     """Pool (n, d) news rows with the variant's trainable tensor w: pool_slots on one pair and one slot.
 
-    ap ignores name_emb. max_news defaults to the table length when a table
-    is given, else no limit.
+    ap ignores name_emb. max_news=None means no limit.
     """
     orders = OrderMemo() if orders is None else orders
-    pooled, (attn,) = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, table, max_news, orders)
+    pooled, (attn,) = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, max_news, orders)
     if attn is None:
         return PoolResult(pooled=pooled, weights=None)
     lead = 1 if variant == "sap" else 0

@@ -7,12 +7,13 @@ the optimizer replaces parameter arrays between steps.
 
 A stack of W windows of L rows is a (W, L, d) array, and an op that works
 window by window reads W from the shape; a 2-D (L, d) array is one window.
-Row ops (concat_rows, slice_rows, shift_rows, gather_rows) work on axis -2,
-column ops on axis -1. Every product over window rows is one np.matmul
-over (W, L, .), and each parameter's gradient is a piece per window added
-in window order, so a training step over W stacked windows gets the same
-bits as the windows taped one after another. The fused ops record one node
-for a whole chain of primitive ops and match that chain bit for bit.
+`concat` and `cut` join and slice along axis -2 (each window's rows) or
+-1 (columns); `shift_rows` and `gather_rows` work on axis -2. Every
+product over window rows is one np.matmul over (W, L, .), and each
+parameter's gradient is a piece per window added in window order, so a
+training step over W stacked windows gets the same bits as the windows
+taped one after another. The fused ops record one node for a whole chain
+of primitive ops and match that chain bit for bit.
 
 Inside `no_grad()` no op records parents, so inference builds no tape; the
 arithmetic is the same as on one.
@@ -153,18 +154,6 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     """a * b, broadcast; a (W, 1, 1) a scales each window of (W, L, d) b by its own weight."""
     a, b = as_tensor(a), as_tensor(b)
@@ -223,54 +212,39 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape).copy(), (a,), bw)
 
 
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Each window's rows of every part, one part after another."""
+def _at(axis: int, lo, hi) -> tuple:
+    """The index of [lo, hi) along axis -2, (..., slice(lo, hi), slice(None)), or along axis -1."""
+    if axis not in (-2, -1):
+        raise ValueError(f"axis must be -2 (rows) or -1 (columns), got {axis}")
+    return (Ellipsis, slice(lo, hi)) + (slice(None),) * (-1 - axis)
+
+
+def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
+    """Every part joined along axis -2 (each window's rows) or -1 (columns), one part after another."""
     parts = [as_tensor(p) for p in parts]
-    offsets = np.cumsum([0] + [p.data.shape[-2] for p in parts])
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    pieces = [_at(axis, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for p, at in zip(parts, pieces):
             if p.requires_grad:
-                _accumulate(p, g[..., lo:hi, :])
+                _accumulate(p, g[at])
 
-    return _node(np.concatenate([p.data for p in parts], axis=-2), parts, bw)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[..., lo:hi])
-
-    return _node(np.concatenate([p.data for p in parts], axis=-1), parts, bw)
+    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of each window."""
+def cut(a, start: int, stop: int, axis: int) -> Tensor:
+    """[start, stop) along axis -2 (each window's rows) or -1 (columns)."""
     a = as_tensor(a)
+    at = _at(axis, start, stop)
 
     def bw(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            full[..., start:stop, :] = g
+            full[at] = g
             _accumulate(a, full)
 
-    return _node(a.data[..., start:stop, :], (a,), bw)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[..., start:stop] = g
-            _accumulate(a, full)
-
-    return _node(a.data[..., start:stop].copy(), (a,), bw)
+    return _node(a.data[at], (a,), bw)
 
 
 def relu(a) -> Tensor:
@@ -369,10 +343,10 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
     The windows are k's: a (W, L, width) k has W, a 2-D k one. q's windows
     must match them, or there is one key window that every query row of the
     stack attends to. Per window and head (a contiguous block, one product
-    of a stacked np.matmul) it matches slice_cols -> transpose -> matmul ->
-    scale -> softmax_rows -> matmul, then concat_cols. split=False (one
-    head) matches matmul(q, transpose(k)) -> scale -> softmax_rows -> matmul
-    on the whole window; k's gradient then stays the transpose of a
+    of a stacked np.matmul) it matches cut on axis -1 -> transpose -> matmul
+    -> scale -> softmax_rows -> matmul, then concat on axis -1. split=False
+    (one head) matches matmul(q, transpose(k)) -> scale -> softmax_rows ->
+    matmul on the whole window; k's gradient then stays the transpose of a
     row-major product.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -419,7 +393,7 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
 
 
 def gather_rows(a, index) -> Tensor:
-    """Rows index of each window; a repeated row sums its gradients in index order, as slice_rows in that order would."""
+    """Rows index of each window; a repeated row sums its gradients in index order, as cut in that order would."""
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.intp)
 

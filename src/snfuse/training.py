@@ -108,14 +108,8 @@ def _first_nonfinite(model: ForecastModel) -> str:
 
 
 def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainResult:
-    train_samples = ds.samples["train"]
-    val_samples = ds.samples["val"]
-    if not train_samples or not val_samples:
-        raise DataFormatError(
-            f"need non-empty train and val splits, got {len(train_samples)} train / {len(val_samples)} val samples"
-        )
-    train_resolved = _resolve(ds, train_samples)
-    val_resolved = _resolve(ds, val_samples)
+    train_resolved = _resolve(ds, ds.samples["train"])
+    val_resolved = _resolve(ds, ds.samples["val"])
 
     state = init_adam(model.params, cfg.lr)
     stopper = EarlyStopper(cfg.patience)
@@ -169,8 +163,6 @@ def stock_predictions(
     """Score the test split: per stock in sorted order, (stock, its samples, (n, H) predictions,
     (n, H) targets), all windows through one predict_many call."""
     samples = sorted(ds.samples["test"], key=lambda s: s.stock_id)  # stable: day order within a stock
-    if not samples:
-        raise DataFormatError("the test split has no samples; the dataset needs more trading days")
     resolved = _resolve(ds, samples)
     preds, targets = model.predict_many(resolved), _targets(resolved)
     out, lo = [], 0
@@ -279,16 +271,21 @@ class AblationRow:
     result: TrainResult
 
 
-def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig, vocab: np.ndarray | None = None) -> list[AblationRow]:
-    """Train and evaluate all 8 fusion-component removals on top of sap pooling; vocab as for ForecastModel."""
+def _train_and_score(ds: PreparedDataset, cfg: RunConfig) -> tuple[TrainResult, EvalReport]:
+    """A fresh model of cfg, trained, then scored on the test split."""
+    model = ForecastModel(cfg, ds.dim)
+    result = train(model, ds, cfg)
+    return result, evaluate(model, ds)
+
+
+def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig) -> list[AblationRow]:
+    """Train and evaluate all 8 fusion-component removals on top of sap pooling."""
     if base_cfg.pooling != "sap":
         raise DataFormatError(f"ablation grid requires pooling=sap, got '{base_cfg.pooling}'")
     rows = []
     for label, (no_p2n, no_n2p, no_gcn) in ABLATION_ROWS:
         cfg = replace(base_cfg, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn)
-        model = ForecastModel(cfg, ds.dim, vocab=vocab)
-        result = train(model, ds, cfg)
-        report = evaluate(model, ds)
+        result, report = _train_and_score(ds, cfg)
         rows.append(AblationRow(label=label, cfg=cfg, report=report, result=result))
     return rows
 
@@ -311,18 +308,11 @@ class MultiSeedSummary:
         return csv_text("stock,mae_mean,mae_std,mse_mean,mse_std", rows)
 
 
-def multi_seed(
-    ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int], vocab: np.ndarray | None = None
-) -> MultiSeedSummary:
-    """Independent runs per seed; sample standard deviation (divide by k-1); vocab as for ForecastModel."""
+def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> MultiSeedSummary:
+    """Independent runs per seed; sample standard deviation (divide by k-1)."""
     if len(seeds) < 2:
         raise ValueError(f"multi-seed runs need at least 2 seeds, got {len(seeds)}")
-    reports = []
-    for seed in seeds:
-        cfg = replace(base_cfg, seed=seed)
-        model = ForecastModel(cfg, ds.dim, vocab=vocab)
-        train(model, ds, cfg)
-        reports.append(evaluate(model, ds))
+    reports = [_train_and_score(ds, replace(base_cfg, seed=seed))[1] for seed in seeds]
     per_stock: dict[str, dict[str, float]] = {}
     for rows in zip(*(r.table for r in reports)):  # one stock's row from every seed
         maes = np.array([row[1] for row in rows])
@@ -344,9 +334,11 @@ def history_csv(result: TrainResult) -> str:
 def toy_gradient_check(cfg: RunConfig, step: float = 1e-6, tol: float = 1e-4):
     """End-to-end finite-difference check on a small seeded two-stock instance.
 
-    The toy forces small dims (T=6, d=4, V=16, U=4, narrow backbone) but
-    keeps the caller's pooling variant, prompt flag, and ablation flags, so
-    the check exercises exactly the configured gradient paths.
+    The toy forces small dims (T=6, d=4, V=16, U=4, narrow backbone) and
+    the seeded vocabulary, since a vocabulary file fits the real widths, not
+    the toy's. It keeps the caller's pooling variant, prompt flag, and
+    ablation flags, so the check exercises exactly the configured gradient
+    paths.
     """
     toy_cfg = replace(
         cfg,
@@ -362,6 +354,7 @@ def toy_gradient_check(cfg: RunConfig, step: float = 1e-6, tol: float = 1e-4):
         reprogram_heads=1,
         horizon=1,
         dim=4,
+        vocab_file="",
     )
     dim = 4
     model = ForecastModel(toy_cfg, dim)

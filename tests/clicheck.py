@@ -8,11 +8,13 @@ dataset of tests/datagen.py (120 days, two stocks) and runs, in one
 process, `prepare` once, then `train`, `eval` and `report` for every
 configuration of the grid: the 5 poolings x {the defaults, --snp on,
 --no-gcn, --no-p2n --no-n2p --no-gcn}, at T = 8 and 2 epochs. Then
-`gradcheck` for every pooling, `ablate` and `train --seeds 0,1,2`. It
-records each command's exit code and the sha256 of every file the
+`gradcheck` for every pooling, `ablate` and `train --seeds 0,1,2`. Then,
+with a config that also names a seeded vocabulary file (`vocab_file`),
+`train`, `eval`, `report`, `gradcheck`, `ablate` and `train --seeds 0,1`.
+It records each command's exit code and the sha256 of every file the
 commands wrote, except the wall-clock `run_meta.*.json` sidecars. --tiny
-keeps sap with the defaults and drops `gradcheck`, `ablate` and
-`--seeds`, for a smoke test.
+keeps sap with the defaults and drops `gradcheck`, `ablate`, `--seeds`
+and the vocabulary config, for a smoke test.
 
 `compare` lists every exit code and every file that differs or that only
 one run holds, then exits 1 if it listed any.
@@ -35,6 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 POOLINGS = ("none", "ap", "cap", "sap", "pasap")
 FLAG_SETS = {
     "default": [],
@@ -51,6 +55,7 @@ CONFIG = (
 def commands(work: Path, tiny: bool = False):
     """(name, argv) of every command of the grid, in run order; inputs and outputs under work."""
     data, cfg, out = work / "data", work / "tiny.cfg", work / "out"
+    vocab_cfg = ["--config", str(work / "vocab.cfg"), "--data", str(data)]
     manifest = ["--manifest", str(out / "prepare" / "dataset.manifest")]
     common = ["--config", str(cfg), "--data", str(data)]
     yield "prepare", ["prepare", *common, "--out", str(out / "prepare")]
@@ -67,22 +72,34 @@ def commands(work: Path, tiny: bool = False):
     if not tiny:
         yield "ablate", ["ablate", *common, *manifest, "--out", str(out / "ablate")]
         yield "seeds", ["train", *common, *manifest, "--out", str(out / "seeds"), "--seeds", "0,1,2"]
+        run, checkpoint = ["--out", str(out / "vocab")], ["--checkpoint", str(out / "vocab" / "checkpoint.snf")]
+        yield "vocab/train", ["train", *vocab_cfg, *manifest, *run]
+        yield "vocab/eval", ["eval", *vocab_cfg, *manifest, *checkpoint, *run]
+        yield "vocab/report", ["report", *vocab_cfg, *manifest, *checkpoint, *run]
+        yield "vocab/gradcheck", ["gradcheck", "--config", str(work / "vocab.cfg"), *run]
+        yield "vocab/ablate", ["ablate", *vocab_cfg, *manifest, "--out", str(out / "vocab-ablate")]
+        yield "vocab/seeds", ["train", *vocab_cfg, *manifest, "--out", str(out / "vocab-seeds"), "--seeds", "0,1"]
 
 
 def run_grid(work: Path, tiny: bool = False) -> dict[str, int]:
     """Write the inputs under work, run every command there, and return each one's exit code."""
     from datagen import toy_dataset_dir  # imports snfuse, so only once --src is on the path
     from snfuse.cli import main
+    from snfuse.data import write_news_day
 
     toy_dataset_dir(work / "data", n_days=120)
     (work / "tiny.cfg").write_text(CONFIG, encoding="utf-8")
+    write_news_day(work / "vocab.emb", np.random.default_rng(7).normal(size=(8, 8)))  # vocab_size x d_model
+    # a relative path, read from work: effective.cfg and the checkpoints echo it, so it must not name the temp dir
+    (work / "vocab.cfg").write_text(CONFIG + "vocab_file = vocab.emb\n", encoding="utf-8")
     codes = {}
-    for name, argv in commands(work, tiny):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                codes[name] = main(argv)
-            except SystemExit as exc:  # argparse refuses a command line with exit code 2
-                codes[name] = exc.code
+    with contextlib.chdir(work):
+        for name, argv in commands(work, tiny):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    codes[name] = main(argv)
+                except SystemExit as exc:  # argparse refuses a command line with exit code 2
+                    codes[name] = exc.code
     return codes
 
 

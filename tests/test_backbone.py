@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from snfuse.backbone import (
     reprogram,
 )
 from snfuse.config import RunConfig
+from snfuse.data import write_news_day
+from snfuse.errors import DataFormatError
 from snfuse.model import ForecastModel
 from snfuse.optim import ParamSet, backward
 from snfuse.tensor import Tensor
@@ -182,8 +186,8 @@ def test_snp_changes_sequence_and_output():
     pred_off = off.predict_sample(prices, news, emb).data
     pred_on = on.predict_sample(prices, news, emb).data
     assert not np.allclose(pred_off, pred_on)
-    assert "reprog.prompt.w" in on.params
-    assert "reprog.prompt.w" not in off.params
+    assert "reprog.prompt.w" in on.params.ids()
+    assert "reprog.prompt.w" not in off.params.ids()
 
 
 def test_backbone_forward_deterministic():
@@ -221,16 +225,20 @@ def test_trainable_set_gets_gradients_everywhere():
     assert set(nonzero) == set(grads), sorted(set(grads) - set(nonzero))
 
 
-def test_vocab_file_shape_guard():
-    cfg = RunConfig(t_window=6, patch_len=3, d_model=8, n_heads=2, vocab_size=16, num_prototypes=4)
-    with pytest.raises(ValueError, match="shape"):
-        ForecastModel(cfg, 4, vocab=np.zeros((8, 8)))
+def test_vocab_file_shape_guard(tmp_path):
+    path = tmp_path / "vocab.emb"
+    write_news_day(path, np.zeros((8, 8)))
+    cfg = RunConfig(t_window=6, patch_len=3, d_model=8, n_heads=2, vocab_size=16, num_prototypes=4,
+                    vocab_file=str(path))
+    with pytest.raises(DataFormatError, match=r"vocab\.emb: vocabulary shape \(8, 8\) != \(16, 8\)"):
+        ForecastModel(cfg, 4)
 
 
-def test_vocab_file_used_when_given():
-    vocab = np.random.default_rng(12).normal(size=(16, 8))
+def test_vocab_file_used_when_given(tmp_path):
+    vocab = np.random.default_rng(12).normal(size=(16, 8)).astype(np.float32).astype(np.float64)
+    path = tmp_path / "vocab.emb"
+    write_news_day(path, vocab)
     model = _model()
-    cfg = model.cfg
-    explicit = ForecastModel(cfg, 4, vocab=vocab)
+    explicit = ForecastModel(replace(model.cfg, vocab_file=str(path)), 4)
     np.testing.assert_array_equal(explicit.params["backbone.vocab"].data, vocab)
     assert not np.array_equal(model.params["backbone.vocab"].data, vocab)

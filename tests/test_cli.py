@@ -1,5 +1,4 @@
 import builtins
-import hashlib
 import io
 import json
 import re
@@ -12,10 +11,7 @@ import pytest
 
 from datagen import toy_dataset_dir, trading_dates, write_prices
 from snfuse.cli import main
-from snfuse.config import load_config
 from snfuse.data import write_news_day
-from snfuse.model import ForecastModel
-from snfuse.training import save_checkpoint
 
 
 def _tiny_cfg(tmp_path):
@@ -243,28 +239,27 @@ def test_a_flag_the_command_does_not_read_exits_2_before_any_output(tmp_path, ca
     assert code == 2 and f"unrecognized arguments: {' '.join(extra)}" in err
 
 
-@pytest.mark.parametrize("command,message", [
-    ("train", "need non-empty train and val splits, got 40 train / 0 val samples"),
-    ("eval", "the test split has no samples"),
-    ("report", "the test split has no samples"),
-], ids=["train", "eval", "report"])
-def test_a_dataset_with_empty_splits_exits_2(tmp_path, capsys, command, message):
-    # 40 days split 28/4/8, and a window spans T + H = 9 days: prepare accepts it with no val or test windows
-    data = toy_dataset_dir(tmp_path / "data", n_days=40)
-    cfg = _tiny_cfg(tmp_path)
-    prep, out = tmp_path / "prep", tmp_path / "out"
-    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(prep)]) == 0
-    manifest = prep / "dataset.manifest"
-    checkpoint = []
-    if command != "train":  # train cannot write one, so save an untrained model against this manifest
-        save_checkpoint(tmp_path / "untrained.snf", ForecastModel(load_config(cfg), 6),
-                        hashlib.sha256(manifest.read_bytes()).hexdigest())
-        checkpoint = ["--checkpoint", str(tmp_path / "untrained.snf")]
-    capsys.readouterr()
-    code = main([command, "--config", str(cfg), "--data", str(data), "--manifest", str(manifest), "--out", str(out),
-                 *checkpoint])
+@pytest.mark.parametrize("n_days,message", [
+    (40, "40 trading days leave no window of T=8, H=1 in the val and test splits"),
+    (80, "80 trading days leave no window of T=8, H=1 in the val split;"),
+], ids=["val-and-test", "val"])
+def test_a_dataset_with_empty_splits_exits_2(tmp_path, capsys, n_days, message):
+    # 40 days split 28/4/8 and 80 days 56/8/16, and a window spans T + H = 9 days
+    data = toy_dataset_dir(tmp_path / "data", n_days=n_days)
+    prep = tmp_path / "prep"
+    code = main(["prepare", "--config", str(_tiny_cfg(tmp_path)), "--data", str(data), "--out", str(prep)])
     err = capsys.readouterr().err
     assert code == 2 and message in err and "Traceback" not in err
+    assert not (prep / "dataset.manifest").exists()
+
+
+def test_gradcheck_ignores_a_vocab_file_of_the_wrong_shape(tmp_path, capsys):
+    # the toy's widths never match a real vocabulary, so the toy keeps its seeded one
+    cfg = _tiny_cfg(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8") + f"vocab_file = {_vocab_file(tmp_path / 'v.emb', 4, 0)}\n",
+                   encoding="utf-8")
+    assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "gradcheck PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pooling", ["none", "ap", "cap", "pasap"])

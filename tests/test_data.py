@@ -243,7 +243,7 @@ def test_build_windows_too_short_series():
 
 
 def test_prepare_dataset_round_trip_manifest(tmp_path):
-    root = toy_dataset_dir(tmp_path / "data", n_days=60, dim=4, seed=3)
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=3)
     ds = prepare_dataset(root, t_window=8, horizon=1)
     manifest = tmp_path / "dataset.manifest"
     write_manifest(ds, manifest)
@@ -257,7 +257,7 @@ def test_prepare_dataset_round_trip_manifest(tmp_path):
 
 
 def test_prepare_reads_each_news_file_once_and_hashes_those_bytes(tmp_path, monkeypatch):
-    root = toy_dataset_dir(tmp_path / "data", n_days=60, dim=4, seed=3)
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=3)
     reads = []
     real = Path.read_bytes
     monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or real(path))
@@ -269,7 +269,7 @@ def test_prepare_reads_each_news_file_once_and_hashes_those_bytes(tmp_path, monk
 
 
 def test_manifest_detects_changed_data(tmp_path):
-    root = toy_dataset_dir(tmp_path / "data", n_days=60, dim=4, seed=3)
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=3)
     ds = prepare_dataset(root, t_window=8, horizon=1)
     manifest = tmp_path / "dataset.manifest"
     write_manifest(ds, manifest)
@@ -283,7 +283,7 @@ def test_manifest_detects_changed_data(tmp_path):
 
 
 def test_scaler_statistics_train_only(tmp_path):
-    root = toy_dataset_dir(tmp_path / "data", n_days=80, dim=4, seed=9)
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=9)
     ds = prepare_dataset(root, t_window=8, horizon=1)
     train_hi = ds.splits.train[1]
     raw = {sid: load_prices(root / sid / "prices.csv").closes for sid in ds.stocks}
@@ -292,7 +292,7 @@ def test_scaler_statistics_train_only(tmp_path):
         assert float(fresh.mean) == float(rec.price_scaler.mean)
         assert float(fresh.std) == float(rec.price_scaler.std)
     # corrupting only test-span closes must not change any scaler statistic
-    dates = trading_dates(80)
+    dates = trading_dates(90)
     closes = {sid: raw[sid].copy() for sid in ds.stocks}
     for sid in closes:
         closes[sid][train_hi + 5 :] *= 3.0
@@ -305,7 +305,7 @@ def test_scaler_statistics_train_only(tmp_path):
 
 
 def test_window_dates_immediately_precede_target(tmp_path):
-    root = toy_dataset_dir(tmp_path / "data", n_days=60, dim=4, seed=5)
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=5)
     ds = prepare_dataset(root, t_window=8, horizon=1)
     for split in ds.samples.values():
         for s in split:
@@ -314,9 +314,9 @@ def test_window_dates_immediately_precede_target(tmp_path):
 
 
 def test_missing_news_files_count_as_zero_days(tmp_path):
-    root = toy_dataset_dir(tmp_path / "data", n_days=60, dim=4, seed=3, with_news=False)
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=3, with_news=False)
     ds = prepare_dataset(root, t_window=8, horizon=1)
-    assert ds.missing_news_days == 60
+    assert ds.missing_news_days == 90
     assert all(m.shape == (0, 4) for m in ds.news)
 
 
@@ -348,7 +348,7 @@ def test_news_dim_mismatch_rejected(tmp_path):
 
 def test_news_scaler_fit_on_training_articles_only(tmp_path):
     rng = np.random.default_rng(4)
-    n_days = 50
+    n_days = 90
     news = random_news(rng, n_days, 4)
     dates = trading_dates(n_days)
     closes = {"a": rng.uniform(90, 110, n_days)}
@@ -362,7 +362,7 @@ def test_news_scaler_fit_on_training_articles_only(tmp_path):
 
 
 def test_prepare_dataset_reads_each_input_file_once(tmp_path, monkeypatch):
-    data = toy_dataset_dir(tmp_path / "data", n_days=30)
+    data = toy_dataset_dir(tmp_path / "data", n_days=90)
     reads = Counter()
     real_open, real_read_bytes = builtins.open, Path.read_bytes
 

@@ -40,14 +40,12 @@ from snfuse.tensor import (
     Tensor,
     _toposort,
     add,
-    concat_cols,
-    concat_rows,
+    concat,
+    cut,
     linear,
     matmul,
     mul,
     reshape,
-    slice_cols,
-    slice_rows,
     softmax_rows,
     transpose,
 )
@@ -62,27 +60,27 @@ def pool_chain(w, rows, name=None):
     return matmul(attn, Tensor(rows)), attn.data
 
 
-def day_rows(pooling, day, emb, table):
+def day_rows(pooling, day, emb):
     """The rows a day is pooled over: its articles in canonical order (sap: the name row
-    first), or for pasap in file order with the name and the position codes added."""
+    first), or for pasap in file order with the name and the day's own position codes added."""
     if pooling == "pasap":
-        return day + emb.reshape(1, -1) + table[: len(day)]
+        return day + emb.reshape(1, -1) + snfuse.pooling.sinusoidal_table(*day.shape)
     rows = day[snfuse.pooling.canonical_order(day)]
     return np.concatenate([emb.reshape(1, -1), rows]) if pooling == "sap" else rows
 
 
 def pool_slots_chain(model, samples, memo=None):
     """ForecastModel._pool as a chain: every day slot pooled on its own through pool_chain
-    (zeros for a day without rows), the slots joined by concat_rows."""
+    (zeros for a day without rows), the slots joined by concat on axis -2."""
     cfg = model.cfg
     w = model.params[snfuse.pooling.PARAM[cfg.pooling]]
     slots = []
     for _, news, emb, *_ in samples:
         for day in news:
-            rows = day_rows(cfg.pooling, day, emb, model.pos_table)
+            rows = day_rows(cfg.pooling, day, emb)
             name = emb if cfg.pooling == "cap" else None
             slots.append(pool_chain(w, rows, name)[0] if len(rows) else Tensor(np.zeros((1, cfg.dim))))
-    return reshape(concat_rows(slots), (len(samples), cfg.t_window, cfg.dim))
+    return reshape(concat(slots, -2), (len(samples), cfg.t_window, cfg.dim))
 
 
 def rows_of(stack):
@@ -99,17 +97,18 @@ def as_stack(rows):
 
 
 def split_heads_chain(q, k, v, n_heads):
-    """Per head: slice_cols -> transpose -> matmul -> scale -> softmax_rows -> matmul."""
+    """Per head: cut on axis -1 -> transpose -> matmul -> scale -> softmax_rows -> matmul,
+    the heads joined by concat on axis -1."""
     stacked = len(q.shape) == 3  # the reprogramming layer's stacks; the backbone oracle passes rows
     q, k, v = rows_of(q), rows_of(k), rows_of(v)
     head_dim = q.shape[1] // n_heads
     outs = []
     for h in range(n_heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
+        qh, kh, vh = (cut(t, lo, hi, -1) for t in (q, k, v))
         logits = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(head_dim))
         outs.append(matmul(softmax_rows(logits), vh))
-    out = concat_cols(outs) if len(outs) > 1 else outs[0]
+    out = concat(outs, -1) if len(outs) > 1 else outs[0]
     return as_stack(out) if stacked else out
 
 
@@ -122,37 +121,37 @@ def cross_attention_chain(q, k, v, n_heads, **_):
 
 
 def patchify_chain(features, patch_len, stride):
-    """Per patch: slice_rows -> reshape to one row, then concat_rows."""
+    """Per patch: cut on axis -2 -> reshape to one row, then concat on axis -2."""
     features = rows_of(features)
     d = features.shape[1]
     n_p = snfuse.backbone.num_patches(features.shape[0], patch_len, stride)
-    return as_stack(concat_rows([reshape(slice_rows(features, s, s + patch_len), (1, patch_len * d))
-                                 for s in range(0, n_p * stride, stride)]))
+    return as_stack(concat([reshape(cut(features, s, s + patch_len, -2), (1, patch_len * d))
+                            for s in range(0, n_p * stride, stride)], -2))
 
 
 def causal_conv_chain(h, taps):
-    """Zero rows joined on top by concat_rows, then per tap slice_rows -> matmul, summed by add."""
+    """Zero rows joined on top by concat on axis -2, then per tap cut on axis -2 -> matmul, summed by add."""
     h = rows_of(h)
     t_len, d = h.shape
     k0 = len(taps) - 1
-    padded = concat_rows([Tensor(np.zeros((k0, d))), h])
-    out = matmul(slice_rows(padded, k0, k0 + t_len), taps[0])
+    padded = concat([Tensor(np.zeros((k0, d))), h], -2)
+    out = matmul(cut(padded, k0, k0 + t_len, -2), taps[0])
     for k in range(1, len(taps)):
-        out = add(out, matmul(slice_rows(padded, k0 - k, k0 - k + t_len), taps[k]))
+        out = add(out, matmul(cut(padded, k0 - k, k0 - k + t_len, -2), taps[k]))
     return as_stack(out)
 
 
 def forward_backbone_chain(prompt_token, patch_tokens, params, n_layers, n_heads):
-    """The frozen stack on the window's rows, the prompt row led in by concat_rows and cut off
-    again by slice_rows, then the head on one flat row."""
+    """The frozen stack on the window's rows, the prompt row led in by concat and cut off
+    again by cut, both on axis -2, then the head on one flat row."""
     patch_tokens = rows_of(patch_tokens)
     n_p = patch_tokens.shape[0]
     if prompt_token is None:
         patch_hidden = snfuse.backbone.backbone_forward(patch_tokens, params, n_layers, n_heads)
     else:
-        hidden = snfuse.backbone.backbone_forward(concat_rows([rows_of(prompt_token), patch_tokens]), params,
+        hidden = snfuse.backbone.backbone_forward(concat([rows_of(prompt_token), patch_tokens], -2), params,
                                                   n_layers, n_heads)
-        patch_hidden = slice_rows(hidden, 1, 1 + n_p)
+        patch_hidden = cut(hidden, 1, 1 + n_p, -2)
     flat = reshape(patch_hidden, (1, n_p * patch_hidden.shape[1]))
     return as_stack(linear(flat, params["reprog.head.w"], params["reprog.head.b"]))
 
@@ -176,7 +175,7 @@ def _batch(cfg, seed=0):
 def _loss_and_grads(cfg, batch, per_window=False):
     model = ForecastModel(cfg, cfg.dim)
     if per_window:
-        preds = concat_rows([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch])
+        preds = concat([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch], -2)
         loss = mse_loss(preds, np.stack([target for *_, target in batch]))
     else:
         loss = model.batch_loss(batch)
@@ -271,9 +270,9 @@ def test_pooling_contributions_come_window_major_then_day_ascending(pooling, mon
     model = ForecastModel(cfg, cfg.dim)
     batch = _windows(cfg, 4)
     w = model.params[snfuse.pooling.PARAM[pooling]]
-    parts = [[snfuse.pooling.pool_day(pooling, day, emb, w, model.pos_table).pooled for day in news]
+    parts = [[snfuse.pooling.pool_day(pooling, day, emb, w).pooled for day in news]
              for _, news, emb, _ in batch]
-    slots = concat_rows([concat_rows(window) for window in parts])
+    slots = concat([concat(window, -2) for window in parts], -2)
     coeff = Tensor(np.random.default_rng(1).normal(size=slots.shape))
     loss = sum_all(mul(slots, coeff))
     order = {id(node): pos for pos, node in enumerate(_toposort(loss))}

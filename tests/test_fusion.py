@@ -15,7 +15,7 @@ from snfuse.fusion import (
     gcn_fuse,
 )
 from snfuse.optim import ParamSet, backward, finite_diff_check
-from snfuse.tensor import Tensor, block_matmul, concat_rows, linear, mul, no_grad, relu, slice_rows
+from snfuse.tensor import Tensor, block_matmul, concat, cut, linear, mul, no_grad, relu
 
 
 def _identity_proj(params, prefix, d):
@@ -251,9 +251,9 @@ def test_gcn_price_rows_match_the_full_layer_bit_for_bit(windows, t_len, d, grad
     taps = [params[f"fusion.conv.tap{k}"] for k in range(5)]
 
     def full(p):
-        nodes = block_matmul(adjacency, concat_rows([p["news"], p["price"]]))
+        nodes = block_matmul(adjacency, concat([p["news"], p["price"]], -2))
         hidden = relu(linear(nodes, p["fusion.gcn.w"], p["fusion.gcn.b"]))
-        return causal_conv(slice_rows(hidden, t_len, 2 * t_len), taps)
+        return causal_conv(cut(hidden, t_len, 2 * t_len, -2), taps)
 
     runs = []
     for form in (full, lambda p: gcn_fuse(p["news"], p["price"], p, adjacency)):

@@ -55,7 +55,7 @@ def test_a_prices_field_over_the_csv_size_limit_is_a_format_error(tmp_path):
 
 
 def test_cli_exits_2_on_invalid_utf8_in_a_config_or_a_checkpoint(tmp_path, capsys):
-    data = toy_dataset_dir(tmp_path / "data", n_days=60)
+    data = toy_dataset_dir(tmp_path / "data", n_days=210)
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_bytes(b"lr = \xff\n")
     assert main(["prepare", "--config", str(bad_cfg), "--data", str(data), "--out", str(tmp_path / "a")]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,12 +43,6 @@ def test_every_ablation_row_trains_every_registered_parameter(pooling, label, fl
     grads = backward(model.batch_loss(_tiny_batch(cfg.t_window, cfg.dim)), model.params)
     assert set(grads) == set(model.params.trainable_ids())
     assert all(np.all(np.isfinite(g)) for g in grads.values())
-
-
-def test_pos_table_built_only_for_pasap():
-    for pooling in ("none", "ap", "cap", "sap"):
-        assert ForecastModel(_tiny_cfg(pooling=pooling), 4).pos_table is None
-    assert ForecastModel(_tiny_cfg(pooling="pasap"), 4).pos_table.shape == (16, 4)
 
 
 def test_mse_loss_hand_value_and_shape_guard():
@@ -154,7 +150,7 @@ def test_pool_rows_match_pool_day_per_day(variant, monkeypatch):
     assert len(calls) == 2
     w = model.params[snfuse.pooling.PARAM[variant]]
     for (day, emb), row in zip(slots, pooled.data.reshape(len(slots), -1)):
-        ref = snfuse.pooling.pool_day(variant, day, emb, w, model.pos_table).pooled.data
+        ref = snfuse.pooling.pool_day(variant, day, emb, w).pooled.data
         np.testing.assert_array_equal(row[None], ref)
         if day.shape[0] == 0:  # the zero-news day: zeros, or the name itself for sap
             np.testing.assert_array_equal(row, emb if variant == "sap" else 0.0)
@@ -189,3 +185,18 @@ def test_a_window_that_repeats_a_day_array_matches_a_window_of_copies(variant):
     grad_ref = backward(model.batch_loss([(prices, copies, emb, target)]), model.params)[pid]
     grad = backward(model.batch_loss([(prices, repeated, emb, target)]), model.params)[pid]
     np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
+
+
+def test_pasap_rows_and_predictions_do_not_depend_on_the_article_limit():
+    # the position codes are built per call, as long as its longest day: the limit only refuses
+    cfg = _tiny_cfg(pooling="pasap", snp=True, max_news_per_day=32, dim=8)
+    rng = np.random.default_rng(6)
+    days = [rng.normal(size=(n, cfg.dim)) for n in (0, 1, 7, 31, 32, 3, 12, 5, 20, 2)]
+    names = [rng.normal(size=cfg.dim) for _ in range(2)]
+    samples = [(rng.normal(size=cfg.t_window), days[i : i + cfg.t_window], names[s], rng.normal(size=1))
+               for s in range(2) for i in range(len(days) - cfg.t_window + 1)]
+    short, long = (ForecastModel(replace(cfg, max_news_per_day=limit), cfg.dim) for limit in (32, 2048))
+    np.testing.assert_array_equal(short._pool(samples).data, long._pool(samples).data)
+    np.testing.assert_array_equal(short.predict_many(samples), long.predict_many(samples))
+    with pytest.raises(DataFormatError, match="33 articles, more than max_news_per_day = 32"):
+        short.predict_many([(samples[0][0], [rng.normal(size=(33, cfg.dim))] * cfg.t_window, names[0], None)])

@@ -12,8 +12,9 @@ from oracles import (
 )
 from snfuse.errors import DataFormatError
 from snfuse.optim import ParamSet, finite_diff_check
+import snfuse.pooling
 from snfuse.pooling import pool_day, pool_slots, sinusoidal_table
-from snfuse.tensor import Tensor, concat_rows, mul, reshape
+from snfuse.tensor import Tensor, concat, mul, reshape
 
 
 def _param(values):
@@ -127,14 +128,14 @@ def test_sinusoidal_table_matches_oracle():
             assert table[pos, j] == pytest.approx(sinusoid_oracle(pos, j, 7), abs=1e-15)
 
 
-def test_pasap_reduces_to_ap_when_positions_and_name_zero():
+def test_pasap_reduces_to_ap_when_positions_and_name_zero(monkeypatch):
     rng = np.random.default_rng(3)
     news = rng.normal(size=(4, 3))
     w = rng.normal(size=3)
     _, wp = _param(w)
     _, wa = _param(w)
-    zero_table = np.zeros((10, 3))
-    res_pasap = pool_day("pasap", news, np.zeros(3), wp, zero_table)
+    monkeypatch.setattr(snfuse.pooling, "sinusoidal_table", lambda n, d: np.zeros((n, d)))
+    res_pasap = pool_day("pasap", news, np.zeros(3), wp)
     res_ap = pool_day("ap", news, None, wa)
     # ap sorts rows canonically, pasap does not; values still agree to rounding
     np.testing.assert_allclose(res_pasap.pooled.data, res_ap.pooled.data, atol=1e-12)
@@ -144,9 +145,8 @@ def test_pasap_single_row_adds_name_and_position():
     _, wp = _param([1.0, 1.0])
     news = np.array([[0.5, 0.5]])
     e = np.array([1.0, 2.0])
-    table = sinusoidal_table(4, 2)
-    res = pool_day("pasap", news, e, wp, table)
-    np.testing.assert_allclose(res.pooled.data.reshape(-1), news[0] + e + table[0], atol=1e-15)
+    res = pool_day("pasap", news, e, wp)
+    np.testing.assert_allclose(res.pooled.data.reshape(-1), news[0] + e + sinusoidal_table(4, 2)[0], atol=1e-15)
 
 
 def test_pasap_is_position_sensitive():
@@ -154,19 +154,17 @@ def test_pasap_is_position_sensitive():
     news = rng.normal(size=(3, 4))
     e = rng.normal(size=4)
     _, wp = _param(rng.normal(size=4))
-    table = sinusoidal_table(8, 4)
-    base = pool_day("pasap", news, e, wp, table).pooled.data
-    swapped = pool_day("pasap", news[[1, 0, 2]], e, wp, table).pooled.data
+    base = pool_day("pasap", news, e, wp).pooled.data
+    swapped = pool_day("pasap", news[[1, 0, 2]], e, wp).pooled.data
     assert not np.allclose(base, swapped)
 
 
 def test_pasap_zero_news_degenerate_and_length_guard():
     _, wp = _param([1.0, 1.0])
-    table = sinusoidal_table(2, 2)
-    res = pool_day("pasap", np.zeros((0, 2)), np.ones(2), wp, table)
+    res = pool_day("pasap", np.zeros((0, 2)), np.ones(2), wp, max_news=2)
     assert res.weights is None
-    with pytest.raises(ValueError, match="positional table"):
-        pool_day("pasap", np.ones((3, 2)), np.ones(2), wp, table)
+    with pytest.raises(DataFormatError, match="a day holds 3 articles, more than max_news_per_day = 2$"):
+        pool_day("pasap", np.ones((3, 2)), np.ones(2), wp, max_news=2)
 
 
 # -- shared properties -----------------------------------------------------
@@ -184,7 +182,6 @@ def test_all_variants_match_scalar_loop_oracles_200_instances():
         news, e, d, n = _random_instance(rng)
         _, w = _param(rng.uniform(-2, 2, size=d))
         _, wc = _param(rng.uniform(-2, 2, size=(d, d)))
-        table = sinusoidal_table(16, d)
 
         got = pool_day("ap", news, None, w).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_ap_oracle(news.tolist(), w.data.tolist()), atol=1e-10)
@@ -195,7 +192,7 @@ def test_all_variants_match_scalar_loop_oracles_200_instances():
         got = pool_day("sap", news, e, w).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_sap_oracle(news.tolist(), e.tolist(), w.data.tolist()), atol=1e-10)
 
-        got = pool_day("pasap", news, e, w, table).pooled.data.reshape(-1)
+        got = pool_day("pasap", news, e, w).pooled.data.reshape(-1)
         np.testing.assert_allclose(got, pool_pasap_oracle(news.tolist(), e.tolist(), w.data.tolist()), atol=1e-10)
 
 
@@ -223,12 +220,11 @@ def test_attention_weights_sum_to_one():
         news, e, d, n = _random_instance(rng)
         _, w = _param(rng.uniform(-2, 2, size=d))
         _, wc = _param(rng.uniform(-2, 2, size=(d, d)))
-        table = sinusoidal_table(16, d)
         for res in (
             pool_day("ap", news, None, w),
             pool_day("cap", news, e, wc),
             pool_day("sap", news, e, w),
-            pool_day("pasap", news, e, w, table),
+            pool_day("pasap", news, e, w),
         ):
             assert abs(res.weights.sum() - 1.0) <= 1e-12
 
@@ -255,13 +251,12 @@ def test_pooling_gradients_pass_finite_differences():
     news = rng.uniform(-2, 2, size=(4, 3))
     e = rng.uniform(-2, 2, size=3)
     coeff = Tensor(rng.uniform(-1, 1, size=(1, 3)))
-    table = sinusoidal_table(8, 3)
 
     cases = {
         "ap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("ap", news, None, p["p"]).pooled),
         "cap": (rng.uniform(-1, 1, size=(3, 3)), lambda p: pool_day("cap", news, e, p["p"]).pooled),
         "sap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("sap", news, e, p["p"]).pooled),
-        "pasap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("pasap", news, e, p["p"], table).pooled),
+        "pasap": (rng.uniform(-1, 1, size=3), lambda p: pool_day("pasap", news, e, p["p"]).pooled),
     }
     from snfuse.tensor import mul
 
@@ -275,22 +270,20 @@ def test_pooling_gradients_pass_finite_differences():
 # -- the article limit and the name ------------------------------------------
 
 
-def _variant_args(variant, d, max_news, rng):
-    w = Tensor(rng.uniform(-1, 1, size=(d, d) if variant == "cap" else d))
-    table = sinusoidal_table(max_news, d) if variant == "pasap" else None
-    return w, table
+def _variant_w(variant, d, rng):
+    return Tensor(rng.uniform(-1, 1, size=(d, d) if variant == "cap" else d))
 
 
 @pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
 def test_every_variant_accepts_max_articles_and_rejects_one_more(variant):
     rng = np.random.default_rng(5)
     d, limit = 3, 4
-    w, table = _variant_args(variant, d, limit, rng)
+    w = _variant_w(variant, d, rng)
     name = rng.normal(size=d)
     full, over = rng.normal(size=(limit, d)), rng.normal(size=(limit + 1, d))
-    assert pool_day(variant, full, name, w, table, limit).pooled.shape == (1, d)
+    assert pool_day(variant, full, name, w, limit).pooled.shape == (1, d)
     with pytest.raises(DataFormatError, match=f"{limit + 1} articles.*max_news_per_day = {limit}"):
-        pool_day(variant, over, name, w, table, limit)
+        pool_day(variant, over, name, w, limit)
 
 
 @pytest.mark.parametrize("variant", ["cap", "sap", "pasap"])
@@ -299,11 +292,11 @@ def test_only_cap_weighs_the_articles_by_name(variant):
     # constant to every logit, so the articles' weights among themselves ignore the name
     rng = np.random.default_rng(7)
     d, n = 6, 5
-    w, table = _variant_args(variant, d, 8, rng)
+    w = _variant_w(variant, d, rng)
     news = rng.normal(size=(n, d))
     article_weights = []
     for name in (rng.normal(size=d), rng.normal(size=d)):
-        weights = pool_day(variant, news, name, w, table).weights[-n:]
+        weights = pool_day(variant, news, name, w).weights[-n:]
         article_weights.append(weights / weights.sum())
     gap = np.abs(article_weights[0] - article_weights[1]).max()
     if variant == "cap":
@@ -322,7 +315,7 @@ def test_one_call_over_mixed_row_counts_matches_pool_day_slot_by_slot(variant):
     the rows and the w gradient of a tape of one pool_day node per slot, bit for bit."""
     rng = np.random.default_rng(11)
     d, limit = 5, 6
-    w, table = _variant_args(variant, d, limit, rng)
+    w = _variant_w(variant, d, rng)
     days = [rng.normal(size=(n, d)) for n in (0, 1, 4, 4, 2, 1, limit)]
     names = [rng.normal(size=d), rng.normal(size=d)]
     windows = [[(0, 0), (1, 0), (2, 0), (2, 0)],
@@ -331,10 +324,10 @@ def test_one_call_over_mixed_row_counts_matches_pool_day_slot_by_slot(variant):
     pair_of: dict[tuple[int, int], int] = {}
     index = [[pair_of.setdefault(slot, len(pair_of)) for slot in window] for window in windows]
     pairs = [(days[day], names[name]) for day, name in pair_of]
-    got, _ = pool_slots(variant, pairs, np.array(index), w, table, limit)
-    slots = [pool_day(variant, days[day], names[name], w, table, limit).pooled for window in windows
+    got, _ = pool_slots(variant, pairs, np.array(index), w, limit)
+    slots = [pool_day(variant, days[day], names[name], w, limit).pooled for window in windows
              for day, name in window]
-    ref = reshape(concat_rows(slots), (len(windows), len(windows[0]), d))
+    ref = reshape(concat(slots, -2), (len(windows), len(windows[0]), d))
     assert got.shape == ref.shape
     np.testing.assert_array_equal(got.data, ref.data)
     coeff = Tensor(rng.normal(size=ref.shape))
@@ -345,4 +338,18 @@ def test_one_call_over_mixed_row_counts_matches_pool_day_slot_by_slot(variant):
 
     over = rng.normal(size=(limit + 1, d))
     with pytest.raises(DataFormatError, match=f"{limit + 1} articles.*max_news_per_day = {limit}"):
-        pool_slots(variant, pairs + [(over, names[1])], np.arange(len(pairs) + 1), w, table, limit)
+        pool_slots(variant, pairs + [(over, names[1])], np.arange(len(pairs) + 1), w, limit)
+
+
+@pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
+def test_pasap_builds_one_table_per_call_as_long_as_its_longest_day(variant, monkeypatch):
+    rng = np.random.default_rng(4)
+    d = 3
+    w = _variant_w(variant, d, rng)
+    built = []
+    real = snfuse.pooling.sinusoidal_table
+    monkeypatch.setattr(snfuse.pooling, "sinusoidal_table", lambda n, dim: built.append((n, dim)) or real(n, dim))
+    pairs = [(rng.normal(size=(n, d)), rng.normal(size=d)) for n in (2, 0, 5, 3)]
+    pool_slots(variant, pairs, np.arange(4), w)
+    pool_slots(variant, pairs[1:2], np.arange(1), w)
+    assert built == ([(5, d), (0, d)] if variant == "pasap" else [])

@@ -21,8 +21,8 @@ from snfuse.tensor import (
     add,
     attention,
     block_matmul,
-    concat_cols,
-    concat_rows,
+    concat,
+    cut,
     gather_rows,
     grad_enabled,
     layer_norm,
@@ -35,10 +35,7 @@ from snfuse.tensor import (
     repeat_windows,
     reshape,
     shift_rows,
-    slice_cols,
-    slice_rows,
     softmax_rows,
-    sub,
     transpose,
 )
 
@@ -234,7 +231,6 @@ def test_finite_diff_excludes_frozen():
 
 OPS_FOR_GRAD = [
     ("add", lambda p, c: sum_all(mul(add(p["x"], c), c))),
-    ("sub", lambda p, c: sum_all(mul(sub(c, p["x"]), c))),
     ("mul", lambda p, c: sum_all(mul(mul(p["x"], c), c))),
     ("matmul", lambda p, c: sum_all(matmul(p["x"], transpose(c)))),
     ("transpose", lambda p, c: sum_all(mul(transpose(p["x"]), transpose(c)))),
@@ -242,10 +238,10 @@ OPS_FOR_GRAD = [
     ("relu", lambda p, c: sum_all(mul(relu(p["x"]), c))),
     ("softmax", lambda p, c: sum_all(mul(softmax_rows(p["x"]), c))),
     ("mean", lambda p, c: mean_all(mul(p["x"], c))),
-    ("slice_rows", lambda p, c: sum_all(mul(slice_rows(p["x"], 1, 3), slice_rows(c, 1, 3)))),
-    ("slice_cols", lambda p, c: sum_all(mul(slice_cols(p["x"], 0, 2), slice_cols(c, 0, 2)))),
-    ("concat_rows", lambda p, c: sum_all(mul(concat_rows([p["x"], p["x"]]), concat_rows([c, c])))),
-    ("concat_cols", lambda p, c: sum_all(mul(concat_cols([p["x"], p["x"]]), concat_cols([c, c])))),
+    ("cut_rows", lambda p, c: sum_all(mul(cut(p["x"], 1, 3, -2), cut(c, 1, 3, -2)))),
+    ("cut_cols", lambda p, c: sum_all(mul(cut(p["x"], 0, 2, -1), cut(c, 0, 2, -1)))),
+    ("concat_rows", lambda p, c: sum_all(mul(concat([p["x"], p["x"]], -2), concat([c, c], -2)))),
+    ("concat_cols", lambda p, c: sum_all(mul(concat([p["x"], p["x"]], -1), concat([c, c], -1)))),
     ("gather_rows", lambda p, c: sum_all(mul(gather_rows(p["x"], [2, 0, 2, 2, 1]), gather_rows(c, [0, 1, 2, 0, 1])))),
     ("shift_rows_0", lambda p, c: sum_all(mul(shift_rows(p["x"], 0), c))),
     ("shift_rows_1", lambda p, c: sum_all(mul(shift_rows(p["x"], 1), c))),
@@ -383,13 +379,13 @@ def test_block_ops_match_each_window_on_its_own():
 def _window(x, i):
     """Window i of a (W, L, d) stack as a (1, L, d) stack of its own, through taped ops."""
     windows, length, width = x.shape
-    rows = slice_rows(reshape(x, (windows * length, width)), i * length, (i + 1) * length)
+    rows = cut(reshape(x, (windows * length, width)), i * length, (i + 1) * length, -2)
     return reshape(rows, (1, length, width))
 
 
 def _looped(outs, c):
     """sum(c * outs), the windows' outputs joined one after another."""
-    return sum_all(mul(concat_rows(outs), Tensor(c.data.reshape(1, -1, c.shape[-1]))))
+    return sum_all(mul(concat(outs, -2), Tensor(c.data.reshape(1, -1, c.shape[-1]))))
 
 
 @pytest.mark.parametrize("n_heads,split", [(1, True), (2, True), (1, False)], ids=["1-head", "2-heads", "unsplit"])
@@ -443,10 +439,12 @@ def test_windowed_shift_rows_gradient_matches_a_loop():
 WINDOWED_OPS = [
     ("matmul", "w", lambda x, p: matmul(x, p["w"])),
     ("linear", "wb", lambda x, p: linear(x, p["w"], p["b"])),
-    ("mul", "s", lambda x, p: mul(slice_cols(repeat_windows(p["s"], x.shape[0]), 1, 2), x)),
+    ("mul", "s", lambda x, p: mul(cut(repeat_windows(p["s"], x.shape[0]), 1, 2, -1), x)),
     ("repeat_windows", "r", lambda x, p: mul(x, repeat_windows(p["r"], x.shape[0]))),
-    ("concat_rows", "w", lambda x, p: concat_rows([x, matmul(x, p["w"])])),
-    ("slice_rows", "w", lambda x, p: slice_rows(matmul(x, p["w"]), 1, 2)),
+    ("concat_rows", "w", lambda x, p: concat([x, matmul(x, p["w"])], -2)),
+    ("concat_cols", "w", lambda x, p: concat([x, matmul(x, p["w"])], -1)),
+    ("cut_rows", "w", lambda x, p: cut(matmul(x, p["w"]), 1, 2, -2)),
+    ("cut_cols", "w", lambda x, p: cut(matmul(x, p["w"]), 1, 3, -1)),
     ("block_matmul", "w", lambda x, p: block_matmul(np.array([[0.5, -1.5], [2.0, 0.25], [1.0, 1.0]]),
                                                     matmul(x, p["w"]))),
     ("gather_rows", "w", lambda x, p: gather_rows(matmul(x, p["w"]), [1, 0, 1])),
@@ -503,3 +501,26 @@ def test_gather_rows_without_repeats_scatters_as_adding_into_zeros_does():
     np.add.at(expected, index, c.data)
     np.testing.assert_array_equal(g, expected)
     assert not np.any(np.signbit(g))  # the -0.0 entries of c come out +0.0
+
+
+@pytest.mark.parametrize("axis", [-2, -1])
+def test_concat_hands_each_part_a_view_of_the_gradient_and_cut_a_view_of_its_input(axis):
+    parts = [Tensor(np.ones((2, 3, 4)) * k, requires_grad=True) for k in (1.0, 2.0)]
+    joined = concat(parts, axis)
+    g = np.arange(joined.data.size, dtype=np.float64).reshape(joined.shape)
+    joined._backward(g)
+    for part, piece in zip(parts, np.split(g, 2, axis=axis)):
+        assert np.shares_memory(part.grad, g)
+        np.testing.assert_array_equal(part.grad, piece)
+    piece = cut(joined, 1, 3, axis)
+    assert np.shares_memory(piece.data, joined.data)
+    np.testing.assert_array_equal(piece.data, np.moveaxis(np.moveaxis(joined.data, axis, 0)[1:3], 0, axis))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -3])
+def test_concat_and_cut_refuse_an_axis_other_than_rows_or_columns(axis):
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="axis must be -2"):
+        concat([x, x], axis)
+    with pytest.raises(ValueError, match="axis must be -2"):
+        cut(x, 0, 1, axis)

@@ -9,7 +9,7 @@ from datagen import checkpoint_bytes, signal_dataset
 from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
 from snfuse.model import ForecastModel, mse_loss
-from snfuse.tensor import concat_rows
+from snfuse.tensor import concat
 from snfuse.training import EarlyStopper, EvalReport, load_checkpoint, multi_seed, save_checkpoint, train
 
 
@@ -44,7 +44,7 @@ def test_early_stopper_improves_stalls_and_stops():
 def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
     # per-seed (mae, mse) of the one stock; training and evaluation are stubbed out
     figures = {1: (1.0, 1.0), 2: (2.0, 2.0), 3: (4.0, 6.0)}
-    monkeypatch.setattr(snfuse.training, "ForecastModel", lambda cfg, dim, vocab=None: SimpleNamespace(cfg=cfg))
+    monkeypatch.setattr(snfuse.training, "ForecastModel", lambda cfg, dim: SimpleNamespace(cfg=cfg))
     monkeypatch.setattr(snfuse.training, "train", lambda model, ds, cfg: None)
 
     def fake_evaluate(model, ds):
@@ -67,7 +67,7 @@ def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
 
 def _loss_window_by_window(model, batch):
     """The loss of a batch whose windows are taped one after another through predict_sample."""
-    preds = concat_rows([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch])
+    preds = concat([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch], -2)
     return mse_loss(preds, np.stack([np.asarray(t, dtype=np.float64).reshape(-1) for *_, t in batch]))
 
 
