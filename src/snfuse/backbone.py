@@ -34,10 +34,7 @@ from .tensor import (
 
 
 def num_patches(t_window: int, patch_len: int, stride: int) -> int:
-    if patch_len > t_window:
-        raise ValueError(f"patch length {patch_len} exceeds window length {t_window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    """Patches of patch_len <= t_window days every stride >= 1 days; RunConfig.validate refuses other widths."""
     return (t_window - patch_len) // stride + 1
 
 
@@ -50,11 +47,7 @@ def patchify(features: Tensor, patch_len: int, stride: int) -> Tensor:
 
 
 def make_prototypes(vocab: Tensor, w_proj: Tensor, windows: int = 1) -> Tensor:
-    """Project the V vocabulary rows down to U prototypes along the vocab axis: (windows, U, d_model), one set per window."""
-    v_rows = vocab.shape[0]
-    u_rows = w_proj.shape[1]
-    if u_rows > v_rows:
-        raise ValueError(f"cannot build {u_rows} prototypes from a vocabulary of {v_rows} rows")
+    """Project the V vocabulary rows down to U <= V prototypes along the vocab axis: (windows, U, d_model), one set per window."""
     return matmul(repeat_windows(transpose(w_proj), windows), vocab)
 
 

@@ -31,6 +31,7 @@ from .errors import DataFormatError
 from .model import ForecastModel
 from .pooling import VARIANTS
 from .training import (
+    ablation_configs,
     ablation_csv,
     ablation_grid,
     apply_checkpoint,
@@ -149,20 +150,22 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _checked_model(args: argparse.Namespace, cfg: RunConfig, ds, digest: str) -> ForecastModel:
+def _checked_model(args: argparse.Namespace, cfg: RunConfig):
+    """The dataset and the model restored from --checkpoint; a checkpoint of another
+    configuration is refused before the data is read."""
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.cfg_hash != config_hash(cfg):
         raise DataFormatError("checkpoint was trained with a different configuration; refusing to evaluate")
+    ds, digest = _build_dataset(args, cfg)
     if ckpt.manifest_hash != digest:
         raise DataFormatError("checkpoint was trained against a different dataset manifest; refusing to evaluate")
     model = ForecastModel(cfg, ds.dim)
     apply_checkpoint(model, ckpt)
-    return model
+    return ds, model
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds, digest = _build_dataset(args, cfg)
-    model = _checked_model(args, cfg, ds, digest)
+    ds, model = _checked_model(args, cfg)
     report = evaluate(model, ds)
     (args.out / "eval.csv").write_text(report.to_csv(), encoding="utf-8")
     for stock, mae, mse in report.table:
@@ -171,8 +174,9 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    configs = ablation_configs(cfg)  # refuse another pooling before reading the data
     ds, _ = _build_dataset(args, cfg)
-    rows = ablation_grid(ds, cfg)
+    rows = ablation_grid(ds, configs)
     (args.out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     for row in rows:
         print(f"{row.label}: MAE {row.report.avg_mae:.6f}  MSE {row.report.avg_mse:.6f}")
@@ -191,8 +195,7 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ds, digest = _build_dataset(args, cfg)
-    model = _checked_model(args, cfg, ds, digest)
+    ds, model = _checked_model(args, cfg)
     out: Path = args.out
     for stock, samples, preds, targets in stock_predictions(model, ds):
         rows = [

@@ -80,7 +80,8 @@ _ALIASES = {"t_window": "T", "horizon": "H", "dim": "d"}
 _KEY_MAP = {_ALIASES.get(f.name, f.name): f.name for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, text: str, kind: type):
+def _parse_value(where: str, key: str, text: str, kind: type):
+    """text as a value of kind; where (file:line) leads the message of a refusal."""
     text = text.strip()
     if kind is bool:
         low = text.lower()
@@ -88,13 +89,13 @@ def _parse_value(key: str, text: str, kind: type):
             return True
         if low in _BOOL_FALSE:
             return False
-        raise DataFormatError(f"key '{key}': expected a boolean, got '{text}'")
+        raise DataFormatError(f"{where}: key '{key}': expected a boolean, got '{text}'")
     if kind in (int, float):
         try:
             return kind(text)
         except ValueError as exc:
             expected = "an integer" if kind is int else "a number"
-            raise DataFormatError(f"key '{key}': expected {expected}, got '{text}'") from exc
+            raise DataFormatError(f"{where}: key '{key}': expected {expected}, got '{text}'") from exc
     return text
 
 
@@ -117,7 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
         seen.add(key)
         attr = _KEY_MAP[key]
         # every default has its field's type
-        setattr(cfg, attr, _parse_value(key, value, type(getattr(cfg, attr))))
+        setattr(cfg, attr, _parse_value(f"{path}:{lineno}", key, value, type(getattr(cfg, attr))))
     try:
         cfg.validate()
     except ValueError as exc:

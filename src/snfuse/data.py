@@ -47,7 +47,6 @@ class DailyNewsBatch:
 @dataclass
 class StockContext:
     stock_id: str
-    display_name: str
     name_embedding: np.ndarray  # (d,)
 
 
@@ -174,7 +173,7 @@ def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        sid, display, emb_text = parts
+        sid, _, emb_text = parts  # the display name is not read
         if sid in contexts:
             raise DataFormatError(f"{path}:{lineno}: duplicate stock id '{sid}'")
         try:
@@ -187,7 +186,7 @@ def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
             dim = emb.size
         elif emb.size != dim:
             raise DataFormatError(f"{path}:{lineno}: embedding dim {emb.size} != {dim}")
-        contexts[sid] = StockContext(stock_id=sid, display_name=display, name_embedding=emb)
+        contexts[sid] = StockContext(stock_id=sid, name_embedding=emb)
     if not contexts:
         raise DataFormatError(f"{path}: no stock contexts found")
     return contexts
@@ -384,7 +383,7 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     contexts = _parse_contexts(text, names_path)
     dim = next(iter(contexts.values())).name_embedding.size
     if expect_dim and dim != expect_dim:
-        raise DataFormatError(f"names.tsv embedding dim {dim} does not match configured d={expect_dim}")
+        raise DataFormatError(f"{names_path}: embedding dim {dim} does not match configured d={expect_dim}")
 
     # every file is read once; the manifest hashes the bytes its loader parsed
     hashes: list[tuple[str, str]] = [("names.tsv", digest)]

@@ -176,7 +176,8 @@ class ForecastModel:
         windows = fused.shape[0]
         patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride)
         # On a tape every window gets its own prototype rows, so their gradients come per window.
-        # Without one, all windows share one set: the same bits, and 8% less time in inference.
+        # Without one, all windows share one set: the same bits, and about 2% less time in
+        # news_eval's evaluate() (tests/abtime.py, 41 rounds each on seeds 2081 and 11: 0.977x, 0.976x).
         sets = windows if grad_enabled() else 1
         prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], sets)
         tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads)

@@ -171,24 +171,17 @@ def pool_slots(
     return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), attention
 
 
-def pool_day(
-    variant: str,
-    news: np.ndarray,
-    name_emb: np.ndarray | None,
-    w: Tensor,
-    max_news: int | None = None,
-    orders: OrderMemo | None = None,
-) -> PoolResult:
+def pool_day(variant: str, news: np.ndarray, name_emb: np.ndarray | None, w: Tensor,
+             max_news: int | None = None) -> PoolResult:
     """Pool (n, d) news rows with the variant's trainable tensor w: pool_slots on one pair and one slot.
 
     ap ignores name_emb. max_news=None means no limit.
     """
-    orders = OrderMemo() if orders is None else orders
-    pooled, (attn,) = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, max_news, orders)
+    order = slice(None) if variant == "pasap" else canonical_order(news)
+    pooled, (attn,) = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, max_news, lambda _: order)
     if attn is None:
         return PoolResult(pooled=pooled, weights=None)
     lead = 1 if variant == "sap" else 0
-    order = slice(None) if variant == "pasap" else orders(news)
     weights = np.empty(attn.size)
     weights[:lead] = attn[0, :lead]
     weights[lead:][order] = attn[0, lead:]

@@ -209,7 +209,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g.reshape(a.data.shape))
 
-    return _node(a.data.reshape(shape).copy(), (a,), bw)
+    return _node(a.data.reshape(shape), (a,), bw)
 
 
 def _at(axis: int, lo, hi) -> tuple:
@@ -331,10 +331,11 @@ def linear(x, w, b) -> Tensor:
 # Each records one node for what would otherwise be a chain of the ops
 # above, and runs that chain's numpy expressions in the same order, on
 # arrays of the same memory layout (BLAS results depend on it), so values
-# and gradients match the chain bit for bit. Gradients reach each input
-# in the order the chain's backward would deliver them. The fused ops are
-# `attention`, `gather_rows` and `shift_rows` here, and the stacked pooling
-# node `pooling.pool_slots`, built from the same `_node` and softmax helpers.
+# and gradients match the chain bit for bit. An input whose gradient comes
+# in pieces gets them in the order the chain's backward would add them. The
+# fused ops are `attention`, `gather_rows` and `shift_rows` here, and the
+# stacked pooling node `pooling.pool_slots`, built from the same `_node` and
+# softmax helpers.
 
 
 def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
@@ -347,14 +348,11 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
     -> scale -> softmax_rows -> matmul, then concat on axis -1. split=False
     (one head) matches matmul(q, transpose(k)) -> scale -> softmax_rows ->
     matmul on the whole window; k's gradient then stays the transpose of a
-    row-major product.
+    row-major product. q, k and v are distinct tensors in every caller, so
+    the order of their gradients changes no bit; n_heads divides the width.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     width = q.data.shape[-1]
-    if width % n_heads != 0:
-        raise ValueError(f"model width {width} not divisible by {n_heads} heads")
-    if not split and n_heads != 1:
-        raise ValueError("attention without head splitting takes one head")
     windows = k.data.shape[0] if k.data.ndim == 3 else 1
     if windows > 1 and q.data.shape[:-2] != (windows,):
         raise DimensionError(f"attention over {windows} key windows got queries of shape {q.data.shape}")
@@ -373,10 +371,8 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
 
     def bw(g):
         gh = heads(g)
-        g_v = rows(np.matmul(y.swapaxes(2, 3), gh), v.data.shape) if v.requires_grad else None
-        # the unsplit chain hands v its gradient before q and k, the split one after
-        if g_v is not None and not split:
-            _accumulate(v, g_v)
+        if v.requires_grad:
+            _accumulate(v, rows(np.matmul(y.swapaxes(2, 3), gh), v.data.shape))
         if q.requires_grad or k.requires_grad:
             g_logits = _softmax_backward(np.matmul(gh, vh.swapaxes(2, 3)), y) * c
             if q.requires_grad:
@@ -386,8 +382,6 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
                 # the rows of all windows made column-major keep each window's block column-major
                 g_k = np.ascontiguousarray(g_k) if split else np.asfortranarray(g_k)
                 _accumulate(k, g_k.reshape(k.data.shape))
-        if g_v is not None and split:
-            _accumulate(v, g_v)
 
     return _node(rows(np.matmul(y, vh), q.data.shape), (q, k, v), bw)
 

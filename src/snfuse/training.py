@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,28 +266,27 @@ def apply_checkpoint(model: ForecastModel, ckpt: Checkpoint) -> None:
 @dataclass
 class AblationRow:
     label: str
-    cfg: RunConfig
     report: EvalReport
-    result: TrainResult
 
 
-def _train_and_score(ds: PreparedDataset, cfg: RunConfig) -> tuple[TrainResult, EvalReport]:
+def _train_and_score(ds: PreparedDataset, cfg: RunConfig) -> EvalReport:
     """A fresh model of cfg, trained, then scored on the test split."""
     model = ForecastModel(cfg, ds.dim)
-    result = train(model, ds, cfg)
-    return result, evaluate(model, ds)
+    train(model, ds, cfg)
+    return evaluate(model, ds)
 
 
-def ablation_grid(ds: PreparedDataset, base_cfg: RunConfig) -> list[AblationRow]:
-    """Train and evaluate all 8 fusion-component removals on top of sap pooling."""
+def ablation_configs(base_cfg: RunConfig) -> list[tuple[str, RunConfig]]:
+    """(label, config) of all 8 fusion-component removals on top of sap pooling; another pooling is refused."""
     if base_cfg.pooling != "sap":
         raise DataFormatError(f"ablation grid requires pooling=sap, got '{base_cfg.pooling}'")
-    rows = []
-    for label, (no_p2n, no_n2p, no_gcn) in ABLATION_ROWS:
-        cfg = replace(base_cfg, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn)
-        result, report = _train_and_score(ds, cfg)
-        rows.append(AblationRow(label=label, cfg=cfg, report=report, result=result))
-    return rows
+    return [(label, replace(base_cfg, no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn))
+            for label, (no_p2n, no_n2p, no_gcn) in ABLATION_ROWS]
+
+
+def ablation_grid(ds: PreparedDataset, configs: list[tuple[str, RunConfig]]) -> list[AblationRow]:
+    """Train and evaluate each (label, config) of ablation_configs."""
+    return [AblationRow(label=label, report=_train_and_score(ds, cfg)) for label, cfg in configs]
 
 
 def ablation_csv(rows: list[AblationRow]) -> str:
@@ -296,9 +295,8 @@ def ablation_csv(rows: list[AblationRow]) -> str:
 
 @dataclass
 class MultiSeedSummary:
-    seeds: list[int]
     per_stock: dict[str, dict[str, float]]  # stock -> mae_mean/mae_std/mse_mean/mse_std
-    reports: list[EvalReport] = field(default_factory=list)
+    reports: list[EvalReport]
 
     def to_csv(self) -> str:
         rows = [
@@ -312,7 +310,7 @@ def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> Mu
     """Independent runs per seed; sample standard deviation (divide by k-1)."""
     if len(seeds) < 2:
         raise ValueError(f"multi-seed runs need at least 2 seeds, got {len(seeds)}")
-    reports = [_train_and_score(ds, replace(base_cfg, seed=seed))[1] for seed in seeds]
+    reports = [_train_and_score(ds, replace(base_cfg, seed=seed)) for seed in seeds]
     per_stock: dict[str, dict[str, float]] = {}
     for rows in zip(*(r.table for r in reports)):  # one stock's row from every seed
         maes = np.array([row[1] for row in rows])
@@ -323,7 +321,7 @@ def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> Mu
             "mse_mean": float(mses.mean()),
             "mse_std": float(mses.std(ddof=1)),
         }
-    return MultiSeedSummary(seeds=list(seeds), per_stock=per_stock, reports=reports)
+    return MultiSeedSummary(per_stock=per_stock, reports=reports)
 
 
 def history_csv(result: TrainResult) -> str:

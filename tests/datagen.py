@@ -118,26 +118,10 @@ def inmemory_dataset(
         for sid, closes in closes_by_stock.items()
     }
     contexts = {
-        sid: StockContext(stock_id=sid, display_name=sid, name_embedding=np.asarray(emb, dtype=np.float64))
+        sid: StockContext(stock_id=sid, name_embedding=np.asarray(emb, dtype=np.float64))
         for sid, emb in embeddings_by_stock.items()
     }
     return assemble_dataset(series, news_by_day, contexts, t_window, horizon, splits=splits)
-
-
-def linear_trend_dataset(t_window: int = 20, horizon: int = 1, train_samples: int = 8, dim: int = 4):
-    """Single stock, exactly linear closes, zero news everywhere.
-
-    The train span holds exactly `train_samples` windows; the val span is
-    just long enough for one window.
-    """
-    train_days = t_window + horizon + train_samples - 1
-    val_days = t_window + horizon
-    n_days = train_days + val_days
-    closes = 100.0 + np.arange(n_days, dtype=np.float64)
-    news = [np.zeros((0, dim)) for _ in range(n_days)]
-    emb = np.linspace(-1.0, 1.0, dim)
-    splits = Splits(train=(0, train_days), val=(train_days, n_days), test=(n_days, n_days))
-    return inmemory_dataset({"solo": closes}, news, {"solo": emb}, t_window, horizon, splits=splits)
 
 
 def signal_dataset(

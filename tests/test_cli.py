@@ -9,9 +9,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from datagen import toy_dataset_dir, trading_dates, write_prices
+import snfuse.cli
+from datagen import checkpoint_bytes, toy_dataset_dir, trading_dates, write_prices
 from snfuse.cli import main
 from snfuse.data import write_news_day
+from snfuse.model import ForecastModel
+from snfuse.training import load_checkpoint
 
 
 def _tiny_cfg(tmp_path):
@@ -309,3 +312,108 @@ def test_report_without_matplotlib_writes_only_the_csvs(tmp_path, monkeypatch):
     out = _report(tmp_path, common)
     written = sorted(p.name for p in out.iterdir() if p.name.endswith((".csv", ".svg")))
     assert written == ["alpha_predictions.csv", "beta_predictions.csv", "history.csv"]
+
+
+def _names_edit(data, edit):
+    """Rewrite names.tsv line by line (a list of its [id, display name, embedding] fields)."""
+    rows = [line.split("\t") for line in (data / "names.tsv").read_text(encoding="utf-8").splitlines()]
+    (data / "names.tsv").write_text("".join("\t".join(r) + "\n" for r in edit(rows)), encoding="utf-8")
+    return data / "names.tsv"
+
+
+def _bad_close(data):
+    lines = (data / "beta" / "prices.csv").read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].split(",")[0] + ",abc"
+    (data / "beta" / "prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data / "beta" / "prices.csv"
+
+
+def _embedding(text):
+    return lambda rows: [[rows[0][0], rows[0][1], text], *rows[1:]]
+
+
+# case -> (edit of the toy data directory returning the path the error must name, config text, message)
+BAD_INPUTS = {
+    "non-numeric-close": (_bad_close, "", ":4: bad close 'abc'"),
+    "duplicate-stock": (lambda data: _names_edit(data, lambda rows: [*rows, rows[0]]), "",
+                        ":3: duplicate stock id 'alpha'"),
+    "bad-embedding": (lambda data: _names_edit(data, _embedding("1.0,x,0,0,0,0")), "", ":1: bad embedding literal"),
+    "non-finite-embedding": (lambda data: _names_edit(data, _embedding("1.0,nan,0,0,0,0")), "",
+                             ":1: embedding contains non-finite values"),
+    "width-differs-from-d": (lambda data: data / "names.tsv", "d = 5\n", ": embedding dim 6 does not match configured d=5"),
+    "missing-data-directory": (lambda data: data / "absent", "", None),
+}
+
+
+@pytest.mark.parametrize("edit,config,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_a_malformed_input_file_makes_prepare_exit_2_with_one_line_naming_it(tmp_path, capsys, edit, config, message):
+    data = toy_dataset_dir(tmp_path / "data", n_days=60)
+    path = edit(data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    data_dir = path if message is None else data
+    code = main(["prepare", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert (f"{path}{message}" if message else f"data directory not found: {path}") in err
+
+
+def test_a_poisoned_parameter_makes_train_exit_1_naming_it(tmp_path, capsys, monkeypatch):
+    common, _ = _prepared(tmp_path)
+
+    def poisoned(cfg, dim):
+        model = ForecastModel(cfg, dim)
+        model.params["reprog.head.b"].data[:] = np.nan  # the last op before the loss, so no softmax sees it first
+        return model
+
+    monkeypatch.setattr(snfuse.cli, "ForecastModel", poisoned)
+    capsys.readouterr()
+    assert main(["train", *common, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite loss at epoch 1; first non-finite tensor: reprog.head.b\n"
+    assert not (tmp_path / "out" / "checkpoint.snf").exists()
+
+
+def test_eval_refuses_a_checkpoint_that_does_not_fit_the_model(tmp_path, capsys):
+    common, _ = _prepared(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", *common, "--out", str(out)]) == 0
+    good = out / "checkpoint.snf"
+    ckpt = load_checkpoint(good)
+    tensors = sorted(ckpt.tensors.items())
+    digests = (ckpt.cfg_hash.encode(), ckpt.manifest_hash.encode())
+    head_b = dict(tensors)["reprog.head.b"]
+    cases = {
+        "missing": (checkpoint_bytes(tensors[1:], *digests), f"missing=['{tensors[0][0]}'] extra=[]"),
+        "extra": (checkpoint_bytes([*tensors, ("zz.extra", np.zeros(2))], *digests), "missing=[] extra=['zz.extra']"),
+        "wrong-shape": (checkpoint_bytes([(n, np.zeros(3) if n == "reprog.head.b" else a) for n, a in tensors],
+                                         *digests), f"tensor 'reprog.head.b' shape (3,) != {head_b.shape}"),
+        "trailing-bytes": (good.read_bytes() + b"\0", "1 trailing bytes"),
+    }
+    assert checkpoint_bytes(tensors, *digests) == good.read_bytes()  # the edits start from the trained file
+    for name, (raw, message) in cases.items():
+        path = tmp_path / f"{name}.snf"
+        path.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["eval", *common, "--out", str(tmp_path / name), "--checkpoint", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, (name, err)
+
+
+def test_refusals_that_the_config_decides_come_before_the_data_is_read(tmp_path, capsys, monkeypatch):
+    common, _ = _prepared(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", *common, "--out", str(out)]) == 0
+    calls = []
+    real = snfuse.cli.prepare_dataset
+    monkeypatch.setattr(snfuse.cli, "prepare_dataset", lambda *a, **k: calls.append(a) or real(*a, **k))
+    checkpoint = ["--checkpoint", str(out / "checkpoint.snf")]
+    capsys.readouterr()
+
+    assert main(["ablate", *common, "--out", str(tmp_path / "ablate"), "--pooling", "ap"]) == 2
+    assert "ablation grid requires pooling=sap, got 'ap'" in capsys.readouterr().err
+    assert main(["eval", *common, "--out", str(tmp_path / "eval_ap"), *checkpoint, "--pooling", "ap"]) == 2
+    assert "trained with a different configuration" in capsys.readouterr().err
+    assert calls == []
+    assert main(["eval", *common, "--out", str(tmp_path / "eval"), *checkpoint]) == 0  # the wrapper counts
+    assert len(calls) == 1

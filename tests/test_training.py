@@ -65,6 +65,30 @@ def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
         multi_seed(SimpleNamespace(dim=4), RunConfig(), [1])
 
 
+def test_patience_stops_training_early_and_restores_the_best_epochs_parameters(monkeypatch):
+    ds = signal_dataset(n_days=100)
+    cfg = RunConfig(t_window=8, patch_len=4, patch_stride=4, d_model=8, n_layers=1, n_heads=2, ffn_dim=8,
+                    vocab_size=8, num_prototypes=4, dim=8, max_epochs=10, patience=2)
+    # each epoch scores the train split, then the val split; epoch 2 is best, epochs 3 and 4 use up the patience
+    scripted = iter([1.0, 1.0, 0.9, 0.5, 0.8, 0.7, 0.7, 0.9])
+    scored = []  # the trainable parameters at each scoring
+
+    def dataset_mse(model, resolved):
+        scored.append(model.params.snapshot())
+        return next(scripted)
+
+    monkeypatch.setattr(snfuse.training, "_dataset_mse", dataset_mse)
+    model = ForecastModel(cfg, ds.dim)
+    result = train(model, ds, cfg)
+    assert [(r.epoch, r.train_mse, r.val_mse, r.improved) for r in result.history] == [
+        (1, 1.0, 1.0, True), (2, 0.9, 0.5, True), (3, 0.8, 0.7, False), (4, 0.7, 0.9, False)]
+    assert (result.best_epoch, result.best_val_mse) == (2, 0.5)
+    final = model.params.snapshot()
+    assert final.keys() == scored[3].keys()
+    assert all(np.array_equal(final[pid], scored[3][pid]) for pid in final)  # epoch 2's, as val scored them
+    assert not all(np.array_equal(final[pid], scored[7][pid]) for pid in final)  # not the last epoch's
+
+
 def _loss_window_by_window(model, batch):
     """The loss of a batch whose windows are taped one after another through predict_sample."""
     preds = concat([model.predict_sample(prices, news, emb) for prices, news, emb, _ in batch], -2)
