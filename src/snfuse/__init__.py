@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, config_hash, load_config
 from .data import (
-    DailyNewsBatch,
     PreparedDataset,
-    PriceSeries,
     Scaler,
-    StockContext,
     WindowSample,
     fit_scaler,
     load_contexts,
@@ -31,15 +28,12 @@ from .tensor import Tensor, matmul, softmax_rows
 from .training import EvalReport, TrainResult, evaluate, metrics, multi_seed, train
 
 __all__ = [
-    "DailyNewsBatch",
     "EvalReport",
     "ForecastModel",
     "ParamSet",
     "PreparedDataset",
-    "PriceSeries",
     "RunConfig",
     "Scaler",
-    "StockContext",
     "Tensor",
     "TrainResult",
     "WindowSample",

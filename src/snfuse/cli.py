@@ -155,10 +155,10 @@ def _checked_model(args: argparse.Namespace, cfg: RunConfig):
     configuration is refused before the data is read."""
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.cfg_hash != config_hash(cfg):
-        raise DataFormatError("checkpoint was trained with a different configuration; refusing to evaluate")
+        raise DataFormatError(f"{ckpt.path}: checkpoint was trained with a different configuration; refusing to evaluate")
     ds, digest = _build_dataset(args, cfg)
     if ckpt.manifest_hash != digest:
-        raise DataFormatError("checkpoint was trained against a different dataset manifest; refusing to evaluate")
+        raise DataFormatError(f"{ckpt.path}: checkpoint was trained against a different dataset manifest; refusing to evaluate")
     model = ForecastModel(cfg, ds.dim)
     apply_checkpoint(model, ckpt)
     return ds, model

@@ -50,13 +50,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.pooling not in VARIANTS:
             raise ValueError(f"unknown pooling variant '{self.pooling}'")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        for key in ("t_window", "d_model", "n_layers", "n_heads", "ffn_dim", "vocab_size",
-                    "num_prototypes", "patch_len", "patch_stride", "reprogram_heads",
-                    "batch_size", "max_epochs", "patience", "max_news_per_day"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        for name in ("horizon", "t_window", "d_model", "n_layers", "n_heads", "ffn_dim", "vocab_size",
+                     "num_prototypes", "patch_len", "patch_stride", "reprogram_heads",
+                     "batch_size", "max_epochs", "patience", "max_news_per_day"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{_ALIASES.get(name, name)} must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be finite and positive")
         if self.patience > self.max_epochs:

@@ -6,8 +6,11 @@ On-disk layout under a data directory:
     news/<YYYY-MM-DD>.emb    binary: magic NEWSEMB1, u32 n, u32 d, n*d float32 LE row-major
     <stock_id>/prices.csv    header `date,close`, ISO dates, one row per trading day
 
-All stocks must share one trading calendar (identical date column). A
-trading day without a news file counts as a zero-news day.
+A stock id names its directory, its output files and a field of the
+comma-separated results, so it must be one plain directory name: not empty,
+`.` or `..`, and without `/`, `\\`, `,`, `"` or NUL. All stocks must share one
+trading calendar (identical date column). A trading day without a news file
+counts as a zero-news day.
 """
 
 from __future__ import annotations
@@ -26,28 +29,7 @@ from .errors import DataFormatError, read_utf8
 
 NEWS_MAGIC = b"NEWSEMB1"
 MANIFEST_HEADER = "SNFMANIFEST 1"
-
-
-@dataclass
-class PriceSeries:
-    stock_id: str
-    dates: list[str]
-    closes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass
-class DailyNewsBatch:
-    embeddings: np.ndarray  # (n, d), n may be 0
-    sha256: str  # hex digest of the file's bytes, for the manifest
-
-
-@dataclass
-class StockContext:
-    stock_id: str
-    name_embedding: np.ndarray  # (d,)
+_ID_FORBIDDEN = frozenset('/\\,"\0')
 
 
 @dataclass
@@ -88,18 +70,10 @@ def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
     return Scaler(mean=mean, std=std, constant=constant)
 
 
-def identity_scaler(dim: int) -> Scaler:
-    """Pass-through scaler for datasets with no training-span articles at all."""
-    return Scaler(mean=np.zeros(dim), std=np.ones(dim), constant=np.zeros(dim, dtype=bool))
-
-
-def load_prices(path: str | Path, stock_id: str | None = None) -> PriceSeries:
+def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
+    """The file's ISO dates and closes, and the sha256 of its bytes."""
     path = Path(path)
-    return _parse_prices(read_utf8(path, newline="")[0], path, stock_id)
-
-
-def _parse_prices(text: str, path: Path, stock_id: str | None) -> PriceSeries:
-    sid = stock_id if stock_id is not None else path.parent.name
+    text, digest = read_utf8(path, newline="")
     dates: list[str] = []
     closes: list[float] = []
     try:
@@ -131,10 +105,11 @@ def _parse_prices(text: str, path: Path, stock_id: str | None) -> PriceSeries:
             raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
         dates.append(row[0])
         closes.append(close)
-    return PriceSeries(stock_id=sid, dates=dates, closes=np.asarray(closes, dtype=np.float64))
+    return dates, np.asarray(closes, dtype=np.float64), digest
 
 
-def load_news_day(path: str | Path) -> DailyNewsBatch:
+def load_news_day(path: str | Path) -> tuple[np.ndarray, str]:
+    """The day's (n, d) article embeddings (n may be 0), and the sha256 of the file's bytes."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16:
@@ -148,7 +123,7 @@ def load_news_day(path: str | Path) -> DailyNewsBatch:
     values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}: payload contains non-finite floats")
-    return DailyNewsBatch(embeddings=values.reshape(n, d), sha256=hashlib.sha256(raw).hexdigest())
+    return values.reshape(n, d), hashlib.sha256(raw).hexdigest()
 
 
 def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
@@ -159,13 +134,11 @@ def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
     Path(path).write_bytes(NEWS_MAGIC + struct.pack("<II", n, d) + arr.tobytes())
 
 
-def load_contexts(path: str | Path) -> dict[str, StockContext]:
+def load_contexts(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
+    """{stock id: (d,) name embedding}, and the sha256 of the file's bytes."""
     path = Path(path)
-    return _parse_contexts(read_utf8(path)[0], path)
-
-
-def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
-    contexts: dict[str, StockContext] = {}
+    text, digest = read_utf8(path)
+    names: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
@@ -174,7 +147,9 @@ def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
         if len(parts) != 3:
             raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         sid, _, emb_text = parts  # the display name is not read
-        if sid in contexts:
+        if sid in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(sid):
+            raise DataFormatError(f"{path}:{lineno}: stock id '{sid}' is not one plain directory name")
+        if sid in names:
             raise DataFormatError(f"{path}:{lineno}: duplicate stock id '{sid}'")
         try:
             emb = np.asarray([float(v) for v in emb_text.split(",")], dtype=np.float64)
@@ -186,10 +161,10 @@ def _parse_contexts(text: str, path: Path) -> dict[str, StockContext]:
             dim = emb.size
         elif emb.size != dim:
             raise DataFormatError(f"{path}:{lineno}: embedding dim {emb.size} != {dim}")
-        contexts[sid] = StockContext(stock_id=sid, name_embedding=emb)
-    if not contexts:
+        names[sid] = emb
+    if not names:
         raise DataFormatError(f"{path}: no stock contexts found")
-    return contexts
+    return names, digest
 
 
 @dataclass
@@ -262,7 +237,7 @@ def build_windows(
 
 @dataclass
 class StockRecord:
-    context: StockContext
+    name_embedding: np.ndarray  # (d,)
     closes_norm: np.ndarray
     price_scaler: Scaler
 
@@ -283,37 +258,34 @@ class PreparedDataset:
     file_hashes: list[tuple[str, str]] = field(default_factory=list)
 
     def sample_arrays(self, sample: WindowSample):
-        """Resolve one sample to (prices(T,), news list, name_emb(d,), target(H,))."""
+        """Resolve one sample to (prices(T,), news list, name_emb(d,), target(H,)).
+
+        The news matrices and the name embedding are the dataset's own arrays,
+        not copies: the model recognises a (day, stock) by their identity.
+        """
         rec = self.stocks[sample.stock_id]
         w = sample.window_days
         t = sample.target_days
         prices = rec.closes_norm[w.start : w.stop]
         news = [self.news[i] for i in w]
         target = rec.closes_norm[t.start : t.stop]
-        return prices, news, rec.context.name_embedding, target
+        return prices, news, rec.name_embedding, target
 
 
 def assemble_dataset(
-    series: dict[str, PriceSeries],
+    dates: list[str],
+    closes: dict[str, np.ndarray],
     news_raw: list[np.ndarray],
-    contexts: dict[str, StockContext],
+    names: dict[str, np.ndarray],
     t_window: int,
     horizon: int,
-    splits: Splits | None = None,
     missing_news_days: int = 0,
     file_hashes: list[tuple[str, str]] | None = None,
 ) -> PreparedDataset:
-    """Scale, window, and split already-loaded series and news matrices.
-
-    splits defaults to the chronological 70/10/20 rule; passing explicit
-    ranges supports synthetic fixtures with hand-picked span lengths. A
-    split without a window is refused.
-    """
-    dim = next(iter(contexts.values())).name_embedding.size
-    dates = series[sorted(contexts)[0]].dates
-    for sid in sorted(contexts):
-        if series[sid].dates != dates:
-            raise DataFormatError(f"{sid}: trading calendar differs from other stocks")
+    """Scale, window, and split each stock's closes on the shared calendar `dates`
+    and the per-day news matrices, by the chronological 70/10/20 rule. A split
+    without a window is refused."""
+    dim = next(iter(names.values())).size
     total_days = len(dates)
     if total_days < t_window + horizon + 3:
         raise DataFormatError(
@@ -321,30 +293,28 @@ def assemble_dataset(
         )
     if len(news_raw) != total_days:
         raise ValueError(f"need one news matrix per trading day, got {len(news_raw)} for {total_days}")
-    if splits is None:
-        splits = split_indices(total_days)
+    splits = split_indices(total_days)
 
     train_hi = splits.train[1]
     train_articles = [m for m in news_raw[:train_hi] if m.shape[0] > 0]
     if train_articles:
         news_scaler = fit_scaler(np.concatenate(train_articles, axis=0), "news")
-    else:
-        news_scaler = identity_scaler(dim)
+    else:  # no training-span article at all: pass the news through
+        news_scaler = Scaler(mean=np.zeros(dim), std=np.ones(dim), constant=np.zeros(dim, dtype=bool))
     news_norm = [news_scaler.transform(m) if m.shape[0] else m for m in news_raw]
 
     stocks: dict[str, StockRecord] = {}
-    for sid in sorted(contexts):
-        closes = series[sid].closes
-        scaler = fit_scaler(closes[:train_hi], "price")
+    for sid in sorted(names):
+        scaler = fit_scaler(closes[sid][:train_hi], "price")
         stocks[sid] = StockRecord(
-            context=contexts[sid],
-            closes_norm=scaler.transform(closes),
+            name_embedding=names[sid],
+            closes_norm=scaler.transform(closes[sid]),
             price_scaler=scaler,
         )
 
     samples: dict[str, list[WindowSample]] = {"train": [], "val": [], "test": []}
     skipped = 0
-    for sid in sorted(contexts):
+    for sid in sorted(names):
         per_stock, skip = build_windows(sid, total_days, t_window, horizon, splits)
         for split_name in samples:
             samples[split_name].extend(per_stock[split_name])
@@ -379,47 +349,39 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     if not root.is_dir():
         raise FileNotFoundError(f"data directory not found: {root}")
     names_path = root / "names.tsv"
-    text, digest = read_utf8(names_path)
-    contexts = _parse_contexts(text, names_path)
-    dim = next(iter(contexts.values())).name_embedding.size
+    names, digest = load_contexts(names_path)
+    dim = next(iter(names.values())).size
     if expect_dim and dim != expect_dim:
         raise DataFormatError(f"{names_path}: embedding dim {dim} does not match configured d={expect_dim}")
 
     # every file is read once; the manifest hashes the bytes its loader parsed
     hashes: list[tuple[str, str]] = [("names.tsv", digest)]
 
-    series: dict[str, PriceSeries] = {}
-    for sid in sorted(contexts):
-        price_path = root / sid / "prices.csv"
-        text, digest = read_utf8(price_path, newline="")
-        series[sid] = _parse_prices(text, price_path, sid)
+    calendars: dict[str, list[str]] = {}
+    closes: dict[str, np.ndarray] = {}
+    for sid in sorted(names):
+        calendars[sid], closes[sid], digest = load_prices(root / sid / "prices.csv")
         hashes.append((f"{sid}/prices.csv", digest))
 
-    dates = series[sorted(contexts)[0]].dates
+    dates = calendars[min(names)]
     news_raw: list[np.ndarray] = []
     missing = 0
     for day in dates:
         path = root / "news" / f"{day}.emb"
         if path.exists():
-            batch = load_news_day(path)
-            if batch.embeddings.shape[1] != dim:
-                raise DataFormatError(f"{path}: embedding dim {batch.embeddings.shape[1]} != {dim}")
-            news_raw.append(batch.embeddings)
-            hashes.append((f"news/{day}.emb", batch.sha256))
+            rows, digest = load_news_day(path)
+            if rows.shape[1] != dim:
+                raise DataFormatError(f"{path}: embedding dim {rows.shape[1]} != {dim}")
+            news_raw.append(rows)
+            hashes.append((f"news/{day}.emb", digest))
         else:
             missing += 1
             news_raw.append(np.zeros((0, dim)))
 
-    return assemble_dataset(
-        series,
-        news_raw,
-        contexts,
-        t_window,
-        horizon,
-        splits=None,
-        missing_news_days=missing,
-        file_hashes=hashes,
-    )
+    for sid in sorted(names):
+        if calendars[sid] != dates:
+            raise DataFormatError(f"{sid}: trading calendar differs from other stocks")
+    return assemble_dataset(dates, closes, news_raw, names, t_window, horizon, missing, hashes)
 
 
 def _fmt(x: float) -> str:

@@ -121,7 +121,7 @@ class ForecastModel:
         if not cfg.vocab_file:
             vocab = substream(cfg.seed, "frozen/backbone.vocab").standard_normal((v_rows, d_model))
         else:
-            vocab = load_news_day(cfg.vocab_file).embeddings
+            vocab = load_news_day(cfg.vocab_file)[0]
             if vocab.shape != (v_rows, d_model):
                 raise DataFormatError(f"{cfg.vocab_file}: vocabulary shape {vocab.shape} != ({v_rows}, {d_model})")
         self.params.add("backbone.vocab", vocab, frozen=True)

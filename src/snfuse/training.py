@@ -202,13 +202,15 @@ def save_checkpoint(path: str | Path, model: ForecastModel, manifest_digest: str
 
 @dataclass
 class Checkpoint:
+    path: Path  # the file it was read from, which every refusal of it names
     cfg_hash: str
     manifest_hash: str
     tensors: dict[str, np.ndarray]
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    path = Path(path)
+    raw = path.read_bytes()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad checkpoint magic {raw[:8]!r}")
     off = 8
@@ -243,7 +245,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         tensors[pid] = arr
     if off != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes")
-    return Checkpoint(cfg_hash=cfg_digest, manifest_hash=manifest_digest, tensors=tensors)
+    return Checkpoint(path=path, cfg_hash=cfg_digest, manifest_hash=manifest_digest, tensors=tensors)
 
 
 def apply_checkpoint(model: ForecastModel, ckpt: Checkpoint) -> None:
@@ -252,11 +254,11 @@ def apply_checkpoint(model: ForecastModel, ckpt: Checkpoint) -> None:
     if want != got:
         missing = sorted(want - got)
         extra = sorted(got - want)
-        raise DataFormatError(f"checkpoint tensors do not match the model: missing={missing} extra={extra}")
+        raise DataFormatError(f"{ckpt.path}: checkpoint tensors do not match the model: missing={missing} extra={extra}")
     for pid, arr in ckpt.tensors.items():
         current = model.params[pid]
         if current.data.shape != arr.shape:
-            raise DataFormatError(f"checkpoint tensor '{pid}' shape {arr.shape} != {current.data.shape}")
+            raise DataFormatError(f"{ckpt.path}: checkpoint tensor '{pid}' shape {arr.shape} != {current.data.shape}")
         current.data = arr.copy()
 
 

@@ -8,13 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snfuse.data import (
-    PriceSeries,
-    Splits,
-    StockContext,
-    assemble_dataset,
-    write_news_day,
-)
+from snfuse.data import assemble_dataset, write_news_day
 from snfuse.training import CHECKPOINT_MAGIC
 
 
@@ -108,20 +102,11 @@ def inmemory_dataset(
     embeddings_by_stock: dict[str, np.ndarray],
     t_window: int,
     horizon: int,
-    splits: Splits | None = None,
 ):
     """PreparedDataset straight from arrays (no files)."""
-    n_days = len(news_by_day)
-    dates = trading_dates(n_days)
-    series = {
-        sid: PriceSeries(stock_id=sid, dates=dates, closes=np.asarray(closes, dtype=np.float64))
-        for sid, closes in closes_by_stock.items()
-    }
-    contexts = {
-        sid: StockContext(stock_id=sid, name_embedding=np.asarray(emb, dtype=np.float64))
-        for sid, emb in embeddings_by_stock.items()
-    }
-    return assemble_dataset(series, news_by_day, contexts, t_window, horizon, splits=splits)
+    closes = {sid: np.asarray(c, dtype=np.float64) for sid, c in closes_by_stock.items()}
+    names = {sid: np.asarray(emb, dtype=np.float64) for sid, emb in embeddings_by_stock.items()}
+    return assemble_dataset(trading_dates(len(news_by_day)), closes, news_by_day, names, t_window, horizon)
 
 
 def signal_dataset(

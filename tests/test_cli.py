@@ -2,6 +2,7 @@ import builtins
 import io
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 from unittest import mock
@@ -332,6 +333,10 @@ def _embedding(text):
     return lambda rows: [[rows[0][0], rows[0][1], text], *rows[1:]]
 
 
+def _stock_id(sid):
+    return lambda data: _names_edit(data, lambda rows: [[sid, *rows[0][1:]], *rows[1:]])
+
+
 # case -> (edit of the toy data directory returning the path the error must name, config text, message)
 BAD_INPUTS = {
     "non-numeric-close": (_bad_close, "", ":4: bad close 'abc'"),
@@ -340,6 +345,14 @@ BAD_INPUTS = {
     "bad-embedding": (lambda data: _names_edit(data, _embedding("1.0,x,0,0,0,0")), "", ":1: bad embedding literal"),
     "non-finite-embedding": (lambda data: _names_edit(data, _embedding("1.0,nan,0,0,0,0")), "",
                              ":1: embedding contains non-finite values"),
+    "empty-stock-id": (_stock_id(""), "", ":1: stock id '' is not one plain directory name"),
+    "dot-stock-id": (_stock_id("."), "", ":1: stock id '.' is not one plain directory name"),
+    "dot-dot-stock-id": (_stock_id(".."), "", ":1: stock id '..' is not one plain directory name"),
+    "stock-id-with-a-slash": (_stock_id("a/b"), "", ":1: stock id 'a/b' is not one plain directory name"),
+    "stock-id-with-a-backslash": (_stock_id("a\\b"), "", ":1: stock id 'a\\b' is not one plain directory name"),
+    "stock-id-with-a-comma": (_stock_id("a,b"), "", ":1: stock id 'a,b' is not one plain directory name"),
+    "stock-id-with-a-quote": (_stock_id('"a'), "", ":1: stock id '\"a' is not one plain directory name"),
+    "stock-id-with-a-nul": (_stock_id("a\0b"), "", ":1: stock id 'a\0b' is not one plain directory name"),
     "width-differs-from-d": (lambda data: data / "names.tsv", "d = 5\n", ": embedding dim 6 does not match configured d=5"),
     "missing-data-directory": (lambda data: data / "absent", "", None),
 }
@@ -356,6 +369,22 @@ def test_a_malformed_input_file_makes_prepare_exit_2_with_one_line_naming_it(tmp
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert (f"{path}{message}" if message else f"data directory not found: {path}") in err
+
+
+def test_a_stock_id_that_leaves_the_data_directory_is_refused_before_anything_outside_is_touched(
+        tmp_path, capsys, monkeypatch):
+    data = toy_dataset_dir(tmp_path / "data", n_days=60)
+    shutil.copytree(data / "beta", tmp_path / "x")  # a stock that would load, outside --data
+    _stock_id("../x")(data)
+    before = sorted(tmp_path.rglob("*"))
+    reads = []
+    real = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or real(path))
+    assert main(["prepare", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert reads == [data / "names.tsv"]
+    assert [p for p in sorted(tmp_path.rglob("*")) if not p.is_relative_to(tmp_path / "out")] == before
+    err = capsys.readouterr().err
+    assert err == f"error: {data / 'names.tsv'}:1: stock id '../x' is not one plain directory name\n"
 
 
 def test_a_poisoned_parameter_makes_train_exit_1_naming_it(tmp_path, capsys, monkeypatch):
@@ -384,6 +413,8 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_the_model(tmp_path, capsys)
     digests = (ckpt.cfg_hash.encode(), ckpt.manifest_hash.encode())
     head_b = dict(tensors)["reprog.head.b"]
     cases = {
+        "other-config": (checkpoint_bytes(tensors, b"0" * 64, digests[1]), "trained with a different configuration"),
+        "other-manifest": (checkpoint_bytes(tensors, digests[0], b"0" * 64), "against a different dataset manifest"),
         "missing": (checkpoint_bytes(tensors[1:], *digests), f"missing=['{tensors[0][0]}'] extra=[]"),
         "extra": (checkpoint_bytes([*tensors, ("zz.extra", np.zeros(2))], *digests), "missing=[] extra=['zz.extra']"),
         "wrong-shape": (checkpoint_bytes([(n, np.zeros(3) if n == "reprog.head.b" else a) for n, a in tensors],
@@ -397,7 +428,8 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_the_model(tmp_path, capsys)
         capsys.readouterr()
         assert main(["eval", *common, "--out", str(tmp_path / name), "--checkpoint", str(path)]) == 2, name
         err = capsys.readouterr().err
-        assert message in err and err.count("\n") == 1, (name, err)
+        # every refusal leads with the checkpoint file's name
+        assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1, (name, err)
 
 
 def test_refusals_that_the_config_decides_come_before_the_data_is_read(tmp_path, capsys, monkeypatch):

@@ -37,7 +37,7 @@ def test_load_config_accepts_aliases_and_rejects_field_names(tmp_path):
 
 
 @pytest.mark.parametrize("line,message", [("pooling = foo", "unknown pooling variant 'foo'"),
-                                          ("T = 0", "t_window must be >= 1"),
+                                          ("T = 0", "T must be >= 1"),
                                           ("lr = nan", "lr must be finite and positive"),
                                           ("lr = inf", "lr must be finite and positive")])
 def test_load_config_reports_out_of_range_values_as_format_errors(tmp_path, line, message):
@@ -48,9 +48,9 @@ def test_load_config_reports_out_of_range_values_as_format_errors(tmp_path, line
 
 
 # (file text, what the refusal says after the file's name). The parser's refusals name the line and the
-# key; validate's name the keys, by field name (horizon for H).
+# key; validate's name the keys too (H, not the field horizon).
 BAD_CONFIGS = {
-    "H-below-1": ("H = 0", ": horizon must be >= 1"),
+    "H-below-1": ("H = 0", ": H must be >= 1"),
     "stride-below-1": ("patch_stride = 0", ": patch_stride must be >= 1"),
     "patience-over-epochs": ("max_epochs = 3\npatience = 4", ": patience must not exceed max_epochs"),
     "d-below-0": ("d = -1", r": d must be >= 0 \(0 means infer\)"),

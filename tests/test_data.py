@@ -40,10 +40,10 @@ from snfuse.errors import DataFormatError
 def test_load_prices_two_rows(tmp_path):
     path = tmp_path / "s" / "prices.csv"
     write_prices(path, ["2021-07-01", "2021-07-02"], [100.0, 101.0])
-    series = load_prices(path)
-    assert len(series) == 2
-    assert series.dates == ["2021-07-01", "2021-07-02"]
-    np.testing.assert_array_equal(series.closes, [100.0, 101.0])
+    dates, closes, digest = load_prices(path)
+    assert dates == ["2021-07-01", "2021-07-02"]
+    np.testing.assert_array_equal(closes, [100.0, 101.0])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_load_prices_duplicate_date_names_it(tmp_path):
@@ -71,7 +71,8 @@ def test_load_prices_1018_day_file(tmp_path):
     dates = trading_dates(1018)
     path = tmp_path / "prices.csv"
     write_prices(path, dates, 100.0 + np.arange(1018) * 0.1)
-    assert len(load_prices(path)) == 1018
+    got, closes, _ = load_prices(path)
+    assert got == dates and closes.shape == (1018,)
 
 
 # -- news binary format ------------------------------------------------
@@ -80,22 +81,22 @@ def test_load_prices_1018_day_file(tmp_path):
 def test_news_zero_article_day(tmp_path):
     path = tmp_path / "2021-07-01.emb"
     write_news_day(path, np.zeros((0, 8)))
-    batch = load_news_day(path)
-    assert batch.embeddings.shape == (0, 8)
+    rows, _ = load_news_day(path)
+    assert rows.shape == (0, 8)
 
 
 def test_news_round_trip_values(tmp_path):
     path = tmp_path / "2021-07-01.emb"
     write_news_day(path, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    batch = load_news_day(path)
-    np.testing.assert_array_equal(batch.embeddings, [[1.0, 0.0], [0.0, 1.0]])
-    assert batch.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    rows, digest = load_news_day(path)
+    np.testing.assert_array_equal(rows, [[1.0, 0.0], [0.0, 1.0]])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_news_typical_day_219_articles(tmp_path):
     path = tmp_path / "2021-07-01.emb"
     write_news_day(path, np.random.default_rng(0).normal(size=(219, 16)))
-    assert load_news_day(path).embeddings.shape[0] == 219
+    assert load_news_day(path)[0].shape[0] == 219
 
 
 def test_news_bad_magic(tmp_path):
@@ -130,9 +131,10 @@ def test_news_nonfinite_rejected(tmp_path):
 def test_load_contexts(tmp_path):
     path = tmp_path / "names.tsv"
     write_names(path, [("tsmc", "TSMC", np.array([0.5, -0.5])), ("delta", "Delta", np.array([1.0, 2.0]))])
-    contexts = load_contexts(path)
-    assert sorted(contexts) == ["delta", "tsmc"]
-    np.testing.assert_array_equal(contexts["tsmc"].name_embedding, [0.5, -0.5])
+    names, digest = load_contexts(path)
+    assert sorted(names) == ["delta", "tsmc"]
+    np.testing.assert_array_equal(names["tsmc"], [0.5, -0.5])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_load_contexts_dim_mismatch(tmp_path):
@@ -286,7 +288,7 @@ def test_scaler_statistics_train_only(tmp_path):
     root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=9)
     ds = prepare_dataset(root, t_window=8, horizon=1)
     train_hi = ds.splits.train[1]
-    raw = {sid: load_prices(root / sid / "prices.csv").closes for sid in ds.stocks}
+    raw = {sid: load_prices(root / sid / "prices.csv")[1] for sid in ds.stocks}
     for sid, rec in ds.stocks.items():
         fresh = fit_scaler(raw[sid][:train_hi], "price")
         assert float(fresh.mean) == float(rec.price_scaler.mean)
@@ -296,7 +298,7 @@ def test_scaler_statistics_train_only(tmp_path):
     closes = {sid: raw[sid].copy() for sid in ds.stocks}
     for sid in closes:
         closes[sid][train_hi + 5 :] *= 3.0
-    embs = {sid: ds.stocks[sid].context.name_embedding for sid in ds.stocks}
+    embs = {sid: ds.stocks[sid].name_embedding for sid in ds.stocks}
     news = [m.copy() for m in ds.news]
     ds3 = inmemory_dataset(closes, news, embs, 8, 1)
     for sid in ds.stocks:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import snfuse.pooling
+from datagen import toy_dataset_dir
 from snfuse import mse_loss
 from snfuse.config import RunConfig
+from snfuse.data import prepare_dataset
 from snfuse.errors import DataFormatError
 from snfuse.model import PREDICT_CHUNK, ForecastModel
 from snfuse.optim import backward
 from snfuse.tensor import Tensor, grad_enabled
-from snfuse.training import ABLATION_ROWS
+from snfuse.training import ABLATION_ROWS, evaluate
 
 
 def _tiny_cfg(**overrides) -> RunConfig:
@@ -168,6 +170,21 @@ def test_predict_many_pools_each_day_and_stock_once_per_call(variant, monkeypatc
     assert len(samples) > PREDICT_CHUNK
     assert len(calls) <= -(-len(samples) // PREDICT_CHUNK)  # at most one kernel call per chunk
     assert sorted(pair for call in calls for pair in call) == sorted(distinct)
+
+
+def test_evaluate_pools_each_test_day_of_each_stock_once(tmp_path, monkeypatch):
+    # sample_arrays hands out the dataset's own day and name arrays, which the model recognises by
+    # identity; a copy of either would pool one (day, stock) again for every window that covers it
+    ds = prepare_dataset(toy_dataset_dir(tmp_path / "data", n_days=200, dim=4), t_window=6, horizon=1)
+    model = ForecastModel(_tiny_cfg(), ds.dim)
+    calls = _kernel_calls(monkeypatch)
+    evaluate(model, ds)
+    day_of = {id(day): i for i, day in enumerate(ds.news)}
+    stock_of = {id(rec.name_embedding): sid for sid, rec in ds.stocks.items()}
+    handed = [(day_of.get(day), stock_of.get(emb)) for call in calls for day, emb in call]
+    covered = {(i, s.stock_id) for s in ds.samples["test"] for i in s.window_days}
+    assert len(ds.samples["test"]) > PREDICT_CHUNK
+    assert len(handed) == len(covered) and set(handed) == covered
 
 
 @pytest.mark.parametrize("variant", ["ap", "cap", "sap", "pasap"])
