@@ -132,9 +132,9 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out: Path = args.out
 
     if seeds:
-        summary = multi_seed(ds, cfg, seeds)
-        (out / "multiseed.csv").write_text(summary.to_csv(), encoding="utf-8")
-        for seed, report in zip(seeds, summary.reports):
+        summary, reports = multi_seed(ds, cfg, seeds)
+        (out / "multiseed.csv").write_text(summary, encoding="utf-8")
+        for seed, report in zip(seeds, reports):
             seed_dir = out / f"seed_{seed}"
             seed_dir.mkdir(exist_ok=True)
             (seed_dir / "eval.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -178,8 +178,8 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     ds, _ = _build_dataset(args, cfg)
     rows = ablation_grid(ds, configs)
     (args.out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
-    for row in rows:
-        print(f"{row.label}: MAE {row.report.avg_mae:.6f}  MSE {row.report.avg_mse:.6f}")
+    for label, report in rows:
+        print(f"{label}: MAE {report.avg_mae:.6f}  MSE {report.avg_mse:.6f}")
     print(f"ablation table: {args.out / 'ablation.csv'}")
     return 0
 

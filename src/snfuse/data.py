@@ -8,7 +8,8 @@ On-disk layout under a data directory:
 
 A stock id names its directory, its output files and a field of the
 comma-separated results, so it must be one plain directory name: not empty,
-`.` or `..`, and without `/`, `\\`, `,`, `"` or NUL. All stocks must share one
+`.` or `..`, and without `/`, `\\`, `,`, `"` or NUL. Nor may it be `average`,
+which labels the summary row of eval.csv and multiseed.csv. All stocks must share one
 trading calendar (identical date column). A trading day without a news file
 counts as a zero-news day.
 """
@@ -37,17 +38,14 @@ class Scaler:
     """Standard scaling fit on the training span only.
 
     mean/std may be scalars (prices) or per-dimension vectors (news).
-    Dimensions with zero variance are flagged constant and pass through
-    centered only.
+    Dimensions with zero variance pass through centered only.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    constant: np.ndarray  # bool, same shape as std
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        denom = np.where(self.constant, 1.0, self.std)
-        return (values - self.mean) / denom
+        return (values - self.mean) / np.where(self.std == 0.0, 1.0, self.std)
 
 
 def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
@@ -58,16 +56,9 @@ def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"cannot fit {modality} scaler on an empty span")
-    if arr.ndim == 1:
-        mean = np.asarray(arr.mean())
-        std = np.asarray(arr.std())
-    elif arr.ndim == 2:
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0)
-    else:
+    if arr.ndim > 2:
         raise ValueError(f"scaler input must be 1-D or 2-D, got shape {arr.shape}")
-    constant = std == 0.0
-    return Scaler(mean=mean, std=std, constant=constant)
+    return Scaler(mean=arr.mean(axis=0), std=arr.std(axis=0))
 
 
 def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
@@ -149,6 +140,8 @@ def load_contexts(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
         sid, _, emb_text = parts  # the display name is not read
         if sid in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(sid):
             raise DataFormatError(f"{path}:{lineno}: stock id '{sid}' is not one plain directory name")
+        if sid == "average":
+            raise DataFormatError(f"{path}:{lineno}: stock id 'average' labels the summary row of eval.csv and multiseed.csv")
         if sid in names:
             raise DataFormatError(f"{path}:{lineno}: duplicate stock id '{sid}'")
         try:
@@ -217,24 +210,6 @@ class WindowSample:
         return range(self.start + self.t_window, self.start + self.t_window + self.horizon)
 
 
-def build_windows(
-    stock_id: str, total_days: int, t_window: int, horizon: int, splits: Splits
-) -> tuple[dict[str, list[WindowSample]], int]:
-    """Index windows whose T input days and H target days sit inside one split.
-
-    Returns per-split samples plus the count of otherwise-valid windows
-    skipped for crossing a split boundary.
-    """
-    span = t_window + horizon
-    samples: dict[str, list[WindowSample]] = {"train": [], "val": [], "test": []}
-    for name, lo, hi in splits.as_list():
-        for start in range(lo, hi - span + 1):
-            samples[name].append(WindowSample(stock_id=stock_id, start=start, t_window=t_window, horizon=horizon))
-    kept = sum(len(v) for v in samples.values())
-    possible = max(0, total_days - span + 1)
-    return samples, possible - kept
-
-
 @dataclass
 class StockRecord:
     name_embedding: np.ndarray  # (d,)
@@ -300,7 +275,7 @@ def assemble_dataset(
     if train_articles:
         news_scaler = fit_scaler(np.concatenate(train_articles, axis=0), "news")
     else:  # no training-span article at all: pass the news through
-        news_scaler = Scaler(mean=np.zeros(dim), std=np.ones(dim), constant=np.zeros(dim, dtype=bool))
+        news_scaler = Scaler(mean=np.zeros(dim), std=np.ones(dim))
     news_norm = [news_scaler.transform(m) if m.shape[0] else m for m in news_raw]
 
     stocks: dict[str, StockRecord] = {}
@@ -312,13 +287,14 @@ def assemble_dataset(
             price_scaler=scaler,
         )
 
-    samples: dict[str, list[WindowSample]] = {"train": [], "val": [], "test": []}
-    skipped = 0
-    for sid in sorted(names):
-        per_stock, skip = build_windows(sid, total_days, t_window, horizon, splits)
-        for split_name in samples:
-            samples[split_name].extend(per_stock[split_name])
-        skipped += skip
+    # a window's T input days and H target days sit inside one split; the others are skipped
+    span = t_window + horizon
+    samples = {
+        name: [WindowSample(stock_id=sid, start=start, t_window=t_window, horizon=horizon)
+               for sid in sorted(names) for start in range(lo, hi - span + 1)]
+        for name, lo, hi in splits.as_list()
+    }
+    skipped = len(names) * (total_days - span + 1) - sum(len(split) for split in samples.values())
     empty = [name for name, split in samples.items() if not split]
     if empty:
         raise DataFormatError(
@@ -404,12 +380,10 @@ def manifest_text(ds: PreparedDataset) -> str:
     lines.append("stocks " + ",".join(sorted(ds.stocks)))
     for sid in sorted(ds.stocks):
         sc = ds.stocks[sid].price_scaler
-        lines.append(
-            f"price_scaler {sid} {_fmt(sc.mean)} {_fmt(sc.std)} {int(bool(sc.constant))}"
-        )
+        lines.append(f"price_scaler {sid} {_fmt(sc.mean)} {_fmt(sc.std)} {int(sc.std == 0.0)}")
     lines.append("news_scaler_mean " + _fmt_vec(ds.news_scaler.mean))
     lines.append("news_scaler_std " + _fmt_vec(ds.news_scaler.std))
-    lines.append("news_scaler_constant " + " ".join(str(int(c)) for c in np.asarray(ds.news_scaler.constant).reshape(-1)))
+    lines.append("news_scaler_constant " + " ".join(str(int(c)) for c in ds.news_scaler.std == 0.0))
     lines.append(f"missing_news_days {ds.missing_news_days}")
     lines.append(f"skipped_windows {ds.skipped_windows}")
     lines.append(

@@ -9,6 +9,8 @@ import numpy as np
 from .errors import NumericError
 from .tensor import Tensor
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class ParamSet:
     """Named tensors partitioned into trainable and frozen sets.
@@ -86,9 +88,6 @@ def backward(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
 @dataclass
 class OptimState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -112,16 +111,16 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimState)
         raise ValueError(f"gradient map must cover exactly the trainable set; missing={missing} extra={extra}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for pid in sorted(grads):
         g = grads[pid]
-        state.m[pid] = state.beta1 * state.m[pid] + (1.0 - state.beta1) * g
-        state.v[pid] = state.beta2 * state.v[pid] + (1.0 - state.beta2) * (g * g)
+        state.m[pid] = ADAM_BETA1 * state.m[pid] + (1.0 - ADAM_BETA1) * g
+        state.v[pid] = ADAM_BETA2 * state.v[pid] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[pid] / bc1
         v_hat = state.v[pid] / bc2
         p = params[pid]
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass

@@ -298,13 +298,16 @@ def mean_all(a) -> Tensor:
     return _node(np.asarray(a.data.mean()), (a,), bw)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
     """Per-row normalization with learnable scale/shift, fused backward; gamma and beta get
     their gradients per window, folded, as a bias does."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     y = xhat * gamma.data + beta.data
 

@@ -53,26 +53,6 @@ def csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-class EarlyStopper:
-    """Keep the best validation loss; stop after `patience` epochs without improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self.bad_epochs = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-        return self.bad_epochs >= self.patience
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -112,8 +92,7 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
     val_resolved = _resolve(ds, ds.samples["val"])
 
     state = init_adam(model.params, cfg.lr)
-    stopper = EarlyStopper(cfg.patience)
-    best_snapshot = model.params.snapshot()
+    best_val, best_epoch, best_snapshot = np.inf, 0, model.params.snapshot()
     history: list[EpochRecord] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -130,16 +109,15 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
 
         train_mse = _dataset_mse(model, train_resolved)
         val_mse = _dataset_mse(model, val_resolved)
-        improved = val_mse < stopper.best
-        stop = stopper.update(epoch, val_mse)
+        improved = val_mse < best_val
         if improved:
-            best_snapshot = model.params.snapshot()
+            best_val, best_epoch, best_snapshot = val_mse, epoch, model.params.snapshot()
         history.append(EpochRecord(epoch=epoch, train_mse=train_mse, val_mse=val_mse, improved=improved))
-        if stop:
+        if epoch - best_epoch >= cfg.patience:  # patience epochs in a row without improvement
             break
 
     model.params.restore(best_snapshot)
-    return TrainResult(history=history, best_epoch=stopper.best_epoch, best_val_mse=stopper.best)
+    return TrainResult(history=history, best_epoch=best_epoch, best_val_mse=best_val)
 
 
 @dataclass
@@ -265,12 +243,6 @@ def apply_checkpoint(model: ForecastModel, ckpt: Checkpoint) -> None:
 # -- ablations and multi-seed ------------------------------------------
 
 
-@dataclass
-class AblationRow:
-    label: str
-    report: EvalReport
-
-
 def _train_and_score(ds: PreparedDataset, cfg: RunConfig) -> EvalReport:
     """A fresh model of cfg, trained, then scored on the test split."""
     model = ForecastModel(cfg, ds.dim)
@@ -286,44 +258,29 @@ def ablation_configs(base_cfg: RunConfig) -> list[tuple[str, RunConfig]]:
             for label, (no_p2n, no_n2p, no_gcn) in ABLATION_ROWS]
 
 
-def ablation_grid(ds: PreparedDataset, configs: list[tuple[str, RunConfig]]) -> list[AblationRow]:
-    """Train and evaluate each (label, config) of ablation_configs."""
-    return [AblationRow(label=label, report=_train_and_score(ds, cfg)) for label, cfg in configs]
+def ablation_grid(ds: PreparedDataset, configs: list[tuple[str, RunConfig]]) -> list[tuple[str, EvalReport]]:
+    """(label, test-split report) of each (label, config) of ablation_configs, trained in turn."""
+    return [(label, _train_and_score(ds, cfg)) for label, cfg in configs]
 
 
-def ablation_csv(rows: list[AblationRow]) -> str:
-    return csv_text("label,mae,mse", [(row.label, row.report.avg_mae, row.report.avg_mse) for row in rows])
+def ablation_csv(rows: list[tuple[str, EvalReport]]) -> str:
+    return csv_text("label,mae,mse", [(label, report.avg_mae, report.avg_mse) for label, report in rows])
 
 
-@dataclass
-class MultiSeedSummary:
-    per_stock: dict[str, dict[str, float]]  # stock -> mae_mean/mae_std/mse_mean/mse_std
-    reports: list[EvalReport]
-
-    def to_csv(self) -> str:
-        rows = [
-            (stock, s["mae_mean"], s["mae_std"], s["mse_mean"], s["mse_std"])
-            for stock, s in sorted(self.per_stock.items())
-        ]
-        return csv_text("stock,mae_mean,mae_std,mse_mean,mse_std", rows)
-
-
-def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> MultiSeedSummary:
-    """Independent runs per seed; sample standard deviation (divide by k-1)."""
+def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> tuple[str, list[EvalReport]]:
+    """Independent runs per seed: the multiseed.csv text (one row per stock and one for the average,
+    sorted by label, with the mean and sample standard deviation, divided by k-1, of MAE and MSE)
+    and the per-seed reports."""
     if len(seeds) < 2:
         raise ValueError(f"multi-seed runs need at least 2 seeds, got {len(seeds)}")
     reports = [_train_and_score(ds, replace(base_cfg, seed=seed)) for seed in seeds]
-    per_stock: dict[str, dict[str, float]] = {}
-    for rows in zip(*(r.table for r in reports)):  # one stock's row from every seed
-        maes = np.array([row[1] for row in rows])
-        mses = np.array([row[2] for row in rows])
-        per_stock[rows[0][0]] = {
-            "mae_mean": float(maes.mean()),
-            "mae_std": float(maes.std(ddof=1)),
-            "mse_mean": float(mses.mean()),
-            "mse_std": float(mses.std(ddof=1)),
-        }
-    return MultiSeedSummary(per_stock=per_stock, reports=reports)
+    rows = []
+    for per_seed in zip(*(r.table for r in reports)):  # one stock's row from every seed
+        maes = np.array([row[1] for row in per_seed])
+        mses = np.array([row[2] for row in per_seed])
+        rows.append((per_seed[0][0], float(maes.mean()), float(maes.std(ddof=1)),
+                     float(mses.mean()), float(mses.std(ddof=1))))
+    return csv_text("stock,mae_mean,mae_std,mse_mean,mse_std", sorted(rows)), reports
 
 
 def history_csv(result: TrainResult) -> str:
@@ -331,7 +288,7 @@ def history_csv(result: TrainResult) -> str:
     return csv_text("epoch,train_mse,val_mse,improved", rows)
 
 
-def toy_gradient_check(cfg: RunConfig, step: float = 1e-6, tol: float = 1e-4):
+def toy_gradient_check(cfg: RunConfig):
     """End-to-end finite-difference check on a small seeded two-stock instance.
 
     The toy forces small dims (T=6, d=4, V=16, U=4, narrow backbone) and
@@ -374,4 +331,4 @@ def toy_gradient_check(cfg: RunConfig, step: float = 1e-6, tol: float = 1e-4):
     def f(_params):
         return model.batch_loss(batch)
 
-    return finite_diff_check(f, model.params, step=step, tol=tol)
+    return finite_diff_check(f, model.params)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import snfuse.cli
-from datagen import checkpoint_bytes, toy_dataset_dir, trading_dates, write_prices
+from datagen import checkpoint_bytes, toy_dataset_dir, trading_dates, write_dataset_dir, write_prices
 from snfuse.cli import main
-from snfuse.data import write_news_day
+from snfuse.data import prepare_dataset, write_news_day
 from snfuse.model import ForecastModel
 from snfuse.training import load_checkpoint
 
@@ -58,6 +58,31 @@ def test_prepare_too_short_series_exits_2(tmp_path, capsys):
     code = main(["prepare", "--data", str(data), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "too short" in capsys.readouterr().err
+
+
+def test_prepare_centres_a_constant_training_span_without_dividing_it(tmp_path, capsys):
+    # 100 days split 70/10/20: alpha closes at 5 through the training span, and news dimension 1 is
+    # 0.25 in every training-span article; both move only after it
+    n_days, n_train = 100, 70
+    rng = np.random.default_rng(5)
+    alpha = np.where(np.arange(n_days) < n_train, 5.0, 6.0)
+    beta = 50.0 + rng.integers(1, 9, size=n_days)
+    news = [np.column_stack([rng.normal(size=2), np.full(2, 0.25 if day < n_train else 1.25), rng.normal(size=2)])
+            for day in range(n_days)]
+    data = tmp_path / "data"
+    write_dataset_dir(data, trading_dates(n_days), {"alpha": alpha, "beta": beta},
+                      {"alpha": np.ones(3), "beta": -np.ones(3)}, news)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = 8\npatch_len = 4\npatch_stride = 4\nd = 3\n", encoding="utf-8")
+    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "dataset.manifest").read_text(encoding="utf-8").splitlines()
+    assert "price_scaler alpha 5 0 1" in lines
+    assert [line.rsplit(" ", 1)[1] for line in lines if line.startswith("price_scaler beta ")] == ["0"]
+    assert "news_scaler_constant 0 1 0" in lines
+    ds = prepare_dataset(data, 8, 1, expect_dim=3)
+    np.testing.assert_array_equal(ds.stocks["alpha"].closes_norm, alpha - 5.0)  # 1.0 after the span, not inf
+    for day in (0, n_train - 1, n_train, n_days - 1):
+        np.testing.assert_array_equal(ds.news[day][:, 1], [0.0, 0.0] if day < n_train else [1.0, 1.0])
 
 
 def test_train_with_one_direction_removed_exits_0(tmp_path):
@@ -353,6 +378,8 @@ BAD_INPUTS = {
     "stock-id-with-a-comma": (_stock_id("a,b"), "", ":1: stock id 'a,b' is not one plain directory name"),
     "stock-id-with-a-quote": (_stock_id('"a'), "", ":1: stock id '\"a' is not one plain directory name"),
     "stock-id-with-a-nul": (_stock_id("a\0b"), "", ":1: stock id 'a\0b' is not one plain directory name"),
+    "stock-id-average": (_stock_id("average"), "",
+                         ":1: stock id 'average' labels the summary row of eval.csv and multiseed.csv"),
     "width-differs-from-d": (lambda data: data / "names.tsv", "d = 5\n", ": embedding dim 6 does not match configured d=5"),
     "missing-data-directory": (lambda data: data / "absent", "", None),
 }

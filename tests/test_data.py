@@ -18,8 +18,6 @@ from datagen import (
     write_prices,
 )
 from snfuse.data import (
-    Splits,
-    build_windows,
     fit_scaler,
     load_contexts,
     load_news_day,
@@ -156,8 +154,10 @@ def test_fit_scaler_hand_values():
 
 def test_fit_scaler_constant_passthrough():
     scaler = fit_scaler(np.array([4.0, 4.0, 4.0]), "price")
-    assert scaler.constant
-    np.testing.assert_array_equal(scaler.transform(np.array([4.0, 5.0])), [0.0, 1.0])
+    assert scaler.std == 0.0
+    np.testing.assert_array_equal(scaler.transform(np.array([4.0, 5.0])), [0.0, 1.0])  # centred, not divided
+    news = fit_scaler(np.array([[1.0, 3.0], [3.0, 3.0]]), "news")  # the second dimension is constant
+    np.testing.assert_array_equal(news.transform(np.array([[2.0, 3.0], [4.0, 5.0]])), [[0.0, 0.0], [2.0, 2.0]])
 
 
 def test_fit_scaler_empty_rejected():
@@ -200,43 +200,71 @@ def test_split_too_short():
 # -- windows -----------------------------------------------------------
 
 
-def test_build_windows_single_split_count():
-    # enumeration oracle: valid end positions for N=25, T=20, H=1 are days 20..24
-    splits = Splits(train=(0, 25), val=(25, 25), test=(25, 25))
-    samples, skipped = build_windows("s", 25, 20, 1, splits)
-    assert len(samples["train"]) == 5
-    assert skipped == 0
-    targets = [s.target_days.start for s in samples["train"]]
-    assert targets == [20, 21, 22, 23, 24]
+def _window_oracle(n_days: int, t_window: int, horizon: int, stocks: list[str]):
+    """Enumerate every window of every stock; keep those whose T + H days all fall in one split
+    of the 70/10/20 floor rule. Returns {split: [(stock, start)]} and the count skipped."""
+    n_train, n_test = (7 * n_days) // 10, (2 * n_days) // 10
+
+    def split_of(day):
+        return "train" if day < n_train else "test" if day >= n_days - n_test else "val"
+
+    kept = {"train": [], "val": [], "test": []}
+    skipped = 0
+    for stock in sorted(stocks):
+        for start in range(n_days - t_window - horizon + 1):
+            owners = {split_of(day) for day in range(start, start + t_window + horizon)}
+            if len(owners) == 1:
+                kept[owners.pop()].append((stock, start))
+            else:
+                skipped += 1
+    return kept, skipped
 
 
-def test_build_windows_h5_reduces_count_by_4():
-    splits = Splits(train=(0, 30), val=(30, 30), test=(30, 30))
-    h1, _ = build_windows("s", 30, 20, 1, splits)
-    h5, _ = build_windows("s", 30, 20, 5, splits)
-    assert len(h1["train"]) - len(h5["train"]) == 4
+def _windowed(n_days: int, t_window: int, horizon: int, stocks=("s",)):
+    closes = {sid: np.linspace(1.0, 2.0, n_days) for sid in stocks}
+    return inmemory_dataset(closes, [np.zeros((0, 2))] * n_days, {sid: np.ones(2) for sid in stocks}, t_window, horizon)
 
 
-def test_build_windows_targets_after_window():
-    splits = split_indices(60)
-    samples, _ = build_windows("s", 60, 8, 1, splits)
-    for split_samples in samples.values():
+def test_windows_per_split_match_an_enumeration_oracle():
+    # N=210 splits 147/21/42; T=20, H=1 leave 127, 1 and 22 windows, and 190 - 150 = 40 cross a boundary
+    ds = _windowed(210, 20, 1)
+    kept, skipped = _window_oracle(210, 20, 1, ["s"])
+    assert [len(ds.samples[name]) for name in ("train", "val", "test")] == [127, 1, 22]
+    assert (ds.skipped_windows, skipped) == (40, 40)
+    for name, expected in kept.items():
+        assert [(w.stock_id, w.start) for w in ds.samples[name]] == expected
+    assert [w.target_days.start for w in ds.samples["val"]] == [167]  # the val span's last day
+
+
+def test_windows_h5_has_4_fewer_windows_per_split():
+    # N=300 splits 210/30/60: four more target days drop four windows from each split
+    h1, h5 = _windowed(300, 20, 1), _windowed(300, 20, 5)
+    kept, _ = _window_oracle(300, 20, 5, ["s"])
+    for name in ("train", "val", "test"):
+        assert len(h1.samples[name]) - len(h5.samples[name]) == 4
+        assert len(h5.samples[name]) == len(kept[name])
+
+
+def test_windows_targets_follow_the_window():
+    ds = _windowed(100, 8, 1, stocks=("b", "a"))
+    for split_samples in ds.samples.values():
         for s in split_samples:
             assert s.target_days.start == s.window_days.stop
             assert s.window_days.stop - s.window_days.start == 8
 
 
-def test_build_windows_counts_boundary_skips():
-    splits = split_indices(60)  # (42, 6, 12)
-    samples, skipped = build_windows("s", 60, 8, 1, splits)
-    total_possible = 60 - 9 + 1
-    kept = sum(len(v) for v in samples.values())
-    assert kept + skipped == total_possible
-    assert skipped > 0
+def test_windows_count_boundary_skips_stock_by_stock():
+    # N=100 splits 70/10/20; T=8, H=1 leave 62 + 2 + 12 of each stock's 92 windows
+    ds = _windowed(100, 8, 1, stocks=("b", "a"))
+    kept, skipped = _window_oracle(100, 8, 1, ["a", "b"])
+    total = sum(len(v) for v in ds.samples.values())
+    assert total + ds.skipped_windows == 2 * (100 - 9 + 1)
+    assert ds.skipped_windows == skipped == 2 * 16
+    for name, expected in kept.items():  # stock by stock, then by start day
+        assert [(w.stock_id, w.start) for w in ds.samples[name]] == expected
 
 
-def test_build_windows_too_short_series():
-    # build_windows trusts its caller; assembling the dataset refuses the short series first
+def test_assemble_dataset_refuses_a_too_short_series():
     with pytest.raises(DataFormatError, match="too short"):
         inmemory_dataset({"s": np.linspace(1.0, 2.0, 11)}, [np.zeros((0, 2))] * 11, {"s": np.ones(2)}, 8, 1)
 

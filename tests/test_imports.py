@@ -1,11 +1,14 @@
-"""Every import in the package modules is used (the package __init__ re-exports)."""
+"""Every import in the package modules is used (the package __init__ re-exports), and every
+function, class and method is named somewhere outside its own definition."""
 
 import ast
+import re
 from pathlib import Path
 
 import snfuse
 
 PACKAGE = Path(snfuse.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -27,3 +30,31 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of every module-level function and class, and of every method
+    of a module-level class whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def test_every_function_class_and_method_is_named_outside_its_definition():
+    # perfbench wraps some functions by naming them in strings; a whole-word mention anywhere counts
+    sources = {path: path.read_text(encoding="utf-8").splitlines()
+               for root in (PACKAGE, REPO / "tests", REPO / "perfbench") for path in sorted(root.glob("*.py"))}
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in _definitions(ast.parse("\n".join(sources[path]))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            elsewhere = (line for other, lines in sources.items() for i, line in enumerate(lines, start=1)
+                         if not (other == path and first <= i <= last))
+            if not any(word.search(line) for line in elsewhere):
+                unnamed.append(f"{path.name}:{first} {name}")
+    assert unnamed == []

@@ -10,7 +10,7 @@ from snfuse.config import RunConfig
 from snfuse.errors import DataFormatError
 from snfuse.model import ForecastModel, mse_loss
 from snfuse.tensor import concat
-from snfuse.training import EarlyStopper, EvalReport, load_checkpoint, multi_seed, save_checkpoint, train
+from snfuse.training import EvalReport, load_checkpoint, multi_seed, save_checkpoint, train
 
 
 def test_load_checkpoint_round_trips_hand_built_file(tmp_path):
@@ -29,16 +29,34 @@ def test_load_checkpoint_rejects_duplicate_tensor_names(tmp_path):
         load_checkpoint(path)
 
 
-def test_early_stopper_improves_stalls_and_stops():
-    stopper = EarlyStopper(patience=2)
-    assert stopper.update(1, 1.0) is False  # first epoch always improves on inf
-    assert stopper.update(2, 1.1) is False  # one bad epoch
-    assert stopper.update(3, 0.5) is False  # improvement resets the count
-    assert (stopper.best, stopper.best_epoch, stopper.bad_epochs) == (0.5, 3, 0)
-    assert stopper.update(4, 0.5) is False  # equal is not an improvement
-    assert stopper.bad_epochs == 1
-    assert stopper.update(5, 0.7) is True  # second bad epoch in a row: stop
-    assert (stopper.best, stopper.best_epoch) == (0.5, 3)
+def _scripted_train(monkeypatch, mses, patience=2):
+    """train() on a small dataset whose epoch scores are scripted: each epoch takes the next two of
+    `mses`, the train split's and then the val split's. Returns the TrainResult, the model, and the
+    trainable parameters at each scoring."""
+    ds = signal_dataset(n_days=100)
+    cfg = RunConfig(t_window=8, patch_len=4, patch_stride=4, d_model=8, n_layers=1, n_heads=2, ffn_dim=8,
+                    vocab_size=8, num_prototypes=4, dim=8, max_epochs=10, patience=patience)
+    scripted = iter(mses)
+    scored = []
+
+    def dataset_mse(model, resolved):
+        scored.append(model.params.snapshot())
+        return next(scripted)
+
+    monkeypatch.setattr(snfuse.training, "_dataset_mse", dataset_mse)
+    model = ForecastModel(cfg, ds.dim)
+    return train(model, ds, cfg), model, scored
+
+
+def test_early_stopper_improves_stalls_and_stops(monkeypatch):
+    val = [1.0, 1.1, 0.5, 0.5, 0.7, 0.4, 0.3]  # the last two are never scored
+    result, _, _ = _scripted_train(monkeypatch, [x for v in val for x in (9.0, v)], patience=2)
+    # epoch 1 improves on inf; epoch 2 is one bad epoch; epoch 3's improvement resets the count, so
+    # epochs 2 and 4 do not stop training; epoch 4's equal MSE is no improvement; epoch 5 is the second
+    # bad epoch in a row: stop
+    assert [(r.epoch, r.val_mse, r.improved) for r in result.history] == [
+        (1, 1.0, True), (2, 1.1, False), (3, 0.5, True), (4, 0.5, False), (5, 0.7, False)]
+    assert (result.best_epoch, result.best_val_mse) == (3, 0.5)
 
 
 def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
@@ -52,34 +70,26 @@ def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
         return EvalReport(rows=[("alpha", mae, mse)], avg_mae=mae, avg_mse=mse)
 
     monkeypatch.setattr(snfuse.training, "evaluate", fake_evaluate)
-    summary = multi_seed(SimpleNamespace(dim=4), RunConfig(), [1, 2, 3])
+    text, reports = multi_seed(SimpleNamespace(dim=4), RunConfig(), [1, 2, 3])
+    assert [r.avg_mse for r in reports] == [1.0, 2.0, 6.0]
+    header, *lines = text.splitlines()
+    assert header == "stock,mae_mean,mae_std,mse_mean,mse_std"
+    rows = {stock: [float(v) for v in rest] for stock, *rest in (line.split(",") for line in lines)}
+    assert list(rows) == ["alpha", "average"]
     # mae: mean 7/3, squared deviations 16/9 + 1/9 + 25/9 = 42/9, over k - 1 = 2
     # mse: mean 3, squared deviations 4 + 1 + 9 = 14, over 2
-    for stock in ("alpha", "average"):
-        got = summary.per_stock[stock]
-        assert got["mae_mean"] == pytest.approx(7.0 / 3.0, rel=1e-15)
-        assert got["mae_std"] == pytest.approx(math.sqrt(21.0 / 9.0), rel=1e-15)
-        assert got["mse_mean"] == pytest.approx(3.0, rel=1e-15)
-        assert got["mse_std"] == pytest.approx(math.sqrt(7.0), rel=1e-15)
+    for mae_mean, mae_std, mse_mean, mse_std in rows.values():
+        assert mae_mean == pytest.approx(7.0 / 3.0, rel=1e-15)
+        assert mae_std == pytest.approx(math.sqrt(21.0 / 9.0), rel=1e-15)
+        assert mse_mean == pytest.approx(3.0, rel=1e-15)
+        assert mse_std == pytest.approx(math.sqrt(7.0), rel=1e-15)
     with pytest.raises(ValueError, match="at least 2 seeds"):
         multi_seed(SimpleNamespace(dim=4), RunConfig(), [1])
 
 
 def test_patience_stops_training_early_and_restores_the_best_epochs_parameters(monkeypatch):
-    ds = signal_dataset(n_days=100)
-    cfg = RunConfig(t_window=8, patch_len=4, patch_stride=4, d_model=8, n_layers=1, n_heads=2, ffn_dim=8,
-                    vocab_size=8, num_prototypes=4, dim=8, max_epochs=10, patience=2)
-    # each epoch scores the train split, then the val split; epoch 2 is best, epochs 3 and 4 use up the patience
-    scripted = iter([1.0, 1.0, 0.9, 0.5, 0.8, 0.7, 0.7, 0.9])
-    scored = []  # the trainable parameters at each scoring
-
-    def dataset_mse(model, resolved):
-        scored.append(model.params.snapshot())
-        return next(scripted)
-
-    monkeypatch.setattr(snfuse.training, "_dataset_mse", dataset_mse)
-    model = ForecastModel(cfg, ds.dim)
-    result = train(model, ds, cfg)
+    # epoch 2 is best, epochs 3 and 4 use up the patience
+    result, model, scored = _scripted_train(monkeypatch, [1.0, 1.0, 0.9, 0.5, 0.8, 0.7, 0.7, 0.9])
     assert [(r.epoch, r.train_mse, r.val_mse, r.improved) for r in result.history] == [
         (1, 1.0, 1.0, True), (2, 0.9, 0.5, True), (3, 0.8, 0.7, False), (4, 0.7, 0.9, False)]
     assert (result.best_epoch, result.best_val_mse) == (2, 0.5)
