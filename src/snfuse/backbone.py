@@ -8,8 +8,8 @@ reprogramming side and the prediction head carry gradients.
 
 Features, patches and tokens are (W, L, .) stacks of W windows, and each
 window is processed on its own, by the same arithmetic on a tape and off
-one. On a tape every window also gets its own copy of the prototypes;
-without one, all windows share one copy, which gives the same bits.
+one. The prototypes' op (`repeat_windows`) gives every window its own copy
+only on a tape; off one, all windows share one copy, with the same bits.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ def patchify(features: Tensor, patch_len: int, stride: int) -> Tensor:
 
 
 def make_prototypes(vocab: Tensor, w_proj: Tensor, windows: int = 1) -> Tensor:
-    """Project the V vocabulary rows down to U <= V prototypes along the vocab axis: (windows, U, d_model), one set per window."""
+    """Project the V vocabulary rows down to U <= V prototypes along the vocab axis: (windows, U, d_model),
+    one set per window, on a tape with a trainable w_proj; otherwise (1, U, d_model), one set for all windows."""
     return matmul(repeat_windows(transpose(w_proj), windows), vocab)
 
 

@@ -122,9 +122,9 @@ def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[
     """Softmax-weighted sum over the active (W, T, d) terms only.
 
     logits is the full (1, 5) vector in BLEND_TERMS order; inactive entries
-    are excluded from both the softmax and the sum. Each window weighs its
-    terms with its own copy of the logits, so their gradient comes per
-    window.
+    are excluded from both the softmax and the sum. On a tape each window
+    weighs its terms with its own copy of the logits, so their gradient
+    comes per window; off one, every window shares one copy.
     """
     if not active:
         raise ValueError("no active blend terms; nothing to predict from")

@@ -31,7 +31,7 @@ from .data import load_news_day
 from .errors import DataFormatError
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, add, grad_enabled, linear, mean_all, mul, no_grad, reshape
+from .tensor import Tensor, add, linear, mean_all, mul, no_grad, reshape
 
 PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
 
@@ -68,12 +68,11 @@ class ForecastModel:
 
     # -- initialization ------------------------------------------------
 
-    def _gen(self, name: str) -> np.random.Generator:
-        return substream(self.cfg.seed, f"init/{name}")
+    def _gen(self, name: str, frozen: bool = False) -> np.random.Generator:
+        return substream(self.cfg.seed, f"{'frozen' if frozen else 'init'}/{name}")
 
     def _add_matrix(self, name: str, fan_in: int, fan_out: int, frozen: bool = False) -> None:
-        stream = f"frozen/{name}" if frozen else f"init/{name}"
-        values = substream(self.cfg.seed, stream).normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+        values = self._gen(name, frozen).normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
         self.params.add(name, values, frozen=frozen)
 
     def _add_bias(self, name: str, size: int, frozen: bool = False) -> None:
@@ -119,7 +118,7 @@ class ForecastModel:
         self._dense("reprog.head", self.n_patches * d_model, cfg.horizon)
 
         if not cfg.vocab_file:
-            vocab = substream(cfg.seed, "frozen/backbone.vocab").standard_normal((v_rows, d_model))
+            vocab = self._gen("backbone.vocab", frozen=True).standard_normal((v_rows, d_model))
         else:
             vocab = load_news_day(cfg.vocab_file)[0]
             if vocab.shape != (v_rows, d_model):
@@ -175,11 +174,7 @@ class ForecastModel:
         cfg, p = self.cfg, self.params
         windows = fused.shape[0]
         patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride)
-        # On a tape every window gets its own prototype rows, so their gradients come per window.
-        # Without one, all windows share one set: the same bits, and about 2% less time in
-        # news_eval's evaluate() (tests/abtime.py, 41 rounds each on seeds 2081 and 11: 0.977x, 0.976x).
-        sets = windows if grad_enabled() else 1
-        prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], sets)
+        prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], windows)
         tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads)
         prompt = None
         if cfg.snp:

@@ -104,12 +104,13 @@ def pool_slots(
     w: Tensor,
     max_news: int | None = None,
     orders: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[Tensor, list[np.ndarray | None]]:
+) -> tuple[Tensor, list[np.ndarray]]:
     """(news, name_emb) pairs pooled once each with w, slot s holding pair index[s], as one node.
 
     Returns the index.shape + (d,) slot rows, with w their only parent, and
-    each pair's (1, rows) attention over its rows in stacked order (sap: name
-    row first; None for no rows). orders sorts a day matrix, canonical_order
+    each row-count stack's (G, 1, rows) attention in stacked order (sap: name
+    row first), in the order the counts first occur, pairs in pair order; a
+    pair without rows is in none. orders sorts a day matrix, canonical_order
     by default. max_news=None means no limit.
     """
     if variant not in PARAM:
@@ -129,7 +130,6 @@ def pool_slots(
     # pasap's codes: a row depends only on its position and d, so the call's longest day sets the length
     table = sinusoidal_table(max(groups, default=0), d) if variant == "pasap" else None
     pooled = np.zeros((len(pairs), d))
-    attention: list[np.ndarray | None] = [None] * len(pairs)
     stacks = []
     for count, members in groups.items():
         rows = np.empty((len(members), count, d))
@@ -145,8 +145,6 @@ def pool_slots(
         query = w.data.reshape(1, d) if names is None else np.matmul(names, w.data)
         y = _softmax_forward(np.matmul(query, rows.swapaxes(1, 2)), "pool_slots")
         pooled[members] = np.matmul(y, rows).reshape(-1, d)
-        for j, p in enumerate(members):
-            attention[p] = y[j]
         stacks.append((members, rows, names, y))
     flat = np.asarray(index, dtype=np.intp).reshape(-1)
 
@@ -168,7 +166,7 @@ def pool_slots(
         for s in np.flatnonzero(slot_group >= 0):  # slot by slot, as a tape of one pool node per slot adds them
             _accumulate(w, pieces[s])
 
-    return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), attention
+    return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), [y for *_, y in stacks]
 
 
 def pool_day(variant: str, news: np.ndarray, name_emb: np.ndarray | None, w: Tensor,
@@ -178,11 +176,11 @@ def pool_day(variant: str, news: np.ndarray, name_emb: np.ndarray | None, w: Ten
     ap ignores name_emb. max_news=None means no limit.
     """
     order = slice(None) if variant == "pasap" else canonical_order(news)
-    pooled, (attn,) = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, max_news, lambda _: order)
-    if attn is None:
+    pooled, softmax = pool_slots(variant, [(news, name_emb)], np.zeros(1, dtype=np.intp), w, max_news, lambda _: order)
+    if not softmax:  # no rows
         return PoolResult(pooled=pooled, weights=None)
     lead = 1 if variant == "sap" else 0
-    weights = np.empty(attn.size)
-    weights[:lead] = attn[0, :lead]
-    weights[lead:][order] = attn[0, lead:]
+    attn = softmax[0].reshape(-1)  # the one stack's one pair
+    weights = attn.copy()
+    weights[lead:][order] = attn[lead:]
     return PoolResult(pooled=pooled, weights=weights)

@@ -439,11 +439,12 @@ def block_matmul(m: np.ndarray, a) -> Tensor:
 
 
 def repeat_windows(a, windows: int) -> Tensor:
-    """`windows` copies of a, stacked as (windows, *a.shape); the backward folds the copies' gradients."""
+    """`windows` copies of a, stacked as (windows, *a.shape), when the op is recorded; the backward folds
+    the copies' gradients. Otherwise one copy, (1, *a.shape), which every window broadcasts against."""
     a = as_tensor(a)
+    copies = windows if _recording.get() and a.requires_grad else 1
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _fold(g))
+        _accumulate(a, _fold(g))
 
-    return _node(np.tile(a.data, (windows,) + (1,) * a.data.ndim), (a,), bw)
+    return _node(np.tile(a.data, (copies,) + (1,) * a.data.ndim), (a,), bw)

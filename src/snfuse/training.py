@@ -220,6 +220,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         size = math.prod(shape)
         arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: checkpoint tensor '{pid}' holds a non-finite value")
         tensors[pid] = arr
     if off != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes")
@@ -268,8 +270,8 @@ def ablation_csv(rows: list[tuple[str, EvalReport]]) -> str:
 
 
 def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> tuple[str, list[EvalReport]]:
-    """Independent runs per seed: the multiseed.csv text (one row per stock and one for the average,
-    sorted by label, with the mean and sample standard deviation, divided by k-1, of MAE and MSE)
+    """Independent runs per seed: the multiseed.csv text (one row per stock, in eval.csv's order, and
+    the average last, with the mean and sample standard deviation, divided by k-1, of MAE and MSE)
     and the per-seed reports."""
     if len(seeds) < 2:
         raise ValueError(f"multi-seed runs need at least 2 seeds, got {len(seeds)}")
@@ -280,7 +282,7 @@ def multi_seed(ds: PreparedDataset, base_cfg: RunConfig, seeds: list[int]) -> tu
         mses = np.array([row[2] for row in per_seed])
         rows.append((per_seed[0][0], float(maes.mean()), float(maes.std(ddof=1)),
                      float(mses.mean()), float(mses.std(ddof=1))))
-    return csv_text("stock,mae_mean,mae_std,mse_mean,mse_std", sorted(rows)), reports
+    return csv_text("stock,mae_mean,mae_std,mse_mean,mse_std", rows), reports
 
 
 def history_csv(result: TrainResult) -> str:

@@ -17,7 +17,7 @@ from snfuse.data import write_news_day
 from snfuse.errors import DataFormatError
 from snfuse.model import ForecastModel
 from snfuse.optim import ParamSet, backward
-from snfuse.tensor import Tensor
+from snfuse.tensor import Tensor, no_grad, repeat_windows
 
 
 # -- prototypes ----------------------------------------------------------
@@ -46,6 +46,20 @@ def test_prototypes_gradient_hits_projection_not_vocab():
     grads = backward(sum_all(make_prototypes(vocab, params["w"])), params)
     assert set(grads) == {"w"}
     assert vocab.grad is None
+
+
+def test_prototypes_are_copied_per_window_only_on_a_tape():
+    params = ParamSet()
+    vocab = params.add("vocab", np.random.default_rng(1).normal(size=(6, 3)), frozen=True)
+    w = params.add("w", np.random.default_rng(2).normal(size=(6, 2)))
+    with no_grad():  # one set, which every window's patches attend to
+        shared = make_prototypes(vocab, w, 5)
+        assert repeat_windows(w, 5).shape == (1, 6, 2)
+    assert shared.shape == (1, 2, 3)
+    assert make_prototypes(vocab, Tensor(w.data), 5).shape == (1, 2, 3)  # nothing to record
+    taped = make_prototypes(vocab, w, 5)
+    assert taped.shape == (5, 2, 3)
+    assert all(np.array_equal(window, shared.data[0]) for window in taped.data)
 
 
 # -- patchify --------------------------------------------------------------

@@ -439,6 +439,10 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_the_model(tmp_path, capsys)
     tensors = sorted(ckpt.tensors.items())
     digests = (ckpt.cfg_hash.encode(), ckpt.manifest_hash.encode())
     head_b = dict(tensors)["reprog.head.b"]
+
+    def poisoned(pid, value):  # a NaN in the head's bias would reach eval.csv, one in the projection a softmax
+        return checkpoint_bytes([(n, a + value if n == pid else a) for n, a in tensors], *digests)
+
     cases = {
         "other-config": (checkpoint_bytes(tensors, b"0" * 64, digests[1]), "trained with a different configuration"),
         "other-manifest": (checkpoint_bytes(tensors, digests[0], b"0" * 64), "against a different dataset manifest"),
@@ -447,6 +451,8 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_the_model(tmp_path, capsys)
         "wrong-shape": (checkpoint_bytes([(n, np.zeros(3) if n == "reprog.head.b" else a) for n, a in tensors],
                                          *digests), f"tensor 'reprog.head.b' shape (3,) != {head_b.shape}"),
         "trailing-bytes": (good.read_bytes() + b"\0", "1 trailing bytes"),
+        **{f"{pid}-{value}": (poisoned(pid, value), f"tensor '{pid}' holds a non-finite value") for pid, value in
+           [("reprog.head.b", np.nan), ("reprog.vocab_proj.w", np.nan), ("reprog.vocab_proj.w", -np.inf)]},
     }
     assert checkpoint_bytes(tensors, *digests) == good.read_bytes()  # the edits start from the trained file
     for name, (raw, message) in cases.items():
@@ -457,6 +463,7 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_the_model(tmp_path, capsys)
         err = capsys.readouterr().err
         # every refusal leads with the checkpoint file's name
         assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1, (name, err)
+        assert not (tmp_path / name / "eval.csv").exists(), name
 
 
 def test_refusals_that_the_config_decides_come_before_the_data_is_read(tmp_path, capsys, monkeypatch):

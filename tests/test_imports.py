@@ -1,7 +1,9 @@
-"""Every import in the package modules is used (the package __init__ re-exports), and every
-function, class and method is named somewhere outside its own definition."""
+"""Every import in the package modules is used (the package __init__ re-exports), every
+function, class and method is named somewhere outside its own definition, and every attribute
+the benchmark wraps exists where it looks for it."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -58,3 +60,20 @@ def test_every_function_class_and_method_is_named_outside_its_definition():
             if not any(word.search(line) for line in elsewhere):
                 unnamed.append(f"{path.name}:{first} {name}")
     assert unnamed == []
+
+
+def test_every_attribute_the_benchmark_wraps_is_defined_on_its_owner():
+    # perfbench/spans.py replaces each (owner, attribute) of WRAPPED by reading owner.__dict__[attribute],
+    # so a deleted or moved one makes every traced benchmark run raise KeyError
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (wrapped,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    assert wrapped
+    missing = []
+    for owner_path, attr, _ in wrapped:
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        owner = vars(owner).get(cls) if cls else owner
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{owner_path}.{attr}")
+    assert missing == []

@@ -60,14 +60,15 @@ def test_early_stopper_improves_stalls_and_stops(monkeypatch):
 
 
 def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
-    # per-seed (mae, mse) of the one stock; training and evaluation are stubbed out
+    # per-seed (mae, mse) of each stock; training and evaluation are stubbed out. beta sorts after
+    # "average", and the average row still comes last, as in eval.csv
     figures = {1: (1.0, 1.0), 2: (2.0, 2.0), 3: (4.0, 6.0)}
     monkeypatch.setattr(snfuse.training, "ForecastModel", lambda cfg, dim: SimpleNamespace(cfg=cfg))
     monkeypatch.setattr(snfuse.training, "train", lambda model, ds, cfg: None)
 
     def fake_evaluate(model, ds):
         mae, mse = figures[model.cfg.seed]
-        return EvalReport(rows=[("alpha", mae, mse)], avg_mae=mae, avg_mse=mse)
+        return EvalReport(rows=[("alpha", mae, mse), ("beta", mae, mse)], avg_mae=mae, avg_mse=mse)
 
     monkeypatch.setattr(snfuse.training, "evaluate", fake_evaluate)
     text, reports = multi_seed(SimpleNamespace(dim=4), RunConfig(), [1, 2, 3])
@@ -75,7 +76,7 @@ def test_multi_seed_std_divides_by_k_minus_1(monkeypatch):
     header, *lines = text.splitlines()
     assert header == "stock,mae_mean,mae_std,mse_mean,mse_std"
     rows = {stock: [float(v) for v in rest] for stock, *rest in (line.split(",") for line in lines)}
-    assert list(rows) == ["alpha", "average"]
+    assert list(rows) == ["alpha", "beta", "average"]
     # mae: mean 7/3, squared deviations 16/9 + 1/9 + 25/9 = 42/9, over k - 1 = 2
     # mse: mean 3, squared deviations 4 + 1 + 9 = 14, over 2
     for mae_mean, mae_std, mse_mean, mse_std in rows.values():
