@@ -52,36 +52,46 @@ def make_prototypes(vocab: Tensor, w_proj: Tensor, windows: int = 1) -> Tensor:
     return matmul(repeat_windows(transpose(w_proj), windows), vocab)
 
 
-def reprogram(patches: Tensor, prototypes: Tensor, params, n_heads: int = 1) -> Tensor:
-    """Lifted patches query the prototypes; prototypes provide keys and values.
+def prototype_keys(prototypes: Tensor, params) -> tuple[Tensor, Tensor]:
+    """The keys and values the patches attend to: the prototypes through the reprogramming's wk and wv.
+
+    Attention projections are plain matrices (a key bias is invisible to
+    softmax and would be a dead parameter).
+    """
+    return matmul(prototypes, params["reprog.attn.wk"]), matmul(prototypes, params["reprog.attn.wv"])
+
+
+def reprogram(patches: Tensor, keys: tuple[Tensor, Tensor], params, n_heads: int = 1) -> Tensor:
+    """Lifted patches query the prototypes' (keys, values) from prototype_keys.
 
     With one prototype set per window, each window's patches attend to
-    their own; with one set, every patch attends to it. Attention
-    projections are plain matrices (a key bias is invisible to softmax and
-    would be a dead parameter).
+    their own; with one set, each window's patches attend to it on their own.
     """
     lifted = linear(patches, params["reprog.patch_lift.w"], params["reprog.patch_lift.b"])
-    q = matmul(lifted, params["reprog.attn.wq"])
-    k = matmul(prototypes, params["reprog.attn.wk"])
-    v = matmul(prototypes, params["reprog.attn.wv"])
-    return attention(q, k, v, n_heads)
+    return attention(matmul(lifted, params["reprog.attn.wq"]), *keys, n_heads)
+
+
+def _attention_sublayer(x: Tensor, params, p: str, n_heads: int) -> Tensor:
+    normed = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+    q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
+    k = matmul(normed, params[f"{p}.attn.wk"])
+    v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
+    return add(x, linear(attention(q, k, v, n_heads), params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
+
+
+def _ffn_sublayer(x: Tensor, params, p: str) -> Tensor:
+    normed = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+    hidden = relu(linear(normed, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
+    return add(x, linear(hidden, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"]))
 
 
 def backbone_forward(tokens: Tensor, params, n_layers: int, n_heads: int) -> Tensor:
-    """Frozen pre-LN encoder stack with a final layer norm."""
+    """Frozen pre-LN encoder stack with a final layer norm. Each sublayer is a function of its own, so
+    off a tape its intermediates are freed when it returns."""
     x = tokens
     for layer in range(n_layers):
         p = f"backbone.block{layer}"
-        normed = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
-        k = matmul(normed, params[f"{p}.attn.wk"])
-        v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        attended = attention(q, k, v, n_heads)
-        x = add(x, linear(attended, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]))
-        normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ff = linear(relu(linear(normed2, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),
-                    params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-        x = add(x, ff)
+        x = _ffn_sublayer(_attention_sublayer(x, params, p, n_heads), params, p)
     return layer_norm(x, params["backbone.final_ln.g"], params["backbone.final_ln.b"])
 
 

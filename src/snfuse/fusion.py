@@ -7,10 +7,21 @@ flags drop individual views; the softmax renormalizes over whatever stays
 active.
 
 Every sequence is a (W, T, d) stack of W windows, and each window is
-fused on its own, by the same arithmetic on a tape and off one.
+fused on its own, by the same arithmetic on a tape and off one. Off a tape
+the model splits that arithmetic in two, and shares the first part
+between the windows that hold the same row: `shared_rows` runs the
+layers that read one row at a time on (P, T, d) pseudo-windows of
+distinct rows, and `gather_terms` gathers each window's rows from them
+for the parts where a window's rows meet (the attention cores, the conv's
+shifted taps) and the blend. With OpenBLAS 0.3.31 a row gets the same bits
+in any product of the same number of rows, 2 or more, so the windows get
+the bits of the unsplit arithmetic (a 1-row product takes another path,
+which T = 1 takes both ways); `tests/test_model.py` pins this.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -62,19 +73,20 @@ def _same_stack(news_seq: Tensor, price_seq: Tensor) -> None:
         )
 
 
+def _query_and_keys(name: str, news_seq: Tensor, price_seq: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """The (query, key, value) sequences of direction name: prices query news in p2n, news queries prices in n2p."""
+    return (price_seq, news_seq, news_seq) if name == "p2n" else (news_seq, price_seq, price_seq)
+
+
 def fuse_directions(news_seq: Tensor, price_seq: Tensor, params, directions: list[str]) -> dict[str, Tensor]:
     """Price-queries-news (p2n) and news-queries-price (n2p), each with its own projections.
 
     Only the named directions are built, so only their weights are read.
     """
     _same_stack(news_seq, price_seq)
-    query_and_keys = {"p2n": (price_seq, news_seq), "n2p": (news_seq, price_seq)}
-    out = {}
-    for name in directions:
-        q_seq, kv_seq = query_and_keys[name]
-        proj = [params[f"fusion.{name}.w{letter}"] for letter in "qkv"]
-        out[name] = cross_attention(q_seq, kv_seq, kv_seq, *proj)
-    return out
+    return {name: cross_attention(*_query_and_keys(name, news_seq, price_seq),
+                                  *(params[f"fusion.{name}.w{letter}"] for letter in "qkv"))
+            for name in directions}
 
 
 def day_pair_adjacency(t_window: int) -> np.ndarray:
@@ -101,6 +113,29 @@ def causal_conv(h: Tensor, taps: list[Tensor]) -> Tensor:
     return out
 
 
+def shifted_sum(products: Iterable[Tensor]) -> Tensor:
+    """causal_conv from each tap's product with the unshifted rows: out[t] = sum_k products[k][t-k].
+
+    Off a tape it equals causal_conv bit for bit: a product's rows do not
+    depend on the other rows, and a zero row's product is +0. The products
+    are read in order, so they may come from an iterator.
+    """
+    out = None
+    for k, product in enumerate(products):
+        out = product if out is None else add(out, shift_rows(product, k))
+    return out
+
+
+def _gcn_rows(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray) -> Tensor:
+    t_len = news_seq.shape[-2]
+    mixed = block_matmul(adjacency[t_len:], concat([news_seq, price_seq], -2))
+    return relu(linear(mixed, params["fusion.gcn.w"], params["fusion.gcn.b"]))
+
+
+def _taps(params) -> list[Tensor]:
+    return [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
+
+
 def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray) -> Tensor:
     """One graph-conv layer over stacked [news; price] nodes, ReLU, then the
     causal convolution over the price-node rows.
@@ -108,14 +143,39 @@ def gcn_fuse(news_seq: Tensor, price_seq: Tensor, params, adjacency: np.ndarray)
     Only the price-node rows, the ones the conv reads, are computed: the
     last T rows of the (2T x 2T) adjacency times all 2T nodes, so every
     product still sums over all 2T nodes and each row gets the bits of the
-    full layer's row.
+    full layer's row. Day t's row reads only day t's news and price rows.
     """
     _same_stack(news_seq, price_seq)
-    t_len = news_seq.shape[-2]
-    mixed = block_matmul(adjacency[t_len:], concat([news_seq, price_seq], -2))
-    price_rows = relu(linear(mixed, params["fusion.gcn.w"], params["fusion.gcn.b"]))
-    taps = [params[f"fusion.conv.tap{k}"] for k in range(CONV_TAPS)]
-    return causal_conv(price_rows, taps)
+    return causal_conv(_gcn_rows(news_seq, price_seq, params, adjacency), _taps(params))
+
+
+def shared_rows(news_seq: Tensor | None, price_seq: Tensor, params, directions: list[str],
+                adjacency: np.ndarray | None) -> dict[str, list[Tensor]]:
+    """The row-by-row part of the fusion of (P, T, d) pseudo-windows of distinct rows, off a tape.
+
+    Per blend term, the rows gather_terms reads: price and news as they are
+    (no news: price only), each named direction's query, key and value
+    projections, and with an adjacency the GCN's price-node rows through
+    each conv tap.
+    """
+    if news_seq is None:
+        return {"price": [price_seq]}
+    _same_stack(news_seq, price_seq)
+    rows = {"price": [price_seq], "news": [news_seq]}
+    for name in directions:
+        seqs = _query_and_keys(name, news_seq, price_seq)
+        rows[name] = [matmul(x, params[f"fusion.{name}.w{letter}"]) for x, letter in zip(seqs, "qkv")]
+    if adjacency is not None:
+        hidden = _gcn_rows(news_seq, price_seq, params, adjacency)
+        rows["gcn"] = [matmul(hidden, tap) for tap in _taps(params)]
+    return rows
+
+
+def gather_terms(rows: dict[str, list[Tensor]], at) -> dict[str, Tensor]:
+    """The (W, T, d) blend terms of the windows whose rows at gathers from shared_rows' stacks."""
+    return {name: attention(*map(at, parts), 1, split=False) if name in DIRECTIONS
+            else shifted_sum(map(at, parts))  # one part, or the conv's tap products
+            for name, parts in rows.items()}
 
 
 def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[Tensor, np.ndarray]:

@@ -6,17 +6,20 @@ The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated; a named `vocab_file` replaces the
 seeded vocabulary, and the model reads it itself.
 
-Training and inference run one forward (`_forward`): pool each distinct
-(day, stock) of a call once, in one call of the stacked pooling kernel
-(`_pool`), then fuse and predict a (W, T, d) stack of W windows (`_fuse`,
-`_predict`), which reads W from the shape. A training step (`batch_loss`)
-runs its whole batch through it on one tape, and its loss and gradients
-equal those of the windows taped one at a time (`predict_sample`, W = 1)
-bit for bit. Inference (`predict_many`) runs the same forward without a
-tape, PREDICT_CHUNK windows at a time, and pools each (day, stock) of the
-whole call once, with at most one kernel call per chunk; each of its rows
-equals `predict_sample`'s bit for bit. A day's articles are sorted only the
-first time the model sees that day matrix.
+A training step (`batch_loss`) and `predict_sample` run one forward
+(`_forward`): pool each distinct (day, stock) of the windows once, in one
+call of the stacked pooling kernel (`_pool`), then fuse and predict a
+(W, T, d) stack of W windows (`_fuse`, `_patches`, `_predict`), which
+reads W from the shape. A training step runs its whole batch through it
+on one tape, and its loss and gradients equal those of the windows taped
+one at a time (`predict_sample`, W = 1) bit for bit. Inference
+(`predict_many`) runs the same arithmetic without a tape, and computes
+each (stock, day, close) row once: one kernel call pools every distinct
+(day, stock) of the call, and fusion's row-by-row layers run once per
+distinct row of each chunk of windows (`_fuse_rows`), before the windows
+gather their rows; each of its rows equals `predict_sample`'s bit for bit.
+A day's articles are sorted only the first time the model sees that day
+matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +36,29 @@ from .optim import ParamSet
 from .rng import substream
 from .tensor import Tensor, add, linear, mean_all, mul, no_grad, reshape
 
-PREDICT_CHUNK = 32  # windows per stacked forward in predict_many; bounds its memory
+PREDICT_ROWS = 640  # rows per stacked step of predict_many (T per window in fusion, n_p + snp after); bounds its memory
+
+
+def _first_use(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index) of the distinct rows of equal-length integer columns, in order of first use:
+    distinct row j first occurs at first[j], and row i is distinct row index[i]."""
+    order = np.lexsort(columns[::-1])  # stable, so each run of equal rows starts at its first use
+    keys = np.stack(columns)[:, order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    first = order[starts]
+    by_use = np.argsort(first)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    index = np.empty_like(order)
+    index[order] = rank[np.cumsum(starts) - 1]
+    return first[by_use], index
+
+
+def _gather(index: np.ndarray):
+    """The (W, T, .) stack of rows index of a (P, T, .) stack of rows, read as P * T rows."""
+    return lambda rows: Tensor(np.take(rows.data.reshape(-1, rows.shape[-1]), index, axis=0))
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -151,65 +176,72 @@ class ForecastModel:
         if self.cfg.pooling != "none" and len(news) != t_window:
             raise ValueError(f"need {t_window} news slots, got {len(news)}")
 
-    def _fuse(self, prices: np.ndarray, news_raw: Tensor | None) -> Tensor:
-        """Blended (W, T, d) features from (W, T) prices and (W, T, d) pooled news rows."""
+    def _sequences(self, prices: np.ndarray, news_raw: Tensor | None) -> tuple[Tensor, Tensor | None]:
+        """Price and news sequences (W, T, d) from (W, T) closes and (W, T, d) pooled news rows."""
         p = self.params
         price_in = Tensor(prices.reshape(len(prices), -1, 1))
         price_raw = linear(price_in, p["fusion.price_lift.w"], p["fusion.price_lift.b"])
         price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"])
+        if news_raw is None:
+            return price_seq, None
+        return price_seq, linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
 
+    def _fuse(self, prices: np.ndarray, news_raw: Tensor | None) -> Tensor:
+        """Blended (W, T, d) features from (W, T) prices and (W, T, d) pooled news rows."""
+        p = self.params
+        price_seq, news_seq = self._sequences(prices, news_raw)
         terms: dict[str, Tensor] = {"price": price_seq}
-        if news_raw is not None:
-            news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
+        if news_seq is not None:
             terms["news"] = news_seq
             if self.directions:
                 terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
             if "gcn" in self.active_terms:
                 terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
-        fused, _ = fu.blend(terms, p["fusion.blend.logits"], self.active_terms)
-        return fused
+        return fu.blend(terms, p["fusion.blend.logits"], self.active_terms)[0]
 
-    def _predict(self, fused: Tensor, names: np.ndarray) -> Tensor:
-        """(W, 1, H) predictions from blended (W, T, d) features and (W, d) name embeddings."""
+    def _patches(self, fused: Tensor) -> Tensor:
+        """(W, n_p, patch_len * d) patches of blended (W, T, d) features."""
+        return bb.patchify(fused, self.cfg.patch_len, self.cfg.patch_stride)
+
+    def _predict(self, patches: Tensor, names: np.ndarray, keys: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """(W, 1, H) predictions from the (W, n_p, patch_len * d) patches and (W, d) name embeddings.
+
+        keys are the prototypes' (keys, values); by default they are built for these W windows.
+        """
         cfg, p = self.cfg, self.params
-        windows = fused.shape[0]
-        patches = bb.patchify(fused, cfg.patch_len, cfg.patch_stride)
-        prototypes = bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], windows)
-        tokens = bb.reprogram(patches, prototypes, p, cfg.reprogram_heads)
+        windows = patches.shape[0]
+        if keys is None:
+            keys = self._prototype_keys(windows)
+        tokens = bb.reprogram(patches, keys, p, cfg.reprogram_heads)
         prompt = None
         if cfg.snp:
             prompt = linear(Tensor(names.reshape(windows, 1, -1)), p["reprog.prompt.w"], p["reprog.prompt.b"])
         return bb.forward_backbone(prompt, tokens, p, cfg.n_layers, cfg.n_heads)
 
-    def _pool(self, samples, memo: dict | None = None) -> Tensor:
-        """(W, T, d) pooled rows of the day slots of (prices, news, name_emb, ...) samples.
+    def _prototype_keys(self, windows: int) -> tuple[Tensor, Tensor]:
+        p = self.params
+        return bb.prototype_keys(bb.make_prototypes(p["backbone.vocab"], p["reprog.vocab_proj.w"], windows), p)
 
-        Each distinct (day, stock) is pooled once, by one call of the stacked
-        kernel; days and name embeddings are recognised by identity. Without
-        memo the rows are the kernel's taped node. With one (inference), only
-        pairs not yet in memo go to the kernel, and they are added to it.
-        """
+    def _slots(self, samples) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """(pairs, index): each distinct (day, stock) of the windows' day slots once, in order of
+        first use, and the (W, T) pair of every slot. Days and name embeddings are recognised by identity."""
+        days = [day for _, news, *_ in samples for day in news]
+        stocks = [emb for _, news, emb, *_ in samples for _ in news]
+        first, index = _first_use(*(np.fromiter(map(id, objs), np.int64, len(objs)) for objs in (days, stocks)))
+        return [(days[i], stocks[i]) for i in first], index.reshape(len(samples), -1)
+
+    def _pool_pairs(self, pairs, index) -> Tensor:
+        """index.shape + (d,) rows of (day, name_emb) pairs, pair index[s] in slot s, from one kernel call."""
         cfg = self.cfg
-        rows: dict[tuple[int, int], int] = {}  # (day, stock) -> its pair
-        pairs, index = [], []
-        for _, news, emb, *_ in samples:
-            for day in news:
-                key = (id(day), id(emb))
-                if key not in rows:
-                    rows[key] = len(pairs)
-                    pairs.append((day, emb))
-                index.append(rows[key])
-        index = np.asarray(index, dtype=np.intp).reshape(len(samples), -1)
-        args = (self.params[pl.PARAM[cfg.pooling]], cfg.max_news_per_day, self.orders)
-        if memo is None:
-            return pl.pool_slots(cfg.pooling, pairs, index, *args)[0]
-        fresh = [key for key in rows if key not in memo]
-        if fresh:
-            pooled = pl.pool_slots(cfg.pooling, [pairs[rows[key]] for key in fresh], np.arange(len(fresh)), *args)[0]
-            memo.update(zip(fresh, pooled.data))
-        return Tensor(np.stack([memo[key] for key in rows])[index])
+        return pl.pool_slots(cfg.pooling, pairs, index, self.params[pl.PARAM[cfg.pooling]],
+                             cfg.max_news_per_day, self.orders)[0]
 
-    def _fuse_windows(self, samples, memo: dict | None = None) -> Tensor:
+    def _pool(self, samples) -> Tensor:
+        """(W, T, d) pooled rows of the day slots of (prices, news, name_emb, ...) samples: each
+        distinct (day, stock) pooled once, by one call of the stacked kernel, as its taped node."""
+        return self._pool_pairs(*self._slots(samples))
+
+    def _fuse_windows(self, samples) -> Tensor:
         """Blended features of (prices, news, name_emb, ...) windows, stacked.
 
         Every day slot's pooled row hands the pooling weight its own
@@ -217,13 +249,47 @@ class ForecastModel:
         """
         for prices, news, *_ in samples:
             self._check_window(prices, news)
-        news_raw = self._pool(samples, memo) if self.cfg.pooling != "none" else None
+        news_raw = self._pool(samples) if self.cfg.pooling != "none" else None
         return self._fuse(np.stack([s[0] for s in samples]), news_raw)
 
-    def _forward(self, samples, memo: dict | None = None) -> Tensor:
+    def _forward(self, samples) -> Tensor:
         """(W, 1, H) predictions of (prices, news, name_emb, ...) windows through one stacked forward."""
         names = np.stack([np.reshape(s[2], -1) for s in samples])
-        return self._predict(self._fuse_windows(samples, memo), names)
+        return self._predict(self._patches(self._fuse_windows(samples)), names)
+
+    def _rows(self, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(index, closes, news) of (prices, news, name_emb, ...) windows, off a tape: the distinct
+        (stock, day, close) row of each (W, T) day slot, and each row's close and (d,) pooled news row
+        (None without pooling), every distinct (day, stock) pooled by one kernel call.
+
+        A row is its (day, stock) pair and the bits of its close.
+        """
+        closes = np.stack([s[0] for s in samples]).astype(np.float64).reshape(-1)
+        if self.cfg.pooling == "none":
+            first, index = _first_use(closes.view(np.int64))
+            return index.reshape(len(samples), -1), closes[first], None
+        pairs, slot_pair = self._slots(samples)
+        first, index = _first_use(closes.view(np.int64), slot_pair.reshape(-1))
+        news = self._pool_pairs(pairs, slot_pair.reshape(-1)[first]).data
+        return index.reshape(len(samples), -1), closes[first], news
+
+    def _fuse_rows(self, index: np.ndarray, closes: np.ndarray, news: np.ndarray | None) -> Tensor:
+        """Blended (W, T, d) features, off a tape, of the windows whose day slots hold rows index of
+        _rows' rows.
+
+        Fusion's row-by-row layers run once on each distinct row of these
+        windows, laid out as (P, T) pseudo-windows, the last one padded with
+        copies of its last row, so each product takes the path a window's
+        takes; then the windows gather their rows.
+        """
+        t_len = self.cfg.t_window
+        used, local = np.unique(index, return_inverse=True)
+        take = used[np.minimum(np.arange(-(-len(used) // t_len) * t_len), len(used) - 1)].reshape(-1, t_len)
+        price_seq, news_seq = self._sequences(closes[take], None if news is None else Tensor(news[take]))
+        adjacency = self.adjacency if "gcn" in self.active_terms else None
+        rows = fu.shared_rows(news_seq, price_seq, self.params, self.directions, adjacency)
+        terms = fu.gather_terms(rows, _gather(local.reshape(index.shape)))
+        return fu.blend(terms, self.params["fusion.blend.logits"], self.active_terms)[0]
 
     def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """Stock-aware features (1, T, d) for one window."""
@@ -236,17 +302,37 @@ class ForecastModel:
     def predict_many(self, samples) -> np.ndarray:
         """(N, H) predictions for (prices, news, name_emb, ...) tuples, without a tape.
 
-        Each row equals predict_sample's bit for bit. Days and name
-        embeddings are recognised by identity, so samples resolved from one
-        dataset share their pooling, across chunks too.
+        Each row equals predict_sample's bit for bit. Each distinct (day,
+        stock) of the call is pooled once, by one kernel call (`_rows`).
+        Fusion takes PREDICT_ROWS // T windows at a time, and runs its
+        row-by-row layers once on each distinct (stock, day, close) row of
+        them (`_fuse_rows`). The reprogramming, the frozen stack and the
+        head take PREDICT_ROWS // (n_p + snp) windows at a time, against
+        one prototype set built once.
         """
         out = np.empty((len(samples), self.cfg.horizon))
-        memo: dict = {}
+        if not samples:
+            return out
+        for prices, news, *_ in samples:
+            self._check_window(prices, news)
+        step = max(1, PREDICT_ROWS // (self.n_patches + self.cfg.snp))
         with no_grad():
-            for lo in range(0, len(samples), PREDICT_CHUNK):
-                chunk = samples[lo : lo + PREDICT_CHUNK]
-                out[lo : lo + len(chunk)] = self._forward(chunk, memo).data[:, 0]
+            index, closes, news = self._rows(samples)
+            keys = self._prototype_keys(1)
+            for lo in range(0, len(samples), step):
+                out[lo : lo + step] = self._predict_rows(samples[lo : lo + step], index[lo : lo + step], closes,
+                                                         news, keys)
         return out
+
+    def _predict_rows(self, samples, index: np.ndarray, closes: np.ndarray, news: np.ndarray | None,
+                      keys: tuple[Tensor, Tensor]) -> np.ndarray:
+        """(W, H) predictions of one backbone batch of windows off a tape, from their (W, T) rows index
+        of _rows' closes and news, fused PREDICT_ROWS // T windows at a time."""
+        step = max(1, PREDICT_ROWS // self.cfg.t_window)
+        patches = Tensor(np.concatenate([self._patches(self._fuse_rows(index[at : at + step], closes, news)).data
+                                         for at in range(0, len(index), step)]))
+        names = np.stack([np.reshape(s[2], -1) for s in samples])
+        return self._predict(patches, names, keys).data[:, 0]
 
     def batch_loss(self, batch) -> Tensor:
         """MSE of (prices, news, name_emb, target) windows through one stacked forward.

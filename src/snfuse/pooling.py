@@ -31,7 +31,9 @@ padded to the longest day: padding would move the bits. The result is one
 taped node whose rows fill the day slots of W windows, and its backward runs
 each slot's gradient row through the stacked chain and adds the slots'
 contributions into w window by window, day by day, as one node per slot
-would. `pool_day` is that call on one pair and one slot.
+would. The call keeps its stacks for that backward only when the node is
+recorded; off a tape it holds one stack at a time. `pool_day` is that call
+on one pair and one slot.
 
 Every variant refuses a day with more than max_news articles (the model
 passes max_news_per_day).
@@ -45,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .tensor import Tensor, _accumulate, _node, _softmax_backward, _softmax_forward, as_tensor
+from .tensor import Tensor, _accumulate, _node, _softmax_backward, _softmax_forward, as_tensor, recorded
 
 VARIANTS = ("none", "ap", "cap", "sap", "pasap")
 
@@ -111,7 +113,9 @@ def pool_slots(
     each row-count stack's (G, 1, rows) attention in stacked order (sap: name
     row first), in the order the counts first occur, pairs in pair order; a
     pair without rows is in none. orders sorts a day matrix, canonical_order
-    by default. max_news=None means no limit.
+    by default. max_news=None means no limit. The row stacks the backward
+    reads are kept only when the node is recorded (on a tape, with a w that
+    requires a gradient); otherwise each is dropped once its pairs are pooled.
     """
     if variant not in PARAM:
         raise ValueError(f"unknown pooling variant '{variant}'")
@@ -130,7 +134,8 @@ def pool_slots(
     # pasap's codes: a row depends only on its position and d, so the call's longest day sets the length
     table = sinusoidal_table(max(groups, default=0), d) if variant == "pasap" else None
     pooled = np.zeros((len(pairs), d))
-    stacks = []
+    keep = recorded(w)  # the backward's stacks
+    stacks, softmax = [], []
     for count, members in groups.items():
         rows = np.empty((len(members), count, d))
         for j, p in enumerate(members):
@@ -145,7 +150,9 @@ def pool_slots(
         query = w.data.reshape(1, d) if names is None else np.matmul(names, w.data)
         y = _softmax_forward(np.matmul(query, rows.swapaxes(1, 2)), "pool_slots")
         pooled[members] = np.matmul(y, rows).reshape(-1, d)
-        stacks.append((members, rows, names, y))
+        softmax.append(y)
+        if keep:
+            stacks.append((members, rows, names, y))
     flat = np.asarray(index, dtype=np.intp).reshape(-1)
 
     def bw(g):
@@ -166,7 +173,7 @@ def pool_slots(
         for s in np.flatnonzero(slot_group >= 0):  # slot by slot, as a tape of one pool node per slot adds them
             _accumulate(w, pieces[s])
 
-    return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), [y for *_, y in stacks]
+    return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), softmax
 
 
 def pool_day(variant: str, news: np.ndarray, name_emb: np.ndarray | None, w: Tensor,

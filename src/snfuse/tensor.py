@@ -120,6 +120,11 @@ def _fold(pieces: np.ndarray) -> np.ndarray:
     return acc
 
 
+def recorded(t: Tensor) -> bool:
+    """Whether an op with parent t records a node: the tape is recording and t requires a gradient."""
+    return _recording.get() and t.requires_grad
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     live = tuple(p for p in parents if p.requires_grad) if _recording.get() else ()
@@ -344,44 +349,52 @@ def linear(x, w, b) -> Tensor:
 def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
     """Multi-head softmax(QK'/sqrt(head width)) V within each window, heads consecutive column blocks.
 
-    The windows are k's: a (W, L, width) k has W, a 2-D k one. q's windows
-    must match them, or there is one key window that every query row of the
-    stack attends to. Per window and head (a contiguous block, one product
-    of a stacked np.matmul) it matches cut on axis -1 -> transpose -> matmul
-    -> scale -> softmax_rows -> matmul, then concat on axis -1. split=False
-    (one head) matches matmul(q, transpose(k)) -> scale -> softmax_rows ->
-    matmul on the whole window; k's gradient then stays the transpose of a
-    row-major product. q, k and v are distinct tensors in every caller, so
-    the order of their gradients changes no bit; n_heads divides the width.
+    A (W, L, width) array holds W windows, a 2-D one one. k and v hold as
+    many windows as q, or one key window that each query window attends to
+    on its own, so a query window gets the bits it gets alone, however many
+    windows share the keys. Per window and head (a contiguous block, one
+    product of a stacked np.matmul) it matches cut on axis -1 -> transpose
+    -> matmul -> scale -> softmax_rows -> matmul, then concat on axis -1.
+    split=False (one head) matches matmul(q, transpose(k)) -> scale ->
+    softmax_rows -> matmul on the whole window; k's gradient then stays the
+    transpose of a row-major product. A shared key window takes its
+    gradients from one product over every query row. q, k and v are
+    distinct tensors in every caller, so the order of their gradients
+    changes no bit; n_heads divides the width.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     width = q.data.shape[-1]
-    windows = k.data.shape[0] if k.data.ndim == 3 else 1
-    if windows > 1 and q.data.shape[:-2] != (windows,):
-        raise DimensionError(f"attention over {windows} key windows got queries of shape {q.data.shape}")
+    windows = q.data.shape[0] if q.data.ndim == 3 else 1
+    keys = k.data.shape[0] if k.data.ndim == 3 else 1
+    if keys not in (1, windows):
+        raise DimensionError(f"attention over {keys} key windows got queries of shape {q.data.shape}")
     head_dim = width // n_heads
     c = 1.0 / math.sqrt(head_dim)
 
-    def heads(x: np.ndarray) -> np.ndarray:  # (W, L, width) -> (W, heads, L, head_dim) view
-        return x.reshape(windows, -1, n_heads, head_dim).transpose(0, 2, 1, 3)
+    def heads(x: np.ndarray, n: int) -> np.ndarray:  # (n, L, width) -> (n, heads, L, head_dim) view
+        return x.reshape(n, -1, n_heads, head_dim).transpose(0, 2, 1, 3)
 
     def rows(x: np.ndarray, shape) -> np.ndarray:  # the inverse of heads
         return x.transpose(0, 2, 1, 3).reshape(shape)
 
-    qh, kh, vh = (np.ascontiguousarray(heads(t.data)) for t in (q, k, v))
+    def merged(x: np.ndarray) -> np.ndarray:  # (windows, heads, L, .) -> (keys, heads, windows * L / keys, .)
+        return x if keys == windows else x.transpose(1, 0, 2, 3).reshape(1, n_heads, -1, x.shape[-1])
+
+    qh = np.ascontiguousarray(heads(q.data, windows))
+    kh, vh = (np.ascontiguousarray(heads(t.data, keys)) for t in (k, v))
     kt = kh.swapaxes(2, 3).copy()
     y = _softmax_forward(np.matmul(qh, kt) * c, "softmax_rows")
 
     def bw(g):
-        gh = heads(g)
+        gh, ym, qm = heads(g, keys), merged(y), merged(qh)
         if v.requires_grad:
-            _accumulate(v, rows(np.matmul(y.swapaxes(2, 3), gh), v.data.shape))
+            _accumulate(v, rows(np.matmul(ym.swapaxes(2, 3), gh), v.data.shape))
         if q.requires_grad or k.requires_grad:
-            g_logits = _softmax_backward(np.matmul(gh, vh.swapaxes(2, 3)), y) * c
+            g_logits = _softmax_backward(np.matmul(gh, vh.swapaxes(2, 3)), ym) * c
             if q.requires_grad:
                 _accumulate(q, rows(np.matmul(g_logits, kt.swapaxes(2, 3)), q.data.shape))
             if k.requires_grad:
-                g_k = rows(np.matmul(qh.swapaxes(2, 3), g_logits).swapaxes(2, 3), (-1, width))
+                g_k = rows(np.matmul(qm.swapaxes(2, 3), g_logits).swapaxes(2, 3), (-1, width))
                 # the rows of all windows made column-major keep each window's block column-major
                 g_k = np.ascontiguousarray(g_k) if split else np.asfortranarray(g_k)
                 _accumulate(k, g_k.reshape(k.data.shape))
@@ -442,7 +455,7 @@ def repeat_windows(a, windows: int) -> Tensor:
     """`windows` copies of a, stacked as (windows, *a.shape), when the op is recorded; the backward folds
     the copies' gradients. Otherwise one copy, (1, *a.shape), which every window broadcasts against."""
     a = as_tensor(a)
-    copies = windows if _recording.get() and a.requires_grad else 1
+    copies = windows if recorded(a) else 1
 
     def bw(g):
         _accumulate(a, _fold(g))

@@ -13,9 +13,12 @@ a first in even rounds and b first in odd ones, each on a fresh dataset and
 model, after one untimed warm-up of each. BLAS runs on one thread, as in
 perfbench.
 
-It prints every round's times, the median of the b/a time ratios and the
-number of rounds b was faster, then exits 1 if the two trees' best
-validation MSE or test MSE differ in any round, else 0. --tiny shrinks the
+It prints every round's times, the median of the b/a time ratios, the
+number of rounds b was faster and each tree's median samples_per_s over
+the rounds, as perfbench defines it (train samples x epochs for a training
+workload, test samples for an evaluation one, over the phase's time), then
+exits 1 if the two trees' best validation MSE or test MSE differ in any
+round, else 0. --tiny shrinks the
 workload (2 stocks, 240 days, at most 3 articles a day of width at most 8,
 one epoch), for a smoke test.
 
@@ -67,8 +70,13 @@ def workload(name: str, tiny: bool):
     return w
 
 
-def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, float | None, float]:
-    """(seconds, best validation MSE or None, test MSE) of one timed phase on a fresh dataset and model."""
+def samples(w, ds) -> int:
+    """The samples a phase processes: train samples x epochs, or test samples."""
+    return len(ds.samples["train"]) * w.epochs if w.kind == "train" else len(ds.samples["test"])
+
+
+def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, int, float | None, float]:
+    """(seconds, samples, best validation MSE or None, test MSE) of one timed phase on a fresh dataset and model."""
     ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
     model = tree["model"].ForecastModel(cfg, ds.dim)
     gc.collect()
@@ -76,24 +84,27 @@ def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, float | None, floa
     best = tree["training"].train(model, ds, cfg).best_val_mse if w.kind == "train" else None
     trained = time.perf_counter()
     test = tree["training"].evaluate(model, ds).avg_mse
-    return (trained if w.kind == "train" else time.perf_counter()) - start, best, test
+    return (trained if w.kind == "train" else time.perf_counter()) - start, samples(w, ds), best, test
 
 
 def rounds_of(trees: dict, w, cfgs: dict, data_dir: Path, rounds: int) -> bool:
     """Print every round and the summary; True when the trees' outputs differ in some round."""
     for k, tree in trees.items():  # warm-up, untimed
         phase(tree, dataclasses.replace(w, epochs=1), cfgs[k], data_dir)
-    ratios, b_won, differ = [], 0, False
+    ratios, rates, b_won, differ = [], {"a": [], "b": []}, 0, False
     for r in range(rounds):
         got = {k: phase(trees[k], w, cfgs[k], data_dir) for k in ("ab" if r % 2 == 0 else "ba")}
         ratio = got["b"][0] / got["a"][0]
         ratios.append(ratio)
+        for k, (seconds, n, *_) in got.items():
+            rates[k].append(n / seconds)
         b_won += ratio < 1.0
-        same = got["a"][1:] == got["b"][1:]
+        same = got["a"][2:] == got["b"][2:]
         differ |= not same
         print(f"round {r}: a {got['a'][0]:.4f} s  b {got['b'][0]:.4f} s  b/a {ratio:.3f}"
-              + ("" if same else f"  outputs differ: a {got['a'][1:]} b {got['b'][1:]}"))
-    print(f"{w.name}: median b/a {statistics.median(ratios):.3f}; b faster in {b_won} of {rounds} rounds")
+              + ("" if same else f"  outputs differ: a {got['a'][2:]} b {got['b'][2:]}"))
+    print(f"{w.name}: median b/a {statistics.median(ratios):.3f}; b faster in {b_won} of {rounds} rounds; "
+          f"median samples_per_s a {statistics.median(rates['a']):.1f} b {statistics.median(rates['b']):.1f}")
     return differ
 
 

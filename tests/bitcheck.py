@@ -6,13 +6,14 @@
 `dump` imports snfuse from the source tree given by --src and writes, for
 every configuration of the grid, the loss and every trainable gradient of
 `batch_loss` at W = 1, 2, 3, 4 and 8 stacked windows, `predict_sample` of one
-window, and `predict_many` over 70 windows (three inference chunks). The
-grid is 4 width sets (the tests' d = 32, news_train's, signal_train's, and
-overlapping patches with 4 reprogram heads) x 5 poolings x the 8 ablation
-rows x the name prompt off and on; --tiny keeps one width set, two
-poolings, one ablation row and W <= 2, for a smoke test. The inputs come
-from a fixed seed and use only numpy, so dumps of two trees see the same
-windows.
+window, and `predict_many` over 130 windows (at least two of predict_many's
+fusion chunks in every width set, and two backbone batches with
+overlapping patches). The grid is 5 width sets (the tests' d = 32,
+news_train's, signal_train's, overlapping patches with 4 reprogram heads,
+and one patch per window) x 5 poolings x the 8 ablation rows x the name
+prompt off and on; --tiny keeps one width set, two poolings, one ablation
+row and W <= 2, for a smoke test. The inputs come from a fixed seed and
+use only numpy, so dumps of two trees see the same windows.
 
 `compare` lists every array whose dtype, shape or bytes differ, and every
 array only one dump holds, then exits 1 if it listed any. Comparing bytes
@@ -41,11 +42,13 @@ WIDTHS = {
     "overlap_heads": dict(t_window=8, patch_len=3, patch_stride=1, d_model=32, n_layers=1, n_heads=4, ffn_dim=16,
                           vocab_size=32, num_prototypes=16, reprogram_heads=4, dim=32, max_news_per_day=16,
                           horizon=2),
+    "one_patch": dict(t_window=8, patch_len=8, patch_stride=8, dim=8),
 }
-ARTICLES = {"tests": (1, 5), "news_train": (10, 30), "signal_train": (3, 3), "overlap_heads": (1, 5)}
+ARTICLES = {"tests": (1, 5), "news_train": (10, 30), "signal_train": (3, 3), "overlap_heads": (1, 5),
+            "one_patch": (3, 3)}
 POOLINGS = ("none", "ap", "cap", "sap", "pasap")
 BATCH_SIZES = (1, 2, 3, 4, 8)  # 8: numpy sums an axis of 8 or more rows pairwise
-PREDICTED = 70
+PREDICTED = 130
 
 
 def grid(tiny: bool = False):
@@ -66,18 +69,20 @@ def grid(tiny: bool = False):
 
 def windows(cfg, width: str, n: int, seed: int = 0):
     """n overlapping (prices, news, name_emb, target) windows of three stocks over one news
-    history, one array per day and per name as a dataset resolves them; every fourth day
-    has no articles, and window 2 repeats window 0."""
+    history, one array per day and per name as a dataset resolves them, and each stock's
+    prices and targets cut from its one close series, so windows share their (stock, day,
+    close) rows; every fourth day has no articles, and window 2 repeats window 0."""
     rng = np.random.default_rng(seed)
     lo, hi = ARTICLES[width]
-    days = [rng.normal(size=(0 if i % 4 == 2 else int(rng.integers(lo, hi + 1)), cfg.dim))
-            for i in range(cfg.t_window + 8)]
+    n_days = cfg.t_window + cfg.horizon + n // 3
+    days = [rng.normal(size=(0 if i % 4 == 2 else int(rng.integers(lo, hi + 1)), cfg.dim)) for i in range(n_days)]
     names = [rng.normal(size=cfg.dim) for _ in range(3)]
+    closes = rng.normal(size=(3, n_days))
     out = []
     for i in range(n):
-        start, stock = (i // 3) % 9, i % 3
-        out.append((rng.normal(size=cfg.t_window), days[start : start + cfg.t_window], names[stock],
-                    rng.normal(size=cfg.horizon)))
+        start, stock = i // 3, i % 3
+        end = start + cfg.t_window
+        out.append((closes[stock, start:end], days[start:end], names[stock], closes[stock, end : end + cfg.horizon]))
     if n > 2:
         out[2] = out[0]
     return out

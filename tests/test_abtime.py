@@ -1,3 +1,4 @@
+import re
 import shutil
 from pathlib import Path
 
@@ -12,6 +13,8 @@ def test_one_tree_against_itself_passes_and_a_tree_that_trains_differently_fails
     out = capsys.readouterr().out
     assert out.count("outputs differ") == 0
     assert "signal_train: median b/a " in out and " of 2 rounds" in out
+    rates = re.search(r"median samples_per_s a (\S+) b (\S+)$", out, re.MULTILINE)
+    assert rates and all(float(rate) > 0 for rate in rates.groups())
 
     changed = tmp_path / "src"
     shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))

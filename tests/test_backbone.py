@@ -10,6 +10,7 @@ from snfuse.backbone import (
     make_prototypes,
     num_patches,
     patchify,
+    prototype_keys,
     reprogram,
 )
 from snfuse.config import RunConfig
@@ -111,7 +112,7 @@ def test_reprogram_single_prototype_everywhere():
     params = _reprog_params(rng, d_model, d_model, identity=True)
     protos = rng.normal(size=(1, d_model))
     patches = rng.normal(size=(3, d_model))
-    out = reprogram(Tensor(patches), Tensor(protos), params, n_heads=1)
+    out = reprogram(Tensor(patches), prototype_keys(Tensor(protos), params), params, n_heads=1)
     np.testing.assert_allclose(out.data, np.tile(protos[0], (3, 1)), atol=1e-12)
 
 
@@ -120,7 +121,7 @@ def test_reprogram_zero_logits_means_prototype_mean():
     d_model = 4
     params = _reprog_params(rng, d_model, d_model, identity=True)
     protos = rng.normal(size=(5, d_model))
-    out = reprogram(Tensor(np.zeros((2, d_model))), Tensor(protos), params, n_heads=1)
+    out = reprogram(Tensor(np.zeros((2, d_model))), prototype_keys(Tensor(protos), params), params, n_heads=1)
     np.testing.assert_allclose(out.data, np.tile(protos.mean(axis=0), (2, 1)), atol=1e-12)
 
 
@@ -130,7 +131,7 @@ def test_reprogram_matches_scalar_attention_oracle():
     params = _reprog_params(rng, d_model, d_model, identity=True)
     protos = rng.uniform(-1, 1, size=(5, d_model))
     patches = rng.uniform(-1, 1, size=(3, d_model))
-    out = reprogram(Tensor(patches), Tensor(protos), params, n_heads=1)
+    out = reprogram(Tensor(patches), prototype_keys(Tensor(protos), params), params, n_heads=1)
     expected = scaled_attention_oracle(patches.tolist(), protos.tolist(), protos.tolist(), np.sqrt(d_model))
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
@@ -142,7 +143,7 @@ def test_reprogram_attention_weights_sum_to_one():
     params = _reprog_params(rng, d_model, d_model, identity=True)
     protos = np.tile(rng.normal(size=d_model), (6, 1))
     patches = rng.normal(size=(3, d_model))
-    out = reprogram(Tensor(patches), Tensor(protos), params, n_heads=1)
+    out = reprogram(Tensor(patches), prototype_keys(Tensor(protos), params), params, n_heads=1)
     np.testing.assert_allclose(out.data, np.tile(protos[0], (3, 1)), atol=1e-12)
 
 

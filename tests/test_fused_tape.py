@@ -69,7 +69,7 @@ def day_rows(pooling, day, emb):
     return np.concatenate([emb.reshape(1, -1), rows]) if pooling == "sap" else rows
 
 
-def pool_slots_chain(model, samples, memo=None):
+def pool_slots_chain(model, samples):
     """ForecastModel._pool as a chain: every day slot pooled on its own through pool_chain
     (zeros for a day without rows), the slots joined by concat on axis -2."""
     cfg = model.cfg

@@ -12,7 +12,9 @@ from snfuse.fusion import (
     cross_attention,
     day_pair_adjacency,
     fuse_directions,
+    gather_terms,
     gcn_fuse,
+    shared_rows,
 )
 from snfuse.optim import ParamSet, backward, finite_diff_check
 from snfuse.tensor import Tensor, block_matmul, concat, cut, linear, mul, no_grad, relu
@@ -361,3 +363,31 @@ def test_stacks_with_different_window_counts_are_rejected(news_windows, price_wi
             gcn_fuse(news, price, _gcn_params(d, rng=rng), day_pair_adjacency(t))
         with pytest.raises(DimensionError, match="as many windows"):
             cross_attention(price, news, news, *(proj[f"fusion.p2n.w{letter}"] for letter in "qkv"))
+
+
+@pytest.mark.parametrize("d", [8, 64])
+@pytest.mark.parametrize("t_len", [1, 8, 20])
+def test_shared_rows_gathered_into_windows_match_the_windows_fused_whole(t_len, d):
+    # off a tape: the row-by-row layers on (P, T, d) pseudo-windows of distinct rows, padded with
+    # copies of the last row, then gathered into windows, equal the windows' own fusion bit for bit
+    rng = np.random.default_rng(t_len * d)
+    n_rows, windows = 2 * t_len + 3, 5
+    news_rows, price_rows = rng.normal(size=(n_rows, d)), rng.normal(size=(n_rows, d))
+    index = rng.integers(0, n_rows, size=(windows, t_len))
+    params = _random_proj_params(rng, d)
+    gcn = _gcn_params(d, w=rng.normal(size=(d, d)), b=rng.normal(size=d), rng=rng)
+    for name in gcn.ids():
+        params.add(name, gcn[name].data)
+    logits = params.add("fusion.blend.logits", rng.normal(size=(1, 5)))
+    adjacency = day_pair_adjacency(t_len)
+    with no_grad():
+        news, price = Tensor(news_rows[index]), Tensor(price_rows[index])
+        terms = {"news": news, "price": price, **fuse_directions(news, price, params, ["p2n", "n2p"]),
+                 "gcn": gcn_fuse(news, price, params, adjacency)}
+        whole, _ = blend(terms, logits, list(BLEND_TERMS))
+        take = np.minimum(np.arange(-(-n_rows // t_len) * t_len), n_rows - 1).reshape(-1, t_len)
+        rows = shared_rows(Tensor(news_rows[take]), Tensor(price_rows[take]), params, ["p2n", "n2p"], adjacency)
+        assert set(rows) == set(BLEND_TERMS)
+        shared, _ = blend(gather_terms(rows, lambda x: Tensor(x.data.reshape(-1, d)[index])), logits,
+                          list(BLEND_TERMS))
+    assert np.array_equal(shared.data, whole.data)

@@ -9,7 +9,7 @@ from snfuse import mse_loss
 from snfuse.config import RunConfig
 from snfuse.data import prepare_dataset
 from snfuse.errors import DataFormatError
-from snfuse.model import PREDICT_CHUNK, ForecastModel
+from snfuse.model import PREDICT_ROWS, ForecastModel
 from snfuse.optim import backward
 from snfuse.tensor import Tensor, grad_enabled
 from snfuse.training import ABLATION_ROWS, evaluate
@@ -76,12 +76,72 @@ def test_predict_many_matches_predict_sample(pooling, label, flags, snp):
     cfg = _tiny_cfg(t_window=7, patch_len=3, patch_stride=2, horizon=2, pooling=pooling, snp=snp,
                     no_p2n=no_p2n, no_n2p=no_n2p, no_gcn=no_gcn)
     model = ForecastModel(cfg, cfg.dim)
-    samples = _windows(cfg, n_stocks=2, per_stock=19)  # 38: one full chunk and a partial one
-    assert len(samples) % PREDICT_CHUNK != 0 and any(day.shape[0] == 0 for day in samples[0][1])
-    ref = np.concatenate([model.predict_sample(p, n, e).data for p, n, e, _ in samples])
+    samples = _windows(cfg, n_stocks=2, per_stock=19)
+    assert any(day.shape[0] == 0 for day in samples[0][1])
+    _assert_predict_many_matches_predict_sample(model, samples)
+
+
+def _assert_predict_many_matches_predict_sample(model, samples):
+    ref = np.concatenate([model.predict_sample(p, n, e).data for p, n, e, *_ in samples])
     many = model.predict_many(samples)
-    assert many.shape == (len(samples), cfg.horizon)
+    assert many.shape == (len(samples), model.cfg.horizon)
     np.testing.assert_array_equal(many, ref)
+
+
+@pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+def test_predict_many_matches_predict_sample_across_fusion_chunks_and_backbone_batches(pooling, snp):
+    # one-day patches: n_p = 6, so the backbone takes 106 windows a time (91 with the prompt) and fusion 106
+    cfg = _tiny_cfg(patch_len=1, patch_stride=1, pooling=pooling, snp=snp)
+    model = ForecastModel(cfg, cfg.dim)
+    samples = _windows(cfg, n_stocks=2, per_stock=120)
+    fusion_chunk, backbone_batch = PREDICT_ROWS // cfg.t_window, PREDICT_ROWS // (model.n_patches + snp)
+    assert len(samples) > 2 * max(fusion_chunk, backbone_batch)
+    assert len(samples) % fusion_chunk and len(samples) % backbone_batch
+    _assert_predict_many_matches_predict_sample(model, samples)
+
+
+@pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
+@pytest.mark.parametrize("pooling", ["none", "sap"])
+@pytest.mark.parametrize("t_window", [1, 6])
+def test_predict_many_matches_predict_sample_with_one_patch_per_window(t_window, pooling, snp):
+    # one patch is one query row per window in the reprogramming attention; against the one
+    # prototype set, each window's row is a product of its own, as in predict_sample
+    cfg = _tiny_cfg(t_window=t_window, patch_len=t_window, patch_stride=t_window, pooling=pooling, snp=snp)
+    model = ForecastModel(cfg, cfg.dim)
+    assert model.n_patches == 1
+    samples = _windows(cfg, n_stocks=2, per_stock=19)
+    _assert_predict_many_matches_predict_sample(model, samples)
+    _assert_predict_many_matches_predict_sample(model, samples[:1])
+
+
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+def test_a_day_array_under_two_closes_is_two_rows(pooling):
+    # rows are keyed on their (day, stock) and the bits of their close: one array held by two days
+    # of a window under different closes, and two windows of one stock and days under different closes
+    model = ForecastModel(_tiny_cfg(pooling=pooling), 4)
+    (prices, news, emb, target), = _windows(model.cfg, n_stocks=1, per_stock=1)
+    repeated = list(news)
+    repeated[4] = repeated[3]
+    assert prices[3] != prices[4]
+    moved = prices.copy()
+    moved[2] = np.nextafter(moved[2], np.inf)
+    zeroed = prices.copy()
+    zeroed[1] = 0.0
+    signed = zeroed.copy()
+    signed[1] = -0.0
+    samples = [(p, repeated, emb, target) for p in (prices, moved, zeroed, signed)]
+    _assert_predict_many_matches_predict_sample(model, samples)
+
+
+@pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
+def test_a_window_of_one_row_repeated_is_one_padded_row(pooling):
+    # T days of one array under one close: one distinct row, padded out to a pseudo-window of T rows
+    model = ForecastModel(_tiny_cfg(pooling=pooling), 4)
+    rng = np.random.default_rng(4)
+    day, emb = rng.normal(size=(3, 4)), rng.normal(size=4)
+    t = model.cfg.t_window
+    _assert_predict_many_matches_predict_sample(model, [(np.full(t, 0.25), [day] * t, emb, None)])
 
 
 def test_predict_many_of_no_samples_and_on_a_tape():
@@ -162,14 +222,14 @@ def test_pool_rows_match_pool_day_per_day(variant, monkeypatch):
 def test_predict_many_pools_each_day_and_stock_once_per_call(variant, monkeypatch):
     calls = _kernel_calls(monkeypatch)
     model = ForecastModel(_tiny_cfg(pooling=variant), 4)
-    # overlapping windows of two stocks over three chunks: the first stock's last windows
+    # overlapping windows of two stocks over two fusion chunks: the first stock's last windows
     # share days with the ones before them in another chunk, so pooling per chunk pools twice
-    samples = _windows(model.cfg, n_stocks=2, per_stock=PREDICT_CHUNK + 4)
+    samples = _windows(model.cfg, n_stocks=2, per_stock=60)
     model.predict_many(samples)
     distinct = {(id(day), id(emb)) for _, news, emb, _ in samples for day in news}
-    assert len(samples) > PREDICT_CHUNK
-    assert len(calls) <= -(-len(samples) // PREDICT_CHUNK)  # at most one kernel call per chunk
-    assert sorted(pair for call in calls for pair in call) == sorted(distinct)
+    assert len(samples) > PREDICT_ROWS // model.cfg.t_window
+    assert len(calls) == 1  # one kernel call for the whole call
+    assert sorted(calls[0]) == sorted(distinct)
 
 
 def test_evaluate_pools_each_test_day_of_each_stock_once(tmp_path, monkeypatch):
@@ -183,7 +243,7 @@ def test_evaluate_pools_each_test_day_of_each_stock_once(tmp_path, monkeypatch):
     stock_of = {id(rec.name_embedding): sid for sid, rec in ds.stocks.items()}
     handed = [(day_of.get(day), stock_of.get(emb)) for call in calls for day, emb in call]
     covered = {(i, s.stock_id) for s in ds.samples["test"] for i in s.window_days}
-    assert len(ds.samples["test"]) > PREDICT_CHUNK
+    assert len(calls) == 1
     assert len(handed) == len(covered) and set(handed) == covered
 
 

@@ -420,6 +420,33 @@ def test_attention_rejects_queries_of_another_window_count():
     np.testing.assert_array_equal(out.data, np.ones((2, 4, 2)))
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_a_shared_key_window_gives_each_query_window_its_own_bits(length):
+    # off a tape every query window gets the bits it gets alone, one query row included; on a tape
+    # the shared k and v take their gradients from one product over every query row, as they do
+    # when the queries are one window
+    rng = np.random.default_rng(21)
+    windows, width, n_keys = 5, 32, 16
+    q, c = rng.normal(size=(windows, length, width)), rng.normal(size=(windows, length, width))
+    k, v = rng.normal(size=(1, n_keys, width)), rng.normal(size=(1, n_keys, width))
+    for n_heads in (1, 4):
+        with no_grad():
+            stacked = attention(Tensor(q), Tensor(k), Tensor(v), n_heads).data
+            alone = [attention(Tensor(q[i : i + 1]), Tensor(k), Tensor(v), n_heads).data for i in range(windows)]
+        assert np.array_equal(stacked, np.concatenate(alone))
+        if length == 1:
+            continue
+        grads = []
+        for shape in ((windows, length, width), (1, windows * length, width)):
+            params = ParamSet()
+            for name, x in zip("qkv", (q, k, v)):
+                params.add(name, x)
+            out = attention(reshape(params["q"], shape), params["k"], params["v"], n_heads)
+            grads.append(backward(sum_all(mul(out, Tensor(c.reshape(shape)))), params))
+        for name in "qkv":
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
 def test_windowed_shift_rows_gradient_matches_a_loop():
     rng = np.random.default_rng(13)
     windows, length = 3, 4
