@@ -256,10 +256,12 @@ def assemble_dataset(
     horizon: int,
     missing_news_days: int = 0,
     file_hashes: list[tuple[str, str]] | None = None,
+    data_dir: Path = Path(),
 ) -> PreparedDataset:
     """Scale, window, and split each stock's closes on the shared calendar `dates`
     and the per-day news matrices, by the chronological 70/10/20 rule. A split
-    without a window is refused."""
+    without a window is refused, and so are closes that overflow float64 when
+    scaled, naming the stock's prices.csv under data_dir."""
     dim = next(iter(names.values())).size
     total_days = len(dates)
     if total_days < t_window + horizon + 3:
@@ -280,12 +282,13 @@ def assemble_dataset(
 
     stocks: dict[str, StockRecord] = {}
     for sid in sorted(names):
-        scaler = fit_scaler(closes[sid][:train_hi], "price")
-        stocks[sid] = StockRecord(
-            name_embedding=names[sid],
-            closes_norm=scaler.transform(closes[sid]),
-            price_scaler=scaler,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaler = fit_scaler(closes[sid][:train_hi], "price")
+            closes_norm = scaler.transform(closes[sid])
+        if not (np.isfinite(scaler.mean) and np.isfinite(scaler.std) and np.all(np.isfinite(closes_norm))):
+            raise DataFormatError(f"{data_dir / sid / 'prices.csv'}: closes overflow float64 when scaled "
+                                  f"(training-span mean {scaler.mean:g}, std {scaler.std:g})")
+        stocks[sid] = StockRecord(name_embedding=names[sid], closes_norm=closes_norm, price_scaler=scaler)
 
     # a window's T input days and H target days sit inside one split; the others are skipped
     span = t_window + horizon
@@ -357,7 +360,7 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     for sid in sorted(names):
         if calendars[sid] != dates:
             raise DataFormatError(f"{sid}: trading calendar differs from other stocks")
-    return assemble_dataset(dates, closes, news_raw, names, t_window, horizon, missing, hashes)
+    return assemble_dataset(dates, closes, news_raw, names, t_window, horizon, missing, hashes, root)
 
 
 def _fmt(x: float) -> str:

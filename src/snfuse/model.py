@@ -6,18 +6,20 @@ The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated; a named `vocab_file` replaces the
 seeded vocabulary, and the model reads it itself.
 
-A training step (`batch_loss`) and `predict_sample` run one forward
-(`_forward`): pool each distinct (day, stock) of the windows once, in one
-call of the stacked pooling kernel (`_pool`), then fuse and predict a
-(W, T, d) stack of W windows (`_fuse`, `_patches`, `_predict`), which
-reads W from the shape. A training step runs its whole batch through it
-on one tape, and its loss and gradients equal those of the windows taped
-one at a time (`predict_sample`, W = 1) bit for bit. Inference
-(`predict_many`) runs the same arithmetic without a tape, and computes
-each (stock, day, close) row once: one kernel call pools every distinct
-(day, stock) of the call, and fusion's row-by-row layers run once per
-distinct row of each chunk of windows (`_fuse_rows`), before the windows
-gather their rows; each of its rows equals `predict_sample`'s bit for bit.
+Training and inference share one forward. A training step (`batch_loss`)
+and `predict_sample` (`_forward`) pool each distinct (day, stock) of the
+windows once, in one call of the stacked pooling kernel (`_pool`), then
+fuse and predict a (W, T, d) stack of W windows (`_fuse`, `_patches`,
+`_predict`), which reads W from the shape. A training step runs its whole
+batch through it on one tape, and its loss and gradients equal those of
+the windows taped one at a time (`predict_sample`, W = 1) bit for bit.
+`_fuse` runs fusion's row-by-row layers on a stack of rows, then gathers
+each window's rows: a training step hands it the windows and the
+identity. Inference (`predict_many`) runs the same arithmetic without a
+tape, and computes each (stock, day, close) row once: one kernel call
+pools every distinct (day, stock) of the call, and each chunk of windows
+is fused from a stack of its distinct rows (`_fuse_rows`); each of its
+rows equals `predict_sample`'s bit for bit.
 A day's articles are sorted only the first time the model sees that day
 matrix.
 """
@@ -36,7 +38,7 @@ from .optim import ParamSet
 from .rng import substream
 from .tensor import Tensor, add, linear, mean_all, mul, no_grad, reshape
 
-PREDICT_ROWS = 640  # rows per stacked step of predict_many (T per window in fusion, n_p + snp after); bounds its memory
+PREDICT_ROWS = 640  # rows per fusion chunk of predict_many (T per window), which bounds its memory
 
 
 def _first_use(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,11 +56,6 @@ def _first_use(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = np.empty_like(order)
     index[order] = rank[np.cumsum(starts) - 1]
     return first[by_use], index
-
-
-def _gather(index: np.ndarray):
-    """The (W, T, .) stack of rows index of a (P, T, .) stack of rows, read as P * T rows."""
-    return lambda rows: Tensor(np.take(rows.data.reshape(-1, rows.shape[-1]), index, axis=0))
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -186,18 +183,21 @@ class ForecastModel:
             return price_seq, None
         return price_seq, linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
 
-    def _fuse(self, prices: np.ndarray, news_raw: Tensor | None) -> Tensor:
-        """Blended (W, T, d) features from (W, T) prices and (W, T, d) pooled news rows."""
+    def _fuse(self, closes: np.ndarray, news_raw: Tensor | None, at) -> Tensor:
+        """Blended (W, T, d) features of the windows whose rows at gathers from a (P, T) stack of
+        closes and its (P, T, d) pooled news rows (None without pooling).
+
+        Fusion's row-by-row layers run on the stack, the rest on the gathered windows.
+        """
         p = self.params
-        price_seq, news_seq = self._sequences(prices, news_raw)
-        terms: dict[str, Tensor] = {"price": price_seq}
+        price_seq, news_seq = self._sequences(closes, news_raw)
+        rows = {"price": [price_seq]}
         if news_seq is not None:
-            terms["news"] = news_seq
-            if self.directions:
-                terms.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
+            rows["news"] = [news_seq]
+            rows.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
             if "gcn" in self.active_terms:
-                terms["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
-        return fu.blend(terms, p["fusion.blend.logits"], self.active_terms)[0]
+                rows["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
+        return fu.blend(fu.gather_terms(rows, at), p["fusion.blend.logits"], self.active_terms)[0]
 
     def _patches(self, fused: Tensor) -> Tensor:
         """(W, n_p, patch_len * d) patches of blended (W, T, d) features."""
@@ -250,7 +250,7 @@ class ForecastModel:
         for prices, news, *_ in samples:
             self._check_window(prices, news)
         news_raw = self._pool(samples) if self.cfg.pooling != "none" else None
-        return self._fuse(np.stack([s[0] for s in samples]), news_raw)
+        return self._fuse(np.stack([s[0] for s in samples]), news_raw, lambda rows: rows)
 
     def _forward(self, samples) -> Tensor:
         """(W, 1, H) predictions of (prices, news, name_emb, ...) windows through one stacked forward."""
@@ -285,11 +285,9 @@ class ForecastModel:
         t_len = self.cfg.t_window
         used, local = np.unique(index, return_inverse=True)
         take = used[np.minimum(np.arange(-(-len(used) // t_len) * t_len), len(used) - 1)].reshape(-1, t_len)
-        price_seq, news_seq = self._sequences(closes[take], None if news is None else Tensor(news[take]))
-        adjacency = self.adjacency if "gcn" in self.active_terms else None
-        rows = fu.shared_rows(news_seq, price_seq, self.params, self.directions, adjacency)
-        terms = fu.gather_terms(rows, _gather(local.reshape(index.shape)))
-        return fu.blend(terms, self.params["fusion.blend.logits"], self.active_terms)[0]
+        local = local.reshape(index.shape)  # each slot's row of the (P, T) stack, read as P * T rows
+        return self._fuse(closes[take], None if news is None else Tensor(news[take]),
+                          lambda rows: Tensor(np.take(rows.data.reshape(-1, rows.shape[-1]), local, axis=0)))
 
     def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """Stock-aware features (1, T, d) for one window."""
@@ -307,15 +305,18 @@ class ForecastModel:
         Fusion takes PREDICT_ROWS // T windows at a time, and runs its
         row-by-row layers once on each distinct (stock, day, close) row of
         them (`_fuse_rows`). The reprogramming, the frozen stack and the
-        head take PREDICT_ROWS // (n_p + snp) windows at a time, against
-        one prototype set built once.
+        head take up to PREDICT_ROWS // (n_p + snp) windows at a time, and
+        no more than fit their n_p + snp rows of d_model floats each in a
+        fusion chunk's PREDICT_ROWS rows of d, against one prototype set
+        built once.
         """
         out = np.empty((len(samples), self.cfg.horizon))
         if not samples:
             return out
         for prices, news, *_ in samples:
             self._check_window(prices, news)
-        step = max(1, PREDICT_ROWS // (self.n_patches + self.cfg.snp))
+        d_model = self.cfg.d_model
+        step = max(1, PREDICT_ROWS * min(self.dim, d_model) // (d_model * (self.n_patches + self.cfg.snp)))
         with no_grad():
             index, closes, news = self._rows(samples)
             keys = self._prototype_keys(1)

@@ -341,9 +341,11 @@ def linear(x, w, b) -> Tensor:
 # arrays of the same memory layout (BLAS results depend on it), so values
 # and gradients match the chain bit for bit. An input whose gradient comes
 # in pieces gets them in the order the chain's backward would add them. The
-# fused ops are `attention`, `gather_rows` and `shift_rows` here, and the
-# stacked pooling node `pooling.pool_slots`, built from the same `_node` and
-# softmax helpers.
+# fused ops are `attention` (the per-head attention of the backbone and the
+# reprogramming, and fusion's single-head cores), `gather_rows` (patchify's
+# per-patch slices) and `shift_rows` (the causal conv's padded slice of each
+# tap product) here, and the stacked pooling node `pooling.pool_slots`, built
+# from the same `_node` and softmax helpers.
 
 
 def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:

@@ -354,6 +354,15 @@ def _bad_close(data):
     return data / "beta" / "prices.csv"
 
 
+def _huge_closes(data):
+    # finite, positive closes whose training-span mean overflows float64
+    lines = (data / "alpha" / "prices.csv").read_text(encoding="utf-8").splitlines()
+    for i, close in ((1, "1e308"), (2, "1.7e308")):
+        lines[i] = lines[i].split(",")[0] + "," + close
+    (data / "alpha" / "prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data / "alpha" / "prices.csv"
+
+
 def _embedding(text):
     return lambda rows: [[rows[0][0], rows[0][1], text], *rows[1:]]
 
@@ -365,6 +374,7 @@ def _stock_id(sid):
 # case -> (edit of the toy data directory returning the path the error must name, config text, message)
 BAD_INPUTS = {
     "non-numeric-close": (_bad_close, "", ":4: bad close 'abc'"),
+    "closes-overflow-the-price-scaler": (_huge_closes, "", ": closes overflow float64 when scaled"),
     "duplicate-stock": (lambda data: _names_edit(data, lambda rows: [*rows, rows[0]]), "",
                         ":3: duplicate stock id 'alpha'"),
     "bad-embedding": (lambda data: _names_edit(data, _embedding("1.0,x,0,0,0,0")), "", ":1: bad embedding literal"),

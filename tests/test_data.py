@@ -165,6 +165,16 @@ def test_fit_scaler_empty_rejected():
         fit_scaler(np.array([]), "price")
 
 
+def test_a_close_that_overflows_once_scaled_is_refused_without_a_warning():
+    # finite statistics: a training span one ulp from constant, then a close of 1e308 on the last day
+    n_days = 60
+    closes = np.ones(n_days)
+    closes[1] = np.nextafter(1.0, 2.0)
+    closes[-1] = 1e308
+    with np.errstate(all="raise"), pytest.raises(DataFormatError, match=r"^a/prices.csv: closes overflow float64"):
+        inmemory_dataset({"a": closes}, [np.zeros((0, 4))] * n_days, {"a": np.ones(4)}, t_window=8, horizon=1)
+
+
 # -- splits ------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ primitive-op graphs of one window at a time bit for bit.
 primitive ops: the pooling chain of every day slot, the per-head attention
 of the reprogramming layer and the frozen backbone (columns sliced even for
 one head), the unsliced single-head cross-attention, the per-patch slices
-of patchify, and the padded slices of the causal convolution. The oracles
+of patchify, and the padded slices of each conv tap's product. The oracles
 below rebuild those chains from the primitive ops on the (L, d) rows of one
 window, the 2-D form every op also takes, cut out of the layer's (1, L, d)
 stack by `reshape`; the backbone's oracle runs the frozen stack on those
@@ -129,15 +129,16 @@ def patchify_chain(features, patch_len, stride):
                             for s in range(0, n_p * stride, stride)], -2))
 
 
-def causal_conv_chain(h, taps):
-    """Zero rows joined on top by concat on axis -2, then per tap cut on axis -2 -> matmul, summed by add."""
-    h = rows_of(h)
-    t_len, d = h.shape
-    k0 = len(taps) - 1
-    padded = concat([Tensor(np.zeros((k0, d))), h], -2)
-    out = matmul(cut(padded, k0, k0 + t_len, -2), taps[0])
-    for k in range(1, len(taps)):
-        out = add(out, matmul(cut(padded, k0 - k, k0 - k + t_len, -2), taps[k]))
+def shifted_sum_chain(products):
+    """Per product k: k zero rows joined on top by concat on axis -2, then cut on axis -2 to the
+    first T rows; the products summed by add."""
+    out = None
+    for k, product in enumerate(products):
+        rows = rows_of(product)
+        if k:
+            t_len, d = rows.shape
+            rows = cut(concat([Tensor(np.zeros((k, d))), rows], -2), 0, t_len, -2)
+        out = rows if out is None else add(out, rows)
     return as_stack(out)
 
 
@@ -189,7 +190,7 @@ def _assert_same_as_chains(cfg, monkeypatch):
     monkeypatch.setattr(snfuse.fusion, "attention", cross_attention_chain)
     monkeypatch.setattr(snfuse.backbone, "attention", split_heads_chain)
     monkeypatch.setattr(snfuse.backbone, "patchify", patchify_chain)
-    monkeypatch.setattr(snfuse.fusion, "causal_conv", causal_conv_chain)
+    monkeypatch.setattr(snfuse.fusion, "shifted_sum", shifted_sum_chain)
     monkeypatch.setattr(snfuse.backbone, "forward_backbone", forward_backbone_chain)
     chain_loss, chain = _loss_and_grads(cfg, batch, per_window=True)
     assert np.array_equal(fused_loss, chain_loss)

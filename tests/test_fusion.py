@@ -4,27 +4,31 @@ import numpy as np
 import pytest
 
 from oracles import cross_attention_oracle, scaled_attention_oracle, sum_all
+from snfuse.config import RunConfig
 from snfuse.errors import DimensionError
 from snfuse.fusion import (
     BLEND_TERMS,
     blend,
-    causal_conv,
-    cross_attention,
     day_pair_adjacency,
     fuse_directions,
     gather_terms,
     gcn_fuse,
-    shared_rows,
+    shifted_sum,
 )
+from snfuse.model import ForecastModel
 from snfuse.optim import ParamSet, backward, finite_diff_check
-from snfuse.tensor import Tensor, block_matmul, concat, cut, linear, mul, no_grad, relu
+from snfuse.tensor import Tensor, block_matmul, concat, cut, linear, matmul, mul, no_grad, relu
 
 
-def _identity_proj(params, prefix, d):
-    wq = params.add(f"{prefix}.wq", np.eye(d))
-    wk = params.add(f"{prefix}.wk", np.eye(d))
-    wv = params.add(f"{prefix}.wv", np.eye(d))
-    return wq, wk, wv
+def _windows_as_they_are(x):
+    return x
+
+
+def _identity_proj(d):
+    params = ParamSet()
+    for letter in ("q", "k", "v"):
+        params.add(f"fusion.p2n.w{letter}", np.eye(d))
+    return params
 
 
 def _random_proj_params(rng, d):
@@ -35,63 +39,60 @@ def _random_proj_params(rng, d):
     return params
 
 
+def _attend(query, keys, params, direction="p2n"):
+    """One direction's projections (fuse_directions), then its attention core on the windows as
+    they are (gather_terms): prices query news in p2n, news queries prices in n2p."""
+    news, price = (keys, query) if direction == "p2n" else (query, keys)
+    rows = fuse_directions(Tensor(news), Tensor(price), params, [direction])
+    return gather_terms(rows, _windows_as_they_are)[direction]
+
+
 # -- cross attention -----------------------------------------------------
 
 
 def test_cross_att_single_key_returns_value_row():
-    params = ParamSet()
     d = 3
-    proj = _identity_proj(params, "x", d)
-    q = Tensor(np.random.default_rng(0).normal(size=(4, d)))
-    kv = Tensor([[7.0, 8.0, 9.0]])
-    out = cross_attention(q, kv, kv, *proj)
-    np.testing.assert_allclose(out.data, np.tile([7.0, 8.0, 9.0], (4, 1)), atol=1e-15)
+    q = np.random.default_rng(0).normal(size=(4, 1, d))  # four windows of one day: one key each
+    kv = np.tile([7.0, 8.0, 9.0], (4, 1, 1))
+    out = _attend(q, kv, _identity_proj(d))
+    np.testing.assert_allclose(out.data, kv, atol=1e-15)
 
 
 def test_cross_att_zero_query_uniform_weights():
-    params = ParamSet()
-    d = 2
-    proj = _identity_proj(params, "x", d)
-    kv = np.array([[1.0, 3.0], [5.0, 7.0], [0.0, 2.0]])
-    out = cross_attention(Tensor(np.zeros((2, d))), Tensor(kv), Tensor(kv), *proj)
-    np.testing.assert_allclose(out.data, np.tile(kv.mean(axis=0), (2, 1)), atol=1e-12)
+    kv = np.array([[[1.0, 3.0], [5.0, 7.0], [0.0, 2.0]]])
+    out = _attend(np.zeros_like(kv), kv, _identity_proj(2))
+    np.testing.assert_allclose(out.data[0], np.tile(kv[0].mean(axis=0), (3, 1)), atol=1e-12)
 
 
 def test_cross_att_orthonormal_self_matches_scalar_oracle():
     d = 4
-    params = ParamSet()
-    proj = _identity_proj(params, "x", d)
     q = np.eye(d)[:3]
-    out = cross_attention(Tensor(q), Tensor(q), Tensor(q), *proj)
+    out = _attend(q[None], q[None], _identity_proj(d))
     expected = scaled_attention_oracle(q.tolist(), q.tolist(), q.tolist(), np.sqrt(d))
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_cross_att_length_mismatch_rejected():
-    params = ParamSet()
-    proj = _identity_proj(params, "x", 2)
-    with pytest.raises(DimensionError, match="share length"):
-        cross_attention(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))), *proj)
+    with pytest.raises(DimensionError, match="and length"):
+        _attend(np.zeros((1, 2, 2)), np.zeros((1, 3, 2)), _identity_proj(2))
 
 
 def test_cross_att_random_matches_full_oracle():
+    # queries and keys come from the same window, so they are as many rows
     rng = np.random.default_rng(5)
     for _ in range(50):
         d = int(rng.integers(2, 6))
-        tq = int(rng.integers(1, 7))
-        tk = int(rng.integers(1, 7))
-        params = ParamSet()
-        wq = params.add("wq", rng.uniform(-1, 1, size=(d, d)))
-        wk = params.add("wk", rng.uniform(-1, 1, size=(d, d)))
-        wv = params.add("wv", rng.uniform(-1, 1, size=(d, d)))
-        q_in = rng.uniform(-2, 2, size=(tq, d))
-        kv_in = rng.uniform(-2, 2, size=(tk, d))
-        out = cross_attention(Tensor(q_in), Tensor(kv_in), Tensor(kv_in), wq, wk, wv)
-        expected = cross_attention_oracle(
-            q_in.tolist(), kv_in.tolist(),
-            wq.data.tolist(), wk.data.tolist(), wv.data.tolist(),
-        )
-        np.testing.assert_allclose(out.data, expected, atol=1e-10)
+        t = int(rng.integers(1, 7))
+        windows = int(rng.integers(1, 4))
+        params = _random_proj_params(rng, d)
+        q_in = rng.uniform(-2, 2, size=(windows, t, d))
+        kv_in = rng.uniform(-2, 2, size=(windows, t, d))
+        for direction in ("p2n", "n2p"):
+            out = _attend(q_in, kv_in, params, direction)
+            w = [params[f"fusion.{direction}.w{letter}"].data.tolist() for letter in "qkv"]
+            for i in range(windows):
+                expected = cross_attention_oracle(q_in[i].tolist(), kv_in[i].tolist(), *w)
+                np.testing.assert_allclose(out.data[i], expected, atol=1e-10)
 
 
 # -- direction pair ------------------------------------------------------
@@ -104,7 +105,7 @@ def test_fuse_directions_symmetry_when_inputs_tied():
         for letter in ("q", "k", "v"):
             params.add(f"fusion.{direction}.w{letter}", np.eye(d))
     x = Tensor(np.random.default_rng(1).normal(size=(t, d)))
-    fused = fuse_directions(x, x, params, ["p2n", "n2p"])
+    fused = gather_terms(fuse_directions(x, x, params, ["p2n", "n2p"]), _windows_as_they_are)
     s_p2n, s_n2p = fused["p2n"], fused["n2p"]
     np.testing.assert_allclose(s_p2n.data, s_n2p.data, atol=1e-15)
 
@@ -115,7 +116,9 @@ def test_fuse_directions_shapes_and_oracle():
     params = _random_proj_params(rng, d)
     news = rng.uniform(-1, 1, size=(t, d))
     price = rng.uniform(-1, 1, size=(t, d))
-    fused = fuse_directions(Tensor(news), Tensor(price), params, ["p2n", "n2p"])
+    projections = fuse_directions(Tensor(news), Tensor(price), params, ["p2n", "n2p"])
+    assert [[x.shape for x in parts] for parts in projections.values()] == [[(t, d)] * 3] * 2
+    fused = gather_terms(projections, _windows_as_they_are)
     s_p2n, s_n2p = fused["p2n"], fused["n2p"]
     assert s_p2n.shape == (t, d) and s_n2p.shape == (t, d)
     exp_p2n = cross_attention_oracle(
@@ -178,27 +181,34 @@ def test_gcn_identity_graph_passes_price_rows_through():
     rng = np.random.default_rng(2)
     news = rng.uniform(0.1, 1.0, size=(1, t, d))
     price = rng.uniform(0.1, 1.0, size=(1, t, d))
-    out = gcn_fuse(Tensor(news), Tensor(price), params, np.eye(2 * t))
+    out = shifted_sum(gcn_fuse(Tensor(news), Tensor(price), params, np.eye(2 * t)))
     # delta kernel at the current tap makes the conv an identity too
     np.testing.assert_allclose(out.data, price, atol=1e-12)
 
 
+def _conv_of_price_rows(h, taps):
+    """The causal convolution of positive (1, T, d) rows h: the GCN over the self-loop graph with
+    W = I and b = 0 hands h on unchanged, and the conv sums its tap products shifted."""
+    news = Tensor(np.zeros_like(h))
+    return shifted_sum(gcn_fuse(news, Tensor(h), _gcn_params(h.shape[-1], taps=taps), np.eye(2 * h.shape[-2])))
+
+
 def test_causal_conv_delta_kernel_is_identity():
     d, t = 2, 6
-    taps = [Tensor(np.eye(d))] + [Tensor(np.zeros((d, d))) for _ in range(4)]
-    h = np.random.default_rng(3).normal(size=(t, d))
-    out = causal_conv(Tensor(h), taps)
+    taps = [np.eye(d)] + [np.zeros((d, d)) for _ in range(4)]
+    h = np.random.default_rng(3).uniform(0.1, 1.0, size=(1, t, d))
+    out = _conv_of_price_rows(h, taps)
     np.testing.assert_allclose(out.data, h, atol=1e-15)
 
 
 def test_causal_conv_shifted_tap_delays_by_k():
     d, t = 2, 6
     for k in range(1, 5):
-        taps = [Tensor(np.zeros((d, d))) for _ in range(5)]
-        taps[k] = Tensor(np.eye(d))
-        h = np.random.default_rng(4).normal(size=(t, d))
-        out = causal_conv(Tensor(h), taps).data
-        np.testing.assert_allclose(out[k:], h[:-k], atol=1e-15)
+        taps = [np.zeros((d, d)) for _ in range(5)]
+        taps[k] = np.eye(d)
+        h = np.random.default_rng(4).uniform(0.1, 1.0, size=(1, t, d))
+        out = _conv_of_price_rows(h, taps).data[0]
+        np.testing.assert_allclose(out[k:], h[0, :-k], atol=1e-15)
         np.testing.assert_allclose(out[:k], 0.0, atol=1e-15)
 
 
@@ -210,13 +220,14 @@ def test_gcn_causality_perturbation_sweep():
     news = rng.uniform(-1, 1, size=(t_len, d))
     price = rng.uniform(-1, 1, size=(t_len, d))
     adjacency = day_pair_adjacency(t_len)
-    base = gcn_fuse(Tensor(news[None]), Tensor(price[None]), params, adjacency).data[0]
+    base = shifted_sum(gcn_fuse(Tensor(news[None]), Tensor(price[None]), params, adjacency)).data[0]
     for t in range(t_len):
         for target in ("news", "price"):
             bumped_news = news.copy()
             bumped_price = price.copy()
             (bumped_news if target == "news" else bumped_price)[t] += rng.uniform(0.5, 2.0, size=d)
-            out = gcn_fuse(Tensor(bumped_news[None]), Tensor(bumped_price[None]), params, adjacency).data[0]
+            out = shifted_sum(gcn_fuse(Tensor(bumped_news[None]), Tensor(bumped_price[None]), params,
+                                       adjacency)).data[0]
             assert np.array_equal(out[:t], base[:t]), f"leak at day {t} via {target}"
             if t <= t_len - 1:
                 assert not np.array_equal(out[t : min(t + 5, t_len)], base[t : min(t + 5, t_len)])
@@ -232,7 +243,7 @@ def test_gcn_full_gradient_check():
     coeff = Tensor(rng.uniform(-1, 1, size=(1, t_len, d)))
 
     def f(p):
-        return sum_all(mul(gcn_fuse(news, price, p, adjacency), coeff))
+        return sum_all(mul(shifted_sum(gcn_fuse(news, price, p, adjacency)), coeff))
 
     report = finite_diff_check(f, params, step=1e-6, tol=1e-4)
     assert report.passed, report.per_param
@@ -243,7 +254,7 @@ def test_gcn_full_gradient_check():
 @pytest.mark.parametrize("t_len", [8, 20])
 @pytest.mark.parametrize("windows", [1, 3])
 def test_gcn_price_rows_match_the_full_layer_bit_for_bit(windows, t_len, d, grad):
-    # the full form: the layer over all 2T nodes, then its price rows
+    # the full form: the layer over all 2T nodes, then its price rows through each tap
     rng = np.random.default_rng(16)
     params = _gcn_params(d, w=rng.uniform(-1, 1, size=(d, d)), b=rng.uniform(-0.5, 0.5, size=d), rng=rng)
     params.add("news", rng.uniform(-1, 1, size=(windows, t_len, d)))
@@ -255,10 +266,10 @@ def test_gcn_price_rows_match_the_full_layer_bit_for_bit(windows, t_len, d, grad
     def full(p):
         nodes = block_matmul(adjacency, concat([p["news"], p["price"]], -2))
         hidden = relu(linear(nodes, p["fusion.gcn.w"], p["fusion.gcn.b"]))
-        return causal_conv(cut(hidden, t_len, 2 * t_len, -2), taps)
+        return shifted_sum(matmul(cut(hidden, t_len, 2 * t_len, -2), tap) for tap in taps)
 
     runs = []
-    for form in (full, lambda p: gcn_fuse(p["news"], p["price"], p, adjacency)):
+    for form in (full, lambda p: shifted_sum(gcn_fuse(p["news"], p["price"], p, adjacency))):
         with contextlib.nullcontext() if grad else no_grad():
             out = form(params)
         grads = backward(sum_all(mul(out, coeff)), params) if grad else {}
@@ -361,33 +372,22 @@ def test_stacks_with_different_window_counts_are_rejected(news_windows, price_wi
             fuse_directions(news, price, proj, ["p2n", "n2p"])
         with pytest.raises(DimensionError, match="window count"):
             gcn_fuse(news, price, _gcn_params(d, rng=rng), day_pair_adjacency(t))
-        with pytest.raises(DimensionError, match="as many windows"):
-            cross_attention(price, news, news, *(proj[f"fusion.p2n.w{letter}"] for letter in "qkv"))
 
 
 @pytest.mark.parametrize("d", [8, 64])
 @pytest.mark.parametrize("t_len", [1, 8, 20])
 def test_shared_rows_gathered_into_windows_match_the_windows_fused_whole(t_len, d):
-    # off a tape: the row-by-row layers on (P, T, d) pseudo-windows of distinct rows, padded with
-    # copies of the last row, then gathered into windows, equal the windows' own fusion bit for bit
+    # off a tape: the model's fusion of (P, T) pseudo-windows of distinct rows, padded with copies
+    # of the last row, gathered into windows, equals its fusion of the windows as they are bit for bit
     rng = np.random.default_rng(t_len * d)
+    model = ForecastModel(RunConfig(t_window=t_len, patch_len=1, patch_stride=1, pooling="sap", dim=d), d)
+    assert model.active_terms == list(BLEND_TERMS)
+    model.params["fusion.blend.logits"].data = rng.normal(size=(1, 5))
     n_rows, windows = 2 * t_len + 3, 5
-    news_rows, price_rows = rng.normal(size=(n_rows, d)), rng.normal(size=(n_rows, d))
+    closes, news_rows = rng.normal(size=n_rows), rng.normal(size=(n_rows, d))
     index = rng.integers(0, n_rows, size=(windows, t_len))
-    params = _random_proj_params(rng, d)
-    gcn = _gcn_params(d, w=rng.normal(size=(d, d)), b=rng.normal(size=d), rng=rng)
-    for name in gcn.ids():
-        params.add(name, gcn[name].data)
-    logits = params.add("fusion.blend.logits", rng.normal(size=(1, 5)))
-    adjacency = day_pair_adjacency(t_len)
+    take = np.minimum(np.arange(-(-n_rows // t_len) * t_len), n_rows - 1).reshape(-1, t_len)
     with no_grad():
-        news, price = Tensor(news_rows[index]), Tensor(price_rows[index])
-        terms = {"news": news, "price": price, **fuse_directions(news, price, params, ["p2n", "n2p"]),
-                 "gcn": gcn_fuse(news, price, params, adjacency)}
-        whole, _ = blend(terms, logits, list(BLEND_TERMS))
-        take = np.minimum(np.arange(-(-n_rows // t_len) * t_len), n_rows - 1).reshape(-1, t_len)
-        rows = shared_rows(Tensor(news_rows[take]), Tensor(price_rows[take]), params, ["p2n", "n2p"], adjacency)
-        assert set(rows) == set(BLEND_TERMS)
-        shared, _ = blend(gather_terms(rows, lambda x: Tensor(x.data.reshape(-1, d)[index])), logits,
-                          list(BLEND_TERMS))
+        whole = model._fuse(closes[index], Tensor(news_rows[index]), _windows_as_they_are)
+        shared = model._fuse(closes[take], Tensor(news_rows[take]), lambda x: Tensor(x.data.reshape(-1, d)[index]))
     assert np.array_equal(shared.data, whole.data)

@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import snfuse.fusion
 import snfuse.pooling
 from datagen import toy_dataset_dir
 from snfuse import mse_loss
@@ -90,15 +92,58 @@ def _assert_predict_many_matches_predict_sample(model, samples):
 
 @pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
 @pytest.mark.parametrize("pooling", ["none", "ap", "cap", "sap", "pasap"])
-def test_predict_many_matches_predict_sample_across_fusion_chunks_and_backbone_batches(pooling, snp):
-    # one-day patches: n_p = 6, so the backbone takes 106 windows a time (91 with the prompt) and fusion 106
+def test_predict_many_matches_predict_sample_across_fusion_chunks_and_backbone_batches(pooling, snp, monkeypatch):
+    # one-day patches: n_p = 6 rows of d_model = 8 floats, so the backbone takes the 53 windows that fit
+    # a fusion chunk's floats (45 with the prompt), and fusion 106
     cfg = _tiny_cfg(patch_len=1, patch_stride=1, pooling=pooling, snp=snp)
     model = ForecastModel(cfg, cfg.dim)
     samples = _windows(cfg, n_stocks=2, per_stock=120)
-    fusion_chunk, backbone_batch = PREDICT_ROWS // cfg.t_window, PREDICT_ROWS // (model.n_patches + snp)
+    fusion_chunk = PREDICT_ROWS // cfg.t_window
+    backbone_batch = PREDICT_ROWS * cfg.dim // (cfg.d_model * (model.n_patches + snp))
     assert len(samples) > 2 * max(fusion_chunk, backbone_batch)
     assert len(samples) % fusion_chunk and len(samples) % backbone_batch
+    batches = []
+    predict = ForecastModel._predict
+    monkeypatch.setattr(ForecastModel, "_predict",
+                        lambda self, patches, *rest: batches.append(patches.shape[0]) or predict(self, patches, *rest))
     _assert_predict_many_matches_predict_sample(model, samples)
+    assert batches[-3:] == [backbone_batch, backbone_batch, len(samples) % backbone_batch]
+
+
+def test_training_and_inference_run_one_fusion_forward(monkeypatch):
+    # both the training step and inference run fusion's row-by-row parts through the same functions
+    calls = []
+    for name in ("fuse_directions", "gcn_fuse"):
+        real = getattr(snfuse.fusion, name)
+        monkeypatch.setattr(snfuse.fusion, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    model = ForecastModel(_tiny_cfg(), 4)
+    assert model.directions == ["p2n", "n2p"] and "gcn" in model.active_terms
+    samples = _windows(model.cfg, n_stocks=2, per_stock=3)
+    model.batch_loss(samples)
+    assert sorted(calls) == ["fuse_directions", "gcn_fuse"]
+    calls.clear()
+    model.predict_many(samples)
+    assert sorted(calls) == ["fuse_directions", "gcn_fuse"]
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # warm: the first call sorts each day's articles
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_many_peaks_no_higher_than_a_training_step():
+    # signal_train's widths (d = 8 against d_model = 32, T = 8, two patches): a backbone batch sized in
+    # rows alone took 320 windows, and predict_many's peak rose above a training step's of 4 windows
+    cfg = RunConfig(t_window=8, patch_len=4, patch_stride=4, pooling="sap", dim=8, batch_size=4)
+    model = ForecastModel(cfg, cfg.dim)
+    samples = _windows(cfg, n_stocks=2, per_stock=150)
+    step = _peak_bytes(lambda: backward(model.batch_loss(samples[: cfg.batch_size]), model.params))
+    assert _peak_bytes(lambda: model.predict_many(samples)) <= step
 
 
 @pytest.mark.parametrize("snp", [False, True], ids=["snp-off", "snp-on"])
