@@ -100,7 +100,8 @@ def _record_run(out_dir: Path, cfg: RunConfig, command: str, started: float) -> 
 def _build_dataset(args: argparse.Namespace, cfg: RunConfig):
     """The dataset under --data, checked against --manifest on the commands that take one,
     and the manifest's sha256 (None without one)."""
-    ds = prepare_dataset(args.data, cfg.t_window, cfg.horizon, expect_dim=cfg.dim)
+    ds = prepare_dataset(args.data, cfg.t_window, cfg.horizon, expect_dim=cfg.dim,
+                         max_news=0 if cfg.pooling == "none" else cfg.max_news_per_day)
     return ds, (verify_manifest(ds, args.manifest) if "manifest" in args else None)
 
 

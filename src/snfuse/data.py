@@ -2,7 +2,7 @@
 
 On-disk layout under a data directory:
 
-    names.tsv                stock_id <TAB> display name <TAB> comma-separated floats
+    names.tsv                stock_id <TAB> display name <TAB> comma-separated floats within float32's range
     news/<YYYY-MM-DD>.emb    binary: magic NEWSEMB1, u32 n, u32 d, n*d float32 LE row-major
     <stock_id>/prices.csv    header `date,close`, ISO dates, one row per trading day
 
@@ -150,6 +150,8 @@ def load_contexts(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
             raise DataFormatError(f"{path}:{lineno}: bad embedding literal") from exc
         if not np.all(np.isfinite(emb)):
             raise DataFormatError(f"{path}:{lineno}: embedding contains non-finite values")
+        if np.abs(emb).max() > np.finfo(np.float32).max:  # the range of every news value, which NEWSEMB1 stores
+            raise DataFormatError(f"{path}:{lineno}: embedding value beyond float32's largest finite value")
         if dim is None:
             dim = emb.size
         elif emb.size != dim:
@@ -322,8 +324,10 @@ def assemble_dataset(
     )
 
 
-def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_dim: int = 0) -> PreparedDataset:
-    """Load, validate, align, scale, window, and split everything under data_dir."""
+def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_dim: int = 0,
+                    max_news: int = 0) -> PreparedDataset:
+    """Load, validate, align, scale, window, and split everything under data_dir; an expect_dim or
+    max_news other than 0 refuses another embedding width or a news day of more articles."""
     root = Path(data_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"data directory not found: {root}")
@@ -351,6 +355,8 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
             rows, digest = load_news_day(path)
             if rows.shape[1] != dim:
                 raise DataFormatError(f"{path}: embedding dim {rows.shape[1]} != {dim}")
+            if max_news and rows.shape[0] > max_news:
+                raise DataFormatError(f"{path}: {rows.shape[0]} articles, more than max_news_per_day = {max_news}")
             news_raw.append(rows)
             hashes.append((f"news/{day}.emb", digest))
         else:

@@ -6,21 +6,15 @@ The frozen set (vocabulary plus the surrogate blocks) is seeded once from
 named substreams and never updated; a named `vocab_file` replaces the
 seeded vocabulary, and the model reads it itself.
 
-Training and inference share one forward. A training step (`batch_loss`)
-and `predict_sample` (`_forward`) pool each distinct (day, stock) of the
-windows once, in one call of the stacked pooling kernel (`_pool`), then
-fuse and predict a (W, T, d) stack of W windows (`_fuse`, `_patches`,
-`_predict`), which reads W from the shape. A training step runs its whole
-batch through it on one tape, and its loss and gradients equal those of
-the windows taped one at a time (`predict_sample`, W = 1) bit for bit.
-`_fuse` runs fusion's row-by-row layers on a stack of rows, then gathers
-each window's rows: a training step hands it the windows and the
-identity. Inference (`predict_many`) runs the same arithmetic without a
-tape, and computes each (stock, day, close) row once: one kernel call
-pools every distinct (day, stock) of the call, and each chunk of windows
-is fused from a stack of its distinct rows (`_fuse_rows`); each of its
-rows equals `predict_sample`'s bit for bit.
-A day's articles are sorted only the first time the model sees that day
+Training and inference run one forward: `_rows` pools each distinct (day,
+stock) of the windows once, in one call of the stacked pooling kernel,
+`_fuse_rows` runs fusion's row-by-row layers once per row and gives each
+window its rows, then `bb.patchify` and `_predict` finish a (W, T, d)
+stack of W windows. Only `_rows` decides whether rows are shared: on a
+tape every day slot is its own row, so a training step's loss and
+gradients equal those of its windows taped one at a time bit for bit; off
+a tape (`predict_many`) each (stock, day, close) row is computed once. A
+day's articles are sorted only the first time the model sees that day
 matrix.
 """
 
@@ -36,7 +30,7 @@ from .data import load_news_day
 from .errors import DataFormatError
 from .optim import ParamSet
 from .rng import substream
-from .tensor import Tensor, add, linear, mean_all, mul, no_grad, reshape
+from .tensor import Tensor, add, grad_enabled, linear, mean_all, mul, no_grad, reshape
 
 PREDICT_ROWS = 640  # rows per fusion chunk of predict_many (T per window), which bounds its memory
 
@@ -166,23 +160,6 @@ class ForecastModel:
 
     # -- forward -------------------------------------------------------
 
-    def _check_window(self, prices: np.ndarray, news: list[np.ndarray]) -> None:
-        t_window = self.cfg.t_window
-        if prices.shape[0] != t_window:
-            raise ValueError(f"price window length {prices.shape[0]} != T={t_window}")
-        if self.cfg.pooling != "none" and len(news) != t_window:
-            raise ValueError(f"need {t_window} news slots, got {len(news)}")
-
-    def _sequences(self, prices: np.ndarray, news_raw: Tensor | None) -> tuple[Tensor, Tensor | None]:
-        """Price and news sequences (W, T, d) from (W, T) closes and (W, T, d) pooled news rows."""
-        p = self.params
-        price_in = Tensor(prices.reshape(len(prices), -1, 1))
-        price_raw = linear(price_in, p["fusion.price_lift.w"], p["fusion.price_lift.b"])
-        price_seq = linear(price_raw, p["fusion.price_dense.w"], p["fusion.price_dense.b"])
-        if news_raw is None:
-            return price_seq, None
-        return price_seq, linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
-
     def _fuse(self, closes: np.ndarray, news_raw: Tensor | None, at) -> Tensor:
         """Blended (W, T, d) features of the windows whose rows at gathers from a (P, T) stack of
         closes and its (P, T, d) pooled news rows (None without pooling).
@@ -190,18 +167,18 @@ class ForecastModel:
         Fusion's row-by-row layers run on the stack, the rest on the gathered windows.
         """
         p = self.params
-        price_seq, news_seq = self._sequences(closes, news_raw)
+        price_in = Tensor(closes.reshape(len(closes), -1, 1))
+        # nested, so off a tape the lifted (P, T, d) rows are freed before the gathers, not held through them
+        price_seq = linear(linear(price_in, p["fusion.price_lift.w"], p["fusion.price_lift.b"]),
+                           p["fusion.price_dense.w"], p["fusion.price_dense.b"])
         rows = {"price": [price_seq]}
-        if news_seq is not None:
+        if news_raw is not None:
+            news_seq = linear(news_raw, p["fusion.news_dense.w"], p["fusion.news_dense.b"])
             rows["news"] = [news_seq]
             rows.update(fu.fuse_directions(news_seq, price_seq, p, self.directions))
             if "gcn" in self.active_terms:
                 rows["gcn"] = fu.gcn_fuse(news_seq, price_seq, p, self.adjacency)
         return fu.blend(fu.gather_terms(rows, at), p["fusion.blend.logits"], self.active_terms)[0]
-
-    def _patches(self, fused: Tensor) -> Tensor:
-        """(W, n_p, patch_len * d) patches of blended (W, T, d) features."""
-        return bb.patchify(fused, self.cfg.patch_len, self.cfg.patch_stride)
 
     def _predict(self, patches: Tensor, names: np.ndarray, keys: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """(W, 1, H) predictions from the (W, n_p, patch_len * d) patches and (W, d) name embeddings.
@@ -236,62 +213,69 @@ class ForecastModel:
         return pl.pool_slots(cfg.pooling, pairs, index, self.params[pl.PARAM[cfg.pooling]],
                              cfg.max_news_per_day, self.orders)[0]
 
-    def _pool(self, samples) -> Tensor:
-        """(W, T, d) pooled rows of the day slots of (prices, news, name_emb, ...) samples: each
-        distinct (day, stock) pooled once, by one call of the stacked kernel, as its taped node."""
-        return self._pool_pairs(*self._slots(samples))
+    def _rows(self, samples) -> tuple[np.ndarray, np.ndarray, Tensor | None]:
+        """(index, closes, news) of (prices, news, name_emb, ...) windows: the row of each (W, T) day
+        slot, and each row's close and (d,) pooled news row (None without pooling), every distinct
+        (day, stock) pooled by one kernel call.
 
-    def _fuse_windows(self, samples) -> Tensor:
-        """Blended features of (prices, news, name_emb, ...) windows, stacked.
-
-        Every day slot's pooled row hands the pooling weight its own
-        gradient, window by window, day by day.
+        The one place that decides whether slots share rows. On a tape every
+        slot is its own row: index is arange(W * T), and closes and news come
+        laid out as the (W, T) slots, so each slot hands the pooling weight
+        its own gradient, window by window, day by day. Off a tape a row is
+        its (day, stock) pair and the bits of its close, equal rows are one,
+        and closes and news list the rows.
         """
+        t_len, pooled = self.cfg.t_window, self.cfg.pooling != "none"
         for prices, news, *_ in samples:
-            self._check_window(prices, news)
-        news_raw = self._pool(samples) if self.cfg.pooling != "none" else None
-        return self._fuse(np.stack([s[0] for s in samples]), news_raw, lambda rows: rows)
+            if prices.shape[0] != t_len:
+                raise ValueError(f"price window length {prices.shape[0]} != T={t_len}")
+            if pooled and len(news) != t_len:
+                raise ValueError(f"need {t_len} news slots, got {len(news)}")
+        closes = np.stack([s[0] for s in samples]).astype(np.float64).reshape(len(samples), -1)
+        pairs, slot_pair = self._slots(samples) if pooled else (None, None)
+        if grad_enabled():
+            first = index = np.arange(closes.size).reshape(closes.shape)
+        else:
+            keys = (closes, slot_pair) if pooled else (closes,)
+            first, index = _first_use(*(key.reshape(-1).view(np.int64) for key in keys))
+            index = index.reshape(closes.shape)
+        news = self._pool_pairs(pairs, slot_pair.reshape(-1)[first]) if pooled else None
+        return index, closes.reshape(-1)[first], news
 
-    def _forward(self, samples) -> Tensor:
-        """(W, 1, H) predictions of (prices, news, name_emb, ...) windows through one stacked forward."""
-        names = np.stack([np.reshape(s[2], -1) for s in samples])
-        return self._predict(self._patches(self._fuse_windows(samples)), names)
+    def _fuse_rows(self, index: np.ndarray, closes: np.ndarray, news: Tensor | None) -> Tensor:
+        """Blended (W, T, d) features of the windows whose day slots hold rows index of _rows' rows.
 
-    def _rows(self, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(index, closes, news) of (prices, news, name_emb, ...) windows, off a tape: the distinct
-        (stock, day, close) row of each (W, T) day slot, and each row's close and (d,) pooled news row
-        (None without pooling), every distinct (day, stock) pooled by one kernel call.
-
-        A row is its (day, stock) pair and the bits of its close.
+        Rows laid out as the (W, T) slots, as _rows gives them on a tape, are
+        the windows: they fuse as one stack and each window takes its own
+        rows. Otherwise fusion's row-by-row layers run once on each row these
+        windows use, laid out as (P, T) pseudo-windows, the last one padded
+        with copies of its last row, so each product takes the path a
+        window's takes; then the windows gather their rows.
         """
-        closes = np.stack([s[0] for s in samples]).astype(np.float64).reshape(-1)
-        if self.cfg.pooling == "none":
-            first, index = _first_use(closes.view(np.int64))
-            return index.reshape(len(samples), -1), closes[first], None
-        pairs, slot_pair = self._slots(samples)
-        first, index = _first_use(closes.view(np.int64), slot_pair.reshape(-1))
-        news = self._pool_pairs(pairs, slot_pair.reshape(-1)[first]).data
-        return index.reshape(len(samples), -1), closes[first], news
-
-    def _fuse_rows(self, index: np.ndarray, closes: np.ndarray, news: np.ndarray | None) -> Tensor:
-        """Blended (W, T, d) features, off a tape, of the windows whose day slots hold rows index of
-        _rows' rows.
-
-        Fusion's row-by-row layers run once on each distinct row of these
-        windows, laid out as (P, T) pseudo-windows, the last one padded with
-        copies of its last row, so each product takes the path a window's
-        takes; then the windows gather their rows.
-        """
+        if closes.shape == index.shape:
+            return self._fuse(closes, news, lambda rows: rows)
         t_len = self.cfg.t_window
         used, local = np.unique(index, return_inverse=True)
         take = used[np.minimum(np.arange(-(-len(used) // t_len) * t_len), len(used) - 1)].reshape(-1, t_len)
         local = local.reshape(index.shape)  # each slot's row of the (P, T) stack, read as P * T rows
-        return self._fuse(closes[take], None if news is None else Tensor(news[take]),
+        return self._fuse(closes[take], None if news is None else Tensor(news.data[take]),
                           lambda rows: Tensor(np.take(rows.data.reshape(-1, rows.shape[-1]), local, axis=0)))
+
+    def _forward(self, samples, rows=None, keys: tuple[Tensor, Tensor] | None = None, chunk: int = 0) -> Tensor:
+        """(W, 1, H) predictions of (prices, news, name_emb, ...) windows, from _rows' (index, closes,
+        news) of their day slots (the windows' own by default), fused and patchified chunk windows
+        at a time (all at once by default, as a tape needs), against the prototypes' keys."""
+        index, closes, news = rows or self._rows(samples)
+        chunk = chunk or len(index)
+        patches = [bb.patchify(self._fuse_rows(index[at : at + chunk], closes, news), self.cfg.patch_len,
+                               self.cfg.patch_stride) for at in range(0, len(index), chunk)]
+        if len(patches) > 1:  # off a tape only
+            patches = [Tensor(np.concatenate([part.data for part in patches]))]
+        return self._predict(patches[0], np.stack([np.reshape(s[2], -1) for s in samples]), keys)
 
     def fuse_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """Stock-aware features (1, T, d) for one window."""
-        return self._fuse_windows([(prices, news, name_emb)])
+        return self._fuse_rows(*self._rows([(prices, news, name_emb)]))
 
     def predict_sample(self, prices: np.ndarray, news: list[np.ndarray], name_emb: np.ndarray) -> Tensor:
         """(1, H) prediction of normalized closes: batch_loss's forward for one window."""
@@ -300,40 +284,29 @@ class ForecastModel:
     def predict_many(self, samples) -> np.ndarray:
         """(N, H) predictions for (prices, news, name_emb, ...) tuples, without a tape.
 
-        Each row equals predict_sample's bit for bit. Each distinct (day,
-        stock) of the call is pooled once, by one kernel call (`_rows`).
-        Fusion takes PREDICT_ROWS // T windows at a time, and runs its
-        row-by-row layers once on each distinct (stock, day, close) row of
-        them (`_fuse_rows`). The reprogramming, the frozen stack and the
-        head take up to PREDICT_ROWS // (n_p + snp) windows at a time, and
-        no more than fit their n_p + snp rows of d_model floats each in a
-        fusion chunk's PREDICT_ROWS rows of d, against one prototype set
-        built once.
+        batch_loss's forward off a tape, so each row equals predict_sample's
+        bit for bit: `_rows` pools each distinct (day, stock) of the call
+        once, by one kernel call, and fusion runs its row-by-row layers once
+        on each distinct (stock, day, close) row of each chunk of
+        PREDICT_ROWS // T windows, patchified chunk by chunk. The
+        reprogramming, the frozen stack and the head take up to
+        PREDICT_ROWS // (n_p + snp) windows at a time, and no more than fit
+        their n_p + snp rows of d_model floats each in a fusion chunk's
+        PREDICT_ROWS rows of d, against one prototype set built once.
         """
         out = np.empty((len(samples), self.cfg.horizon))
         if not samples:
             return out
-        for prices, news, *_ in samples:
-            self._check_window(prices, news)
         d_model = self.cfg.d_model
         step = max(1, PREDICT_ROWS * min(self.dim, d_model) // (d_model * (self.n_patches + self.cfg.snp)))
+        chunk = max(1, PREDICT_ROWS // self.cfg.t_window)
         with no_grad():
             index, closes, news = self._rows(samples)
             keys = self._prototype_keys(1)
             for lo in range(0, len(samples), step):
-                out[lo : lo + step] = self._predict_rows(samples[lo : lo + step], index[lo : lo + step], closes,
-                                                         news, keys)
+                out[lo : lo + step] = self._forward(samples[lo : lo + step], (index[lo : lo + step], closes, news),
+                                                    keys, chunk).data[:, 0]
         return out
-
-    def _predict_rows(self, samples, index: np.ndarray, closes: np.ndarray, news: np.ndarray | None,
-                      keys: tuple[Tensor, Tensor]) -> np.ndarray:
-        """(W, H) predictions of one backbone batch of windows off a tape, from their (W, T) rows index
-        of _rows' closes and news, fused PREDICT_ROWS // T windows at a time."""
-        step = max(1, PREDICT_ROWS // self.cfg.t_window)
-        patches = Tensor(np.concatenate([self._patches(self._fuse_rows(index[at : at + step], closes, news)).data
-                                         for at in range(0, len(index), step)]))
-        names = np.stack([np.reshape(s[2], -1) for s in samples])
-        return self._predict(patches, names, keys).data[:, 0]
 
     def batch_loss(self, batch) -> Tensor:
         """MSE of (prices, news, name_emb, target) windows through one stacked forward.

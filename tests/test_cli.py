@@ -363,6 +363,13 @@ def _huge_closes(data):
     return data / "alpha" / "prices.csv"
 
 
+def _crowded_news_day(data):
+    # 9 articles on one day, over a max_news_per_day of 5
+    path = sorted((data / "news").iterdir())[3]
+    write_news_day(path, np.ones((9, 6)))
+    return path
+
+
 def _embedding(text):
     return lambda rows: [[rows[0][0], rows[0][1], text], *rows[1:]]
 
@@ -391,6 +398,10 @@ BAD_INPUTS = {
     "stock-id-average": (_stock_id("average"), "",
                          ":1: stock id 'average' labels the summary row of eval.csv and multiseed.csv"),
     "width-differs-from-d": (lambda data: data / "names.tsv", "d = 5\n", ": embedding dim 6 does not match configured d=5"),
+    "news-day-over-max-news-per-day": (_crowded_news_day, "max_news_per_day = 5\n",
+                                       ": 9 articles, more than max_news_per_day = 5"),
+    "embedding-beyond-float32": (lambda data: _names_edit(data, _embedding("1e300,0,0,0,0,0")), "",
+                                 ":1: embedding value beyond float32's largest finite value"),
     "missing-data-directory": (lambda data: data / "absent", "", None),
 }
 
@@ -406,6 +417,18 @@ def test_a_malformed_input_file_makes_prepare_exit_2_with_one_line_naming_it(tmp
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert (f"{path}{message}" if message else f"data directory not found: {path}") in err
+
+
+def test_a_news_day_over_max_news_per_day_is_kept_when_nothing_is_pooled(tmp_path, capsys):
+    data = toy_dataset_dir(tmp_path / "data", n_days=95)
+    _crowded_news_day(data)
+    cfg = _tiny_cfg(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "max_news_per_day = 5\npooling = none\n", encoding="utf-8")
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--config", str(cfg), "--data", str(data), "--out", str(prep)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--manifest", str(prep / "dataset.manifest"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_stock_id_that_leaves_the_data_directory_is_refused_before_anything_outside_is_touched(

@@ -142,6 +142,18 @@ def test_load_contexts_dim_mismatch(tmp_path):
         load_contexts(path)
 
 
+@pytest.mark.parametrize("value,refused", [("1e300", True), ("-1e39", True), ("3.4e38", False), ("-3.4e38", False)])
+def test_load_contexts_keeps_name_embeddings_within_float32s_range(tmp_path, value, refused):
+    # the range of every news value: beyond it a name row's layer norm overflows to a silent zero
+    path = tmp_path / "names.tsv"
+    path.write_text(f"a\tA\t1.0,2.0\nb\tB\t{value},{value}\n")
+    if refused:
+        with pytest.raises(DataFormatError, match=r"names.tsv:2: embedding value beyond float32's largest finite"):
+            load_contexts(path)
+    else:
+        np.testing.assert_array_equal(load_contexts(path)[0]["b"], [float(value)] * 2)
+
+
 # -- scaler ------------------------------------------------------------
 
 

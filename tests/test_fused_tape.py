@@ -10,11 +10,13 @@ of patchify, and the padded slices of each conv tap's product. The oracles
 below rebuild those chains from the primitive ops on the (L, d) rows of one
 window, the 2-D form every op also takes, cut out of the layer's (1, L, d)
 stack by `reshape`; the backbone's oracle runs the frozen stack on those
-rows too, with the prompt row joined on top. They run one window at a
-time, and the batch's windows stacked through `batch_loss` must give the
-same loss and the same gradient for every trainable parameter, compared
-with np.array_equal, in every pooling variant, ablation row and prompt
-setting.
+rows too, with the prompt row joined on top. The pooling chain stands in
+for `ForecastModel._pool_pairs`, the one kernel call of `_rows`; on a tape
+`_rows` makes every day slot its own row, so the chain pools each slot.
+They run one window at a time, and the batch's windows stacked through
+`batch_loss` must give the same loss and the same gradient for every
+trainable parameter, compared with np.array_equal, in every pooling
+variant, ablation row and prompt setting.
 
 The widths (d = d_model = 32, T = 8, 16 prototypes) are ones where
 OpenBLAS 0.3.31 with its Haswell kernels returns different bits for the
@@ -69,18 +71,18 @@ def day_rows(pooling, day, emb):
     return np.concatenate([emb.reshape(1, -1), rows]) if pooling == "sap" else rows
 
 
-def pool_slots_chain(model, samples):
-    """ForecastModel._pool as a chain: every day slot pooled on its own through pool_chain
+def pool_slots_chain(model, pairs, index):
+    """ForecastModel._pool_pairs as a chain: every day slot pooled on its own through pool_chain
     (zeros for a day without rows), the slots joined by concat on axis -2."""
     cfg = model.cfg
     w = model.params[snfuse.pooling.PARAM[cfg.pooling]]
     slots = []
-    for _, news, emb, *_ in samples:
-        for day in news:
-            rows = day_rows(cfg.pooling, day, emb)
-            name = emb if cfg.pooling == "cap" else None
-            slots.append(pool_chain(w, rows, name)[0] if len(rows) else Tensor(np.zeros((1, cfg.dim))))
-    return reshape(concat(slots, -2), (len(samples), cfg.t_window, cfg.dim))
+    for pair in np.reshape(index, -1):
+        day, emb = pairs[pair]
+        rows = day_rows(cfg.pooling, day, emb)
+        name = emb if cfg.pooling == "cap" else None
+        slots.append(pool_chain(w, rows, name)[0] if len(rows) else Tensor(np.zeros((1, cfg.dim))))
+    return reshape(concat(slots, -2), (*np.shape(index), cfg.dim))
 
 
 def rows_of(stack):
@@ -186,7 +188,7 @@ def _loss_and_grads(cfg, batch, per_window=False):
 def _assert_same_as_chains(cfg, monkeypatch):
     batch = _batch(cfg)
     fused_loss, fused = _loss_and_grads(cfg, batch)
-    monkeypatch.setattr(ForecastModel, "_pool", pool_slots_chain)
+    monkeypatch.setattr(ForecastModel, "_pool_pairs", pool_slots_chain)
     monkeypatch.setattr(snfuse.fusion, "attention", cross_attention_chain)
     monkeypatch.setattr(snfuse.backbone, "attention", split_heads_chain)
     monkeypatch.setattr(snfuse.backbone, "patchify", patchify_chain)
@@ -285,7 +287,7 @@ def test_pooling_contributions_come_window_major_then_day_ascending(pooling, mon
     real = snfuse.pooling.pool_slots
     monkeypatch.setattr(snfuse.pooling, "pool_slots",
                         lambda v, pairs, *rest: handed.append(len(pairs)) or real(v, pairs, *rest))
-    pooled = model._pool(batch)
+    pooled = model._rows(batch)[2]  # on a tape: the (W, T, d) rows of the day slots
     assert len(handed) == 1 and handed[0] < len(batch) * cfg.t_window  # shared (day, stock) pairs pooled once
     sum_all(mul(pooled, Tensor(coeff.data.reshape(pooled.shape)))).backward()
     assert np.array_equal(w.grad, looped)

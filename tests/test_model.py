@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import snfuse.fusion
+import snfuse.model
 import snfuse.pooling
 from datagen import toy_dataset_dir
 from snfuse import mse_loss
@@ -111,19 +112,60 @@ def test_predict_many_matches_predict_sample_across_fusion_chunks_and_backbone_b
 
 
 def test_training_and_inference_run_one_fusion_forward(monkeypatch):
-    # both the training step and inference run fusion's row-by-row parts through the same functions
-    calls = []
+    # every entry point runs one pipeline, _rows -> _fuse_rows -> fusion's row-by-row parts, and only
+    # _rows decides whether slots share rows: on a tape every day slot is its own row
+    calls, rows = [], []
     for name in ("fuse_directions", "gcn_fuse"):
         real = getattr(snfuse.fusion, name)
         monkeypatch.setattr(snfuse.fusion, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    real_rows, real_fuse_rows = ForecastModel._rows, ForecastModel._fuse_rows
+
+    def spy_rows(self, samples):
+        calls.append("_rows")
+        rows.append(real_rows(self, samples))
+        return rows[-1]
+
+    monkeypatch.setattr(ForecastModel, "_rows", spy_rows)
+    monkeypatch.setattr(ForecastModel, "_fuse_rows",
+                        lambda self, *args: calls.append("_fuse_rows") or real_fuse_rows(self, *args))
     model = ForecastModel(_tiny_cfg(), 4)
     assert model.directions == ["p2n", "n2p"] and "gcn" in model.active_terms
+    # overlapping windows of two stocks: one stock's windows share their (stock, day, close) rows
     samples = _windows(model.cfg, n_stocks=2, per_stock=3)
-    model.batch_loss(samples)
-    assert sorted(calls) == ["fuse_directions", "gcn_fuse"]
-    calls.clear()
-    model.predict_many(samples)
-    assert sorted(calls) == ["fuse_directions", "gcn_fuse"]
+    slots = (len(samples), model.cfg.t_window)
+    window = samples[0][:3]
+    entries = [lambda: model.batch_loss(samples), lambda: model.predict_sample(*window),
+               lambda: model.fuse_sample(*window), lambda: model.predict_many(samples)]
+    for entry in entries:
+        calls.clear()
+        entry()
+        assert calls == ["_rows", "_fuse_rows", "fuse_directions", "gcn_fuse"]
+    (taped, closes, news), *_, (shared, distinct, pooled) = rows
+    np.testing.assert_array_equal(taped, np.arange(np.prod(slots)).reshape(slots))
+    assert closes.shape == slots and news.shape == (*slots, model.dim)
+    assert shared.shape == slots and len(distinct) == len(pooled.data) == shared.max() + 1 < shared.size
+
+
+@pytest.mark.parametrize("pooling", ["none", "sap"])
+def test_a_training_batch_wider_than_a_fusion_chunk_stays_one_tape(pooling, monkeypatch):
+    # only predict_many fuses a chunk of windows at a time: with one window a chunk, a training step
+    # of 5 windows still runs as one tape, and predict_many still equals predict_sample row by row
+    cfg = _tiny_cfg(pooling=pooling, snp=True)
+    model = ForecastModel(cfg, cfg.dim)
+    samples = _windows(cfg, n_stocks=1, per_stock=5)
+    loss = model.batch_loss(samples)
+    ref_loss, ref = loss.data.copy(), backward(loss, model.params)
+    monkeypatch.setattr(snfuse.model, "PREDICT_ROWS", cfg.t_window)
+    loss = model.batch_loss(samples)
+    grads = backward(loss, model.params)  # raises if a chunk left the tape: its parameters get no gradient
+    assert np.array_equal(loss.data, ref_loss)
+    assert set(grads) == set(ref) and [pid for pid in sorted(ref) if not np.array_equal(grads[pid], ref[pid])] == []
+    fused = []
+    real = ForecastModel._fuse_rows
+    monkeypatch.setattr(ForecastModel, "_fuse_rows",
+                        lambda self, index, *rest: fused.append(len(index)) or real(self, index, *rest))
+    _assert_predict_many_matches_predict_sample(model, samples)
+    assert fused == [1] * 2 * len(samples)  # each predict_sample's window, then each of predict_many's chunks
 
 
 def _peak_bytes(fn) -> int:
@@ -247,7 +289,7 @@ def test_pool_rows_match_pool_day_per_day(variant, monkeypatch):
     model = ForecastModel(_tiny_cfg(pooling=variant), 4)
     samples = _windows(model.cfg, n_stocks=2, per_stock=3)
     calls = _kernel_calls(monkeypatch)
-    pooled = model._pool(samples)
+    pooled = model._rows(samples)[2]  # on a tape: the (W, T, d) rows of the day slots
     slots = [(day, emb) for _, news, emb, _ in samples for day in news]
     assert pooled.shape == (len(samples), model.cfg.t_window, model.cfg.dim)
     # one kernel call, handed each distinct (day, stock) once, in order of first use
@@ -318,7 +360,7 @@ def test_pasap_rows_and_predictions_do_not_depend_on_the_article_limit():
     samples = [(rng.normal(size=cfg.t_window), days[i : i + cfg.t_window], names[s], rng.normal(size=1))
                for s in range(2) for i in range(len(days) - cfg.t_window + 1)]
     short, long = (ForecastModel(replace(cfg, max_news_per_day=limit), cfg.dim) for limit in (32, 2048))
-    np.testing.assert_array_equal(short._pool(samples).data, long._pool(samples).data)
+    np.testing.assert_array_equal(short._rows(samples)[2].data, long._rows(samples)[2].data)
     np.testing.assert_array_equal(short.predict_many(samples), long.predict_many(samples))
     with pytest.raises(DataFormatError, match="33 articles, more than max_news_per_day = 32"):
         short.predict_many([(samples[0][0], [rng.normal(size=(33, cfg.dim))] * cfg.t_window, names[0], None)])
