@@ -26,18 +26,19 @@ import numpy as np
 from .errors import DimensionError
 from .tensor import (
     Tensor,
-    add,
+    _accumulate,
+    _fold,
+    _node,
+    _softmax_backward,
+    _softmax_forward,
+    _unbroadcast,
     attention,
     block_matmul,
     concat,
-    cut,
+    grad_enabled,
     linear,
     matmul,
-    mul,
     relu,
-    repeat_windows,
-    shift_rows,
-    softmax_rows,
 )
 
 # Canonical blend-term order; ablation selects a subset.
@@ -87,11 +88,33 @@ def day_pair_adjacency(t_window: int) -> np.ndarray:
 def shifted_sum(products: Iterable[Tensor]) -> Tensor:
     """The causal convolution from each tap's product with the unshifted rows: out[t] = sum_k products[k][t-k].
 
-    The products are read in order, so they may come from an iterator.
+    One node matching the chain that adds, to the sum so far, product k
+    moved k rows later with k zero rows on top; one product is returned as
+    it is. The products are read in order, so they may come from an
+    iterator, and off a tape each is dropped once it is added.
     """
-    out = None
-    for k, product in enumerate(products):
-        out = product if out is None else add(out, shift_rows(product, k))
+    products = iter(products)
+    first = next(products)
+    out, length, taped, k = first.data, first.shape[-2], [first], 0
+    for k, product in enumerate(products, 1):
+        out = out + _moved(product.data, min(k, length))
+        if grad_enabled():
+            taped.append(product)
+    if k == 0:
+        return first
+
+    def bw(g):
+        for k, product in enumerate(taped):
+            if product.requires_grad:
+                _accumulate(product, _moved(g, -min(k, length)) if k else g)
+
+    return _node(out, taped, bw)
+
+
+def _moved(x: np.ndarray, k: int) -> np.ndarray:
+    """Each window's rows moved k places later (k < 0: -k earlier), zeros where no row moves in."""
+    out, n = np.zeros(x.shape), x.shape[-2]
+    out[..., max(k, 0) : n + min(k, 0), :] = x[..., max(-k, 0) : n - max(k, 0), :]
     return out
 
 
@@ -123,20 +146,28 @@ def blend(terms: dict[str, Tensor], logits: Tensor, active: list[str]) -> tuple[
     """Softmax-weighted sum over the active (W, T, d) terms only.
 
     logits is the full (1, 5) vector in BLEND_TERMS order; inactive entries
-    are excluded from both the softmax and the sum. On a tape each window
-    weighs its terms with its own copy of the logits, so their gradient
-    comes per window; off one, every window shares one copy.
+    are excluded from both the softmax and the sum. One node matching the
+    chain repeat_windows -> cut/concat -> softmax_rows -> cut -> mul -> add,
+    so the logits' gradient comes per window and is folded.
     """
     if not active:
         raise ValueError("no active blend terms; nothing to predict from")
-    rows = repeat_windows(logits, terms[active[0]].shape[0])
-    if tuple(active) == BLEND_TERMS:
-        picked = rows
-    else:
-        picked = concat([cut(rows, i, i + 1, -1) for i in map(BLEND_TERMS.index, active)], -1)
-    weights = softmax_rows(picked)  # (W, 1, k)
+    picked = [BLEND_TERMS.index(name) for name in active]
+    parts = [terms[name] for name in active]
+    weights = _softmax_forward(logits.data[..., picked].reshape(1, 1, -1), "softmax_rows")  # (1, 1, k)
     out = None
-    for col, name in enumerate(active):
-        piece = mul(cut(weights, col, col + 1, -1), terms[name])
-        out = piece if out is None else add(out, piece)
-    return out, weights.data[0, 0].copy()
+    for col, part in enumerate(parts):
+        piece = weights[..., col : col + 1] * part.data
+        out = piece if out is None else out + piece
+
+    def bw(g):
+        for col, part in enumerate(parts):
+            if part.requires_grad:
+                _accumulate(part, g * weights[..., col : col + 1])
+        if logits.requires_grad:  # one copy of the logits per window, folded
+            g_weights = np.concatenate([_unbroadcast(g * part.data, (len(g), 1, 1)) for part in parts], axis=-1)
+            rows = np.zeros((len(g), 1, len(BLEND_TERMS)))
+            rows[..., picked] = _softmax_backward(g_weights, weights)
+            _accumulate(logits, _fold(rows))
+
+    return _node(out, (logits, *parts), bw), weights[0, 0].copy()

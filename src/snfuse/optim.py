@@ -1,8 +1,8 @@
-"""Parameter registry, gradient collection, Adam, and the finite-difference harness."""
+"""Parameter registry, gradient collection, Adam over one flat layout, and the finite-difference harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,62 +65,86 @@ def backward(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
     if some trainable parameter is unreachable from it (that means the
     model registered a dead parameter), and NumericError naming the first
     trainable parameter (in id order) whose gradient holds a non-finite
-    value. Frozen parameters never appear in the returned map.
+    value; finiteness is checked once, over every gradient. Frozen
+    parameters never appear in the returned map.
     """
     loss.backward()
-    grads: dict[str, np.ndarray] = {}
-    missing = []
-    for pid in params.trainable_ids():
-        g = params[pid].grad
-        if g is None:
-            missing.append(pid)
-        else:
-            grads[pid] = g
+    grads = {pid: params[pid].grad for pid in params.trainable_ids()}
     params.clear_grads()
+    missing = [pid for pid, g in grads.items() if g is None]
     if missing:
         raise ValueError(f"no gradient reached trainable parameters: {', '.join(missing)}")
-    for pid, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter '{pid}'")
+    if grads and not np.isfinite(np.concatenate(list(grads.values()), axis=None)).all():
+        bad = next(pid for pid, g in grads.items() if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient for parameter '{bad}'")
     return grads
 
 
 @dataclass
 class OptimState:
+    """Adam's step count and moments, laid out once in id order: parameter pid is entries lo:hi of
+    flat_m and flat_v for its (pid, lo, hi) in layout, and m[pid] and v[pid] are views of them in its
+    shape; work holds a step's two scratch vectors. No parameter data is kept: each step reads the
+    parameters as they are."""
+
     lr: float
+    layout: list[tuple[str, int, int]]
+    flat_m: np.ndarray
+    flat_v: np.ndarray
+    work: np.ndarray
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_adam(params: ParamSet, lr: float) -> OptimState:
-    state = OptimState(lr=float(lr))
-    for pid in params.trainable_ids():
-        state.m[pid] = np.zeros_like(params[pid].data)
-        state.v[pid] = np.zeros_like(params[pid].data)
-    return state
+    ids = params.trainable_ids()
+    ends = np.cumsum([0] + [params[pid].data.size for pid in ids]).tolist()
+    layout = list(zip(ids, ends[:-1], ends[1:]))
+    flat_m, flat_v = np.zeros(ends[-1]), np.zeros(ends[-1])
+    views = [{pid: flat[lo:hi].reshape(params[pid].data.shape) for pid, lo, hi in layout} for flat in (flat_m, flat_v)]
+    return OptimState(lr=float(lr), layout=layout, flat_m=flat_m, flat_v=flat_v, work=np.empty((2, ends[-1])),
+                      m=views[0], v=views[1])
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimState) -> None:
-    """One bias-corrected Adam update over exactly the trainable set."""
-    trainable = set(params.trainable_ids())
-    got = set(grads)
-    if got != trainable:
-        missing = sorted(trainable - got)
-        extra = sorted(got - trainable)
+    """One bias-corrected Adam update over exactly the trainable set, elementwise over the flat layout.
+
+    m and v are updated in place with the per-tensor update's expressions,
+    and each parameter is replaced by a reshaped slice of one fresh array,
+    never mutated. A gradient whose shape is not its parameter's is refused
+    before any state changes.
+    """
+    if grads.keys() != state.m.keys():
+        missing = sorted(state.m.keys() - grads.keys())
+        extra = sorted(grads.keys() - state.m.keys())
         raise ValueError(f"gradient map must cover exactly the trainable set; missing={missing} extra={extra}")
+    tensors = [params[pid] for pid, _, _ in state.layout]
+    for (pid, _, _), p in zip(state.layout, tensors):
+        if np.shape(grads[pid]) != p.data.shape:
+            raise ValueError(f"gradient for parameter '{pid}' has shape {np.shape(grads[pid])}, "
+                             f"not the parameter's {p.data.shape}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for pid in sorted(grads):
-        g = grads[pid]
-        state.m[pid] = ADAM_BETA1 * state.m[pid] + (1.0 - ADAM_BETA1) * g
-        state.v[pid] = ADAM_BETA2 * state.v[pid] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[pid] / bc1
-        v_hat = state.v[pid] / bc2
-        p = params[pid]
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not tensors:
+        return
+    # two scratch vectors, not fresh temporaries: at news_train's widths those cost more than the arithmetic
+    g, tmp = np.concatenate([grads[pid] for pid, _, _ in state.layout], axis=None, out=state.work[0]), state.work[1]
+    m, v = state.flat_m, state.flat_v
+    m *= ADAM_BETA1  # m = b1 m + (1 - b1) g
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+    v *= ADAM_BETA2  # v = b2 v + (1 - b2) (g g)
+    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=g), out=g)
+    denom = np.sqrt(np.divide(v, bc2, out=g), out=g)  # lr (m / bc1) / (sqrt(v / bc2) + eps)
+    denom += ADAM_EPS
+    update = np.multiply(state.lr, np.divide(m, bc1, out=tmp), out=tmp)
+    update /= denom
+    flat = np.concatenate([p.data for p in tensors], axis=None)
+    flat -= update
+    for (pid, lo, hi), p in zip(state.layout, tensors):
+        p.data = flat[lo:hi].reshape(p.data.shape)
 
 
 @dataclass

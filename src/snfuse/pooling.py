@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .tensor import Tensor, _accumulate, _node, _softmax_backward, _softmax_forward, as_tensor, recorded
+from .tensor import Tensor, _node, _softmax_backward, _softmax_forward, as_tensor, recorded
 
 VARIANTS = ("none", "ap", "cap", "sap", "pasap")
 
@@ -170,8 +170,9 @@ def pool_slots(
             g_query = np.matmul(g_logits, r)
             pieces[slots] = (g_query.reshape(len(slots), d) if names is None
                              else np.matmul(names[j].swapaxes(1, 2), g_query))
-        for s in np.flatnonzero(slot_group >= 0):  # slot by slot, as a tape of one pool node per slot adds them
-            _accumulate(w, pieces[s])
+        pieces = pieces[slot_group >= 0]  # added slot by slot, as one pool node per slot would: a running sum
+        if len(pieces):
+            w.grad = np.add.accumulate(pieces if w.grad is None else np.concatenate([w.grad[None], pieces]), 0)[-1]
 
     return _node(pooled[flat].reshape(*np.shape(index), d), (w,) if stacks else (), bw), softmax
 

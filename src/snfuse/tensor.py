@@ -8,7 +8,7 @@ the optimizer replaces parameter arrays between steps.
 A stack of W windows of L rows is a (W, L, d) array, and an op that works
 window by window reads W from the shape; a 2-D (L, d) array is one window.
 `concat` and `cut` join and slice along axis -2 (each window's rows) or
--1 (columns); `shift_rows` and `gather_rows` work on axis -2. Every
+-1 (columns); `gather_rows` works on axis -2. Every
 product over window rows is one np.matmul over (W, L, .), and each
 parameter's gradient is a piece per window added in window order, so a
 training step over W stacked windows gets the same bits as the windows
@@ -179,20 +179,31 @@ def matmul(a, b) -> Tensor:
     over (W, L, .) (one 2-D product over W*L rows takes other BLAS paths for
     some widths), and b's pieces are folded.
     """
+    return _affine(a, b, None)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b with b broadcast over rows; x as for matmul. One node that matches add(matmul(x, w), b)."""
+    return _affine(x, w, as_tensor(b))
+
+
+def _affine(a, b, bias: Tensor | None) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(f"matmul requires (L, k) or (W, L, k) times (k, m), got {a.data.shape} x {b.data.shape}")
     x = a.data if a.data.ndim == 3 else a.data[None]
-    shape = a.data.shape[:-1] + b.data.shape[1:]
+    out = np.matmul(x, b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def bw(g):
+        if bias is not None and bias.requires_grad:  # add's backward runs before matmul's
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         g3 = g if g.ndim == 3 else g[None]
         if a.requires_grad:
             _accumulate(a, np.matmul(g3, b.data.T).reshape(a.data.shape))
         if b.requires_grad:
             _accumulate(b, _fold(np.matmul(x.swapaxes(1, 2), g3)))
 
-    return _node(np.matmul(x, b.data).reshape(shape), (a, b), bw)
+    return _node(out, (a, b), bw) if bias is None else _node(out + bias.data, (a, b, bias), bw)
 
 
 def transpose(a) -> Tensor:
@@ -278,7 +289,7 @@ def softmax_rows(a) -> Tensor:
 
 
 def _softmax_forward(x: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{name} input contains non-finite values")
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -310,8 +321,9 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Per-row normalization with learnable scale/shift, fused backward; gamma and beta get
     their gradients per window, folded, as a bias does."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]  # a sum over the row divided by n is np.mean without its wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / n
+    var = ((x.data - mu) ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     y = xhat * gamma.data + beta.data
@@ -323,15 +335,10 @@ def layer_norm(x, gamma, beta) -> Tensor:
             _accumulate(beta, _unbroadcast(g, beta.data.shape))
         if x.requires_grad:
             dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            term = dxhat - dxhat.sum(axis=-1, keepdims=True) / n - xhat * ((dxhat * xhat).sum(-1, keepdims=True) / n)
             _accumulate(x, inv * term)
 
     return _node(y, (x, gamma, beta), bw)
-
-
-def linear(x, w, b) -> Tensor:
-    """x @ w + b with b broadcast over rows; x as for matmul."""
-    return add(matmul(x, w), b)
 
 
 # -- fused taped ops -----------------------------------------------------
@@ -340,12 +347,15 @@ def linear(x, w, b) -> Tensor:
 # above, and runs that chain's numpy expressions in the same order, on
 # arrays of the same memory layout (BLAS results depend on it), so values
 # and gradients match the chain bit for bit. An input whose gradient comes
-# in pieces gets them in the order the chain's backward would add them. The
-# fused ops are `attention` (the per-head attention of the backbone and the
-# reprogramming, and fusion's single-head cores), `gather_rows` (patchify's
-# per-patch slices) and `shift_rows` (the causal conv's padded slice of each
-# tap product) here, and the stacked pooling node `pooling.pool_slots`, built
-# from the same `_node` and softmax helpers.
+# in pieces gets them in the order the chain's backward would add them, and
+# a node lists its inputs in the order the chain's tape walk reaches them,
+# so an input shared with other nodes gets its pieces in the chain's order
+# too. The fused ops are `linear` (add(matmul(x, w), b)) above, `attention`
+# (the per-head attention of the backbone and the reprogramming, and
+# fusion's single-head cores) and `gather_rows` (patchify's per-patch
+# slices) here, and `fusion.blend`, `fusion.shifted_sum` and the stacked
+# pooling node `pooling.pool_slots`, built from the same `_node` and
+# softmax helpers.
 
 
 def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
@@ -419,24 +429,6 @@ def gather_rows(a, index) -> Tensor:
             _accumulate(a, full)
 
     return _node(a.data[..., index, :], (a,), bw)
-
-
-def shift_rows(a, k: int) -> Tensor:
-    """Move every window's rows k >= 0 places later; the first k rows of each window become zero."""
-    a = as_tensor(a)
-    length = a.data.shape[-2]
-    k = min(k, length)
-
-    def moved(x: np.ndarray, src: slice, dst: slice) -> np.ndarray:
-        out = np.zeros(a.data.shape)
-        out[..., dst, :] = x[..., src, :]
-        return out
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, moved(g, slice(k, None), slice(None, length - k)))
-
-    return _node(moved(a.data, slice(None, length - k), slice(k, None)), (a,), bw)
 
 
 # -- window ops ------------------------------------------------------------

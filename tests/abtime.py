@@ -16,7 +16,10 @@ perfbench.
 It prints every round's times, the median of the b/a time ratios, the
 number of rounds b was faster and each tree's median samples_per_s over
 the rounds, as perfbench defines it (train samples x epochs for a training
-workload, test samples for an evaluation one, over the phase's time), then
+workload, test samples for an evaluation one, over the phase's time). A
+second line gives the spread: the quartiles of the b/a ratios and the
+two-sided sign-test p-value of b's wins over the rounds that were not
+ties (scipy's binomtest at 1/2; 1 when every round tied). Then it
 exits 1 if the two trees' best validation MSE or test MSE differ in any
 round, else 0. --tiny shrinks the
 workload (2 stocks, 240 days, at most 3 articles a day of width at most 8,
@@ -25,7 +28,10 @@ one epoch), for a smoke test.
 On a host whose speed drifts, separate processes cannot resolve a 5%
 effect; interleaving both trees in one process can:
 
-    python tests/abtime.py run --a parent/src --b src --workload signal_train --rounds 15
+    python tests/abtime.py run --a parent/src --b src --workload signal_train --rounds 31
+
+A few-percent effect needs 31 rounds or more, and the quartiles and the
+sign test say whether the rounds resolved it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ from pathlib import Path  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
+import numpy as np  # noqa: E402
+from scipy.stats import binomtest  # noqa: E402
 from workloads import WORKLOADS, generate, run_config  # noqa: E402
 
 NAMES = {"a": "snfuse_abtime_a", "b": "snfuse_abtime_b"}
@@ -105,6 +113,10 @@ def rounds_of(trees: dict, w, cfgs: dict, data_dir: Path, rounds: int) -> bool:
               + ("" if same else f"  outputs differ: a {got['a'][2:]} b {got['b'][2:]}"))
     print(f"{w.name}: median b/a {statistics.median(ratios):.3f}; b faster in {b_won} of {rounds} rounds; "
           f"median samples_per_s a {statistics.median(rates['a']):.1f} b {statistics.median(rates['b']):.1f}")
+    untied = rounds - ratios.count(1.0)
+    p = binomtest(b_won, untied).pvalue if untied else 1.0
+    lo, hi = np.percentile(ratios, [25, 75])
+    print(f"{w.name}: b/a quartiles {lo:.3f} {hi:.3f}; sign test p {p:.2g} (two-sided, {untied} untied rounds)")
     return differ
 
 

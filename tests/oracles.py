@@ -1,4 +1,4 @@
-"""Independent scalar-loop oracles, and two taped ops that only the tests use.
+"""Independent scalar-loop oracles, two taped ops and an Adam loop that only the tests use.
 
 The oracles are pure Python over nested lists (math.exp, explicit loops),
 deliberately sharing no code with the package so the two routes can
@@ -7,6 +7,9 @@ disagree. Used to freeze expected values for the equation tests.
 `scale` and `sum_all` are tape ops in the package's form: the primitive
 chains that the fused ops must match bit for bit multiply by a constant,
 and the gradient tests reduce an output to a scalar loss.
+
+`adam_per_tensor` is Adam's update as a loop over the trainable tensors,
+each moment its own array; the flat update must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 
+from snfuse.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from snfuse.tensor import Tensor, _accumulate, _node, as_tensor
 
 
@@ -37,6 +41,21 @@ def sum_all(a) -> Tensor:
             _accumulate(a, np.full_like(a.data, float(g)))
 
     return _node(np.asarray(a.data.sum()), (a,), bw)
+
+
+def adam_per_tensor(params, grads, m, v, step: int, lr: float) -> None:
+    """Adam's update number step (from 1) of every tensor grads names, in id order: the moments in m and
+    v and the parameters are each replaced by a new array."""
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    for pid in sorted(grads):
+        g = grads[pid]
+        m[pid] = ADAM_BETA1 * m[pid] + (1.0 - ADAM_BETA1) * g
+        v[pid] = ADAM_BETA2 * v[pid] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m[pid] / bc1
+        v_hat = v[pid] / bc2
+        p = params[pid]
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def softmax_vec(logits):

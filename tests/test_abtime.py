@@ -15,6 +15,13 @@ def test_one_tree_against_itself_passes_and_a_tree_that_trains_differently_fails
     assert "signal_train: median b/a " in out and " of 2 rounds" in out
     rates = re.search(r"median samples_per_s a (\S+) b (\S+)$", out, re.MULTILINE)
     assert rates and all(float(rate) > 0 for rate in rates.groups())
+    spread = re.search(r"^signal_train: b/a quartiles (\S+) (\S+); sign test p (\S+) "
+                       r"\(two-sided, (\d+) untied rounds\)$", out, re.MULTILINE)
+    assert spread, out
+    lo, hi, p, untied = spread.groups()
+    ratios = [float(r) for r in re.findall(r"b/a (\d\.\d+)$", out, re.MULTILINE)]
+    assert len(ratios) == 2 and min(ratios) - 5e-4 <= float(lo) <= float(hi) <= max(ratios) + 5e-4
+    assert 0.0 < float(p) <= 1.0 and untied == "2"
 
     changed = tmp_path / "src"
     shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))

@@ -1,12 +1,15 @@
 """The fused tape nodes and the stacked training step reproduce the
 primitive-op graphs of one window at a time bit for bit.
 
-`pooling.pool_slots`, `tensor.attention`, `tensor.gather_rows` and
-`tensor.shift_rows` each record one node for what used to be a chain of
-primitive ops: the pooling chain of every day slot, the per-head attention
-of the reprogramming layer and the frozen backbone (columns sliced even for
-one head), the unsliced single-head cross-attention, the per-patch slices
-of patchify, and the padded slices of each conv tap's product. The oracles
+`pooling.pool_slots`, `tensor.attention`, `tensor.gather_rows`,
+`tensor.linear`, `fusion.shifted_sum` and `fusion.blend` each record one
+node for what used to be a chain of primitive ops: the pooling chain of
+every day slot, the per-head attention of the reprogramming layer and the
+frozen backbone (columns sliced even for one head), the unsliced
+single-head cross-attention, the per-patch slices of patchify, a matmul and
+its bias's add, the padded slices of each conv tap's product and their
+sum, and the blend's softmax over per-window copies of the logits and its
+weighted sum of the terms. The oracles
 below rebuild those chains from the primitive ops on the (L, d) rows of one
 window, the 2-D form every op also takes, cut out of the layer's (1, L, d)
 stack by `reshape`; the backbone's oracle runs the frozen stack on those
@@ -35,7 +38,9 @@ import snfuse.backbone
 import snfuse.fusion
 import snfuse.pooling
 from oracles import scale, sum_all
+import snfuse.model
 from snfuse.config import RunConfig
+from snfuse.fusion import BLEND_TERMS
 from snfuse.model import ForecastModel, mse_loss
 from snfuse.optim import backward
 from snfuse.tensor import (
@@ -44,9 +49,9 @@ from snfuse.tensor import (
     add,
     concat,
     cut,
-    linear,
     matmul,
     mul,
+    repeat_windows,
     reshape,
     softmax_rows,
     transpose,
@@ -144,6 +149,27 @@ def shifted_sum_chain(products):
     return as_stack(out)
 
 
+def linear_chain(x, w, b):
+    """matmul -> add."""
+    return add(matmul(x, w), b)
+
+
+def blend_chain(terms, logits, active):
+    """repeat_windows -> cut on axis -1 and concat of the active logits -> softmax_rows -> cut on
+    axis -1 -> mul by each term -> add."""
+    rows = repeat_windows(logits, terms[active[0]].shape[0])
+    if tuple(active) == BLEND_TERMS:
+        picked = rows
+    else:
+        picked = concat([cut(rows, i, i + 1, -1) for i in map(BLEND_TERMS.index, active)], -1)
+    weights = softmax_rows(picked)
+    out = None
+    for col, name in enumerate(active):
+        piece = mul(cut(weights, col, col + 1, -1), terms[name])
+        out = piece if out is None else add(out, piece)
+    return out, weights.data[0, 0].copy()
+
+
 def forward_backbone_chain(prompt_token, patch_tokens, params, n_layers, n_heads):
     """The frozen stack on the window's rows, the prompt row led in by concat and cut off
     again by cut, both on axis -2, then the head on one flat row."""
@@ -156,7 +182,7 @@ def forward_backbone_chain(prompt_token, patch_tokens, params, n_layers, n_heads
                                                   n_layers, n_heads)
         patch_hidden = cut(hidden, 1, 1 + n_p, -2)
     flat = reshape(patch_hidden, (1, n_p * patch_hidden.shape[1]))
-    return as_stack(linear(flat, params["reprog.head.w"], params["reprog.head.b"]))
+    return as_stack(linear_chain(flat, params["reprog.head.w"], params["reprog.head.b"]))
 
 
 def _cfg(**overrides) -> RunConfig:
@@ -193,6 +219,9 @@ def _assert_same_as_chains(cfg, monkeypatch):
     monkeypatch.setattr(snfuse.backbone, "attention", split_heads_chain)
     monkeypatch.setattr(snfuse.backbone, "patchify", patchify_chain)
     monkeypatch.setattr(snfuse.fusion, "shifted_sum", shifted_sum_chain)
+    monkeypatch.setattr(snfuse.fusion, "blend", blend_chain)
+    for module in (snfuse.model, snfuse.fusion, snfuse.backbone):
+        monkeypatch.setattr(module, "linear", linear_chain)
     monkeypatch.setattr(snfuse.backbone, "forward_backbone", forward_backbone_chain)
     chain_loss, chain = _loss_and_grads(cfg, batch, per_window=True)
     assert np.array_equal(fused_loss, chain_loss)
@@ -298,3 +327,12 @@ def test_a_batch_of_four_records_as_many_tape_nodes_as_a_batch_of_one():
     model = ForecastModel(cfg, cfg.dim)
     batch = _windows(cfg, 4)
     assert len(_toposort(model.batch_loss(batch))) == len(_toposort(model.batch_loss(batch[:1])))
+
+
+def test_a_training_step_of_four_windows_at_signal_trains_widths_records_63_backward_nodes():
+    """d = 8, T = 8, patches of 4, sap: 101 nodes with a backward before linear, the conv's shifted sum
+    and the blend each recorded one."""
+    cfg = RunConfig(t_window=8, patch_len=4, patch_stride=4, pooling="sap", dim=8)
+    model = ForecastModel(cfg, cfg.dim)
+    nodes = _toposort(model.batch_loss(_windows(cfg, 4)))
+    assert sum(node._backward is not None for node in nodes) == 63

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from oracles import sum_all
+from oracles import adam_per_tensor, sum_all
 from snfuse.errors import NumericError
 from snfuse.optim import ParamSet, adam_step, backward, init_adam
 from snfuse.tensor import Tensor, add, mul
@@ -66,3 +68,62 @@ def test_adam_updates_exactly_the_trainable_set():
         adam_step(params, {"a": np.array([1.0]), "f": np.array([1.0])}, state)
     adam_step(params, {"a": np.array([1.0])}, state)
     assert frozen.data[0] == 3.0 and params["a"].data[0] != 1.0
+
+
+@pytest.mark.parametrize("shape,grad_shape", [((5,), (1,)), ((2, 3), (3,))], ids=["broadcast", "same-size-row"])
+def test_adam_refuses_a_gradient_of_another_shape_before_any_state_changes(shape, grad_shape):
+    params = ParamSet()
+    a = params.add("a", [1.0, 2.0])
+    w = params.add("w", np.ones(shape))
+    state = init_adam(params, lr=0.1)
+    adam_step(params, {"a": np.array([0.5, -1.0]), "w": np.full(shape, 0.25)}, state)
+    before = (a.data.tobytes(), w.data.tobytes(), state.flat_m.tobytes(), state.flat_v.tobytes())
+    message = f"gradient for parameter 'w' has shape {grad_shape}, not the parameter's {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        adam_step(params, {"a": np.array([0.5, -1.0]), "w": np.ones(grad_shape)}, state)
+    assert state.step == 1
+    assert (a.data.tobytes(), w.data.tobytes(), state.flat_m.tobytes(), state.flat_v.tobytes()) == before
+
+
+def _adam_params() -> ParamSet:
+    # values from 1e-6 to 1 in magnitude: near 0 a parameter keeps the update's last bits
+    rng = np.random.default_rng(3)
+    params = ParamSet()
+    for pid, shape in (("a", (1,)), ("b", (5,)), ("c", (3, 4))):
+        params.add(pid, rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 0.0, size=shape))
+    params.add("frozen", rng.normal(size=(2,)), frozen=True)
+    return params
+
+
+def test_the_flat_adam_update_is_the_per_tensor_update_bit_for_bit():
+    flat, looped = _adam_params(), _adam_params()
+    trainable = flat.trainable_ids()
+    state = init_adam(flat, lr=0.01)
+    m = {pid: np.zeros_like(looped[pid].data) for pid in trainable}
+    v = {pid: np.zeros_like(looped[pid].data) for pid in trainable}
+    frozen = flat["frozen"].data.tobytes()
+    rng = np.random.default_rng(11)
+
+    def step(n):
+        # both signs, magnitudes from 1e-12 to 1e2
+        grads = {pid: rng.choice([-1.0, 1.0], size=flat[pid].data.shape)
+                 * 10.0 ** rng.uniform(-12.0, 2.0, size=flat[pid].data.shape) for pid in trainable}
+        held = {pid: (flat[pid].data, flat[pid].data.tobytes()) for pid in trainable}
+        adam_step(flat, grads, state)
+        adam_per_tensor(looped, grads, m, v, n, lr=0.01)
+        assert state.step == n
+        for pid in trainable:
+            assert flat[pid].data.tobytes() == looped[pid].data.tobytes(), pid
+            assert state.m[pid].tobytes() == m[pid].tobytes(), pid
+            assert state.v[pid].tobytes() == v[pid].tobytes(), pid
+            assert held[pid][0].tobytes() == held[pid][1], f"{pid} was mutated, not replaced"
+        assert flat["frozen"].data.tobytes() == frozen and "frozen" not in state.m
+
+    step(1)
+    snapshot = flat.snapshot()
+    step(2)
+    step(3)
+    # the next step starts from the restored values, not from any copy of the parameters the layout kept
+    flat.restore(snapshot)
+    looped.restore(snapshot)
+    step(4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sum_all
+from snfuse.fusion import shifted_sum
 from snfuse.errors import DimensionError, NumericError
 from snfuse.optim import (
     OptimState,
@@ -34,10 +35,15 @@ from snfuse.tensor import (
     relu,
     repeat_windows,
     reshape,
-    shift_rows,
     softmax_rows,
     transpose,
 )
+
+
+def shift_rows(x, k):
+    """Every window's rows moved k >= 0 places later, the first k zero: x as fusion.shifted_sum's product k,
+    after k products of zeros."""
+    return shifted_sum([Tensor(np.zeros(x.shape))] * k + [x])
 
 
 def test_matmul_identity():
