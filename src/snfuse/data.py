@@ -12,16 +12,28 @@ comma-separated results, so it must be one plain directory name: not empty,
 which labels the summary row of eval.csv and multiseed.csv. All stocks must share one
 trading calendar (identical date column). A trading day without a news file
 counts as a zero-news day.
+
+`prepare_dataset` handles the news as one block. It opens each day's file
+once, by path and with no stat first (a file that is absent counts as a
+zero-news day), runs the NEWSEMB1 checks that `load_news_day` runs, and
+appends the float32 payload to one buffer. The buffer becomes one float64
+`(articles, d)` array in one conversion; the news scaler is fit on the
+training days' leading rows of it, the array is scaled in place, and each
+day gets its own view of its rows.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from datetime import date as _date
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +43,7 @@ from .errors import DataFormatError, read_utf8
 NEWS_MAGIC = b"NEWSEMB1"
 MANIFEST_HEADER = "SNFMANIFEST 1"
 _ID_FORBIDDEN = frozenset('/\\,"\0')
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)  # what Path.exists reads as no file
 
 
 @dataclass
@@ -44,8 +57,9 @@ class Scaler:
     mean: np.ndarray
     std: np.ndarray
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / np.where(self.std == 0.0, 1.0, self.std)
+    def transform(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(values - mean) / std, a zero std read as 1; written into out when given (out may be values)."""
+        return np.divide(np.subtract(values, self.mean, out=out), np.where(self.std == 0.0, 1.0, self.std), out=out)
 
 
 def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
@@ -62,7 +76,7 @@ def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
 
 
 def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
-    """The file's ISO dates and closes, and the sha256 of its bytes."""
+    """The file's YYYY-MM-DD dates and closes, and the sha256 of its bytes."""
     path = Path(path)
     text, digest = read_utf8(path, newline="")
     dates: list[str] = []
@@ -82,6 +96,8 @@ def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
             day = _date.fromisoformat(row[0])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad date '{row[0]}': {exc}") from exc
+        if day.isoformat() != row[0]:  # fromisoformat also takes 20210701 and 2021-W26-4
+            raise DataFormatError(f"{path}:{lineno}: bad date '{row[0]}': not in YYYY-MM-DD form")
         if prev is not None:
             if day == prev:
                 raise DataFormatError(f"{path}:{lineno}: duplicate date {row[0]}")
@@ -92,29 +108,35 @@ def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
             close = float(row[1])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad close '{row[1]}'") from exc
-        if not np.isfinite(close) or close <= 0.0:
+        if not math.isfinite(close) or close <= 0.0:
             raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
         dates.append(row[0])
         closes.append(close)
     return dates, np.asarray(closes, dtype=np.float64), digest
 
 
-def load_news_day(path: str | Path) -> tuple[np.ndarray, str]:
-    """The day's (n, d) article embeddings (n may be 0), and the sha256 of the file's bytes."""
-    path = Path(path)
-    raw = path.read_bytes()
+def _news_rows(path: str | Path, raw: bytes) -> np.ndarray:
+    """The (n, d) float32 rows of a NEWSEMB1 file's bytes, read from path; checked in this order:
+    a whole header, the magic, the size n and d give, finite values."""
     if len(raw) < 16:
         raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
     if raw[:8] != NEWS_MAGIC:
         raise DataFormatError(f"{path}: bad magic {raw[:8]!r}, expected {NEWS_MAGIC!r}")
-    n, d = struct.unpack("<II", raw[8:16])
+    n, d = struct.unpack_from("<II", raw, 8)
     expected = 16 + 4 * n * d
     if len(raw) != expected:
         raise DataFormatError(f"{path}: payload is {len(raw)} bytes, expected {expected} for n={n} d={d}")
-    values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16).astype(np.float64)
-    if not np.all(np.isfinite(values)):
+    values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16)
+    if not np.isfinite(values).all():
         raise DataFormatError(f"{path}: payload contains non-finite floats")
-    return values.reshape(n, d), hashlib.sha256(raw).hexdigest()
+    return values.reshape(n, d)
+
+
+def load_news_day(path: str | Path) -> tuple[np.ndarray, str]:
+    """The day's (n, d) article embeddings (n may be 0), and the sha256 of the file's bytes."""
+    path = Path(path)
+    raw = path.read_bytes()
+    return _news_rows(path, raw).astype(np.float64), hashlib.sha256(raw).hexdigest()
 
 
 def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
@@ -226,7 +248,7 @@ class PreparedDataset:
     dim: int
     dates: list[str]
     stocks: dict[str, StockRecord]
-    news: list[np.ndarray]  # per-day normalized (n, d) matrices
+    news: list[np.ndarray]  # per-day normalized (n, d) views of one array
     news_scaler: Scaler
     splits: Splits
     samples: dict[str, list[WindowSample]]
@@ -252,7 +274,8 @@ class PreparedDataset:
 def assemble_dataset(
     dates: list[str],
     closes: dict[str, np.ndarray],
-    news_raw: list[np.ndarray],
+    news: np.ndarray,
+    counts: list[int],
     names: dict[str, np.ndarray],
     t_window: int,
     horizon: int,
@@ -261,26 +284,31 @@ def assemble_dataset(
     data_dir: Path = Path(),
 ) -> PreparedDataset:
     """Scale, window, and split each stock's closes on the shared calendar `dates`
-    and the per-day news matrices, by the chronological 70/10/20 rule. A split
-    without a window is refused, and so are closes that overflow float64 when
-    scaled, naming the stock's prices.csv under data_dir."""
+    and the news, by the chronological 70/10/20 rule. news is every day's
+    articles as one float64 (articles, d) array, day after day, counts[i] of
+    them on day i; it is scaled in place, and each day's rows become a view
+    of it. A split without a window is refused, and so are closes that
+    overflow float64 when scaled, naming the stock's prices.csv under data_dir."""
     dim = next(iter(names.values())).size
     total_days = len(dates)
     if total_days < t_window + horizon + 3:
         raise DataFormatError(
             f"{total_days} trading days too short for T={t_window}, H={horizon} (need >= {t_window + horizon + 3})"
         )
-    if len(news_raw) != total_days:
-        raise ValueError(f"need one news matrix per trading day, got {len(news_raw)} for {total_days}")
+    ends = list(accumulate(counts))
+    if len(ends) != total_days or ends[-1] != news.shape[0]:
+        raise ValueError(f"need one article count per trading day summing to {news.shape[0]} articles, "
+                         f"got {len(ends)} counts for {total_days} days")
     splits = split_indices(total_days)
 
     train_hi = splits.train[1]
-    train_articles = [m for m in news_raw[:train_hi] if m.shape[0] > 0]
-    if train_articles:
-        news_scaler = fit_scaler(np.concatenate(train_articles, axis=0), "news")
+    train_rows = ends[train_hi - 1]  # the training days' articles lead the array
+    if train_rows:
+        news_scaler = fit_scaler(news[:train_rows], "news")
     else:  # no training-span article at all: pass the news through
         news_scaler = Scaler(mean=np.zeros(dim), std=np.ones(dim))
-    news_norm = [news_scaler.transform(m) if m.shape[0] else m for m in news_raw]
+    news_scaler.transform(news, out=news)
+    news_days = [news[end - n : end] for n, end in zip(counts, ends)]  # each day its own array object
 
     stocks: dict[str, StockRecord] = {}
     for sid in sorted(names):
@@ -314,7 +342,7 @@ def assemble_dataset(
         dim=dim,
         dates=list(dates),
         stocks=stocks,
-        news=news_norm,
+        news=news_days,
         news_scaler=news_scaler,
         splits=splits,
         samples=samples,
@@ -347,26 +375,36 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
         hashes.append((f"{sid}/prices.csv", digest))
 
     dates = calendars[min(names)]
-    news_raw: list[np.ndarray] = []
+    news_dir = root / "news"
+    payload = bytearray()  # every file's float32 rows, in calendar order
+    counts: list[int] = []
     missing = 0
     for day in dates:
-        path = root / "news" / f"{day}.emb"
-        if path.exists():
-            rows, digest = load_news_day(path)
-            if rows.shape[1] != dim:
-                raise DataFormatError(f"{path}: embedding dim {rows.shape[1]} != {dim}")
-            if max_news and rows.shape[0] > max_news:
-                raise DataFormatError(f"{path}: {rows.shape[0]} articles, more than max_news_per_day = {max_news}")
-            news_raw.append(rows)
-            hashes.append((f"news/{day}.emb", digest))
-        else:
+        path = f"{news_dir}{os.sep}{day}.emb"
+        try:
+            with open(path, "rb", buffering=0) as f:
+                raw = f.read()
+        except OSError as exc:
+            if exc.errno not in _ABSENT:
+                raise
             missing += 1
-            news_raw.append(np.zeros((0, dim)))
+            counts.append(0)
+            continue
+        rows = _news_rows(path, raw)
+        if rows.shape[1] != dim:
+            raise DataFormatError(f"{path}: embedding dim {rows.shape[1]} != {dim}")
+        if max_news and rows.shape[0] > max_news:
+            raise DataFormatError(f"{path}: {rows.shape[0]} articles, more than max_news_per_day = {max_news}")
+        payload += memoryview(raw)[16:]
+        counts.append(rows.shape[0])
+        hashes.append((f"news/{day}.emb", hashlib.sha256(raw).hexdigest()))
+    news = np.frombuffer(payload, dtype="<f4").reshape(-1, dim).astype(np.float64)
+    del payload  # the float32 copy goes before the scaler's temporaries come
 
     for sid in sorted(names):
         if calendars[sid] != dates:
             raise DataFormatError(f"{sid}: trading calendar differs from other stocks")
-    return assemble_dataset(dates, closes, news_raw, names, t_window, horizon, missing, hashes, root)
+    return assemble_dataset(dates, closes, news, counts, names, t_window, horizon, missing, hashes, root)
 
 
 def _fmt(x: float) -> str:

@@ -1,6 +1,7 @@
 """Time two source trees against each other in one process, in alternating rounds.
 
     python tests/abtime.py run --a <tree>/src --b <tree>/src --workload W --rounds N [--seed S] [--tiny]
+                               [--phase setup]
 
 `run` copies each tree's `snfuse` package into a temporary directory under
 its own package name (every import inside `snfuse` is relative, so the
@@ -25,6 +26,14 @@ round, else 0. --tiny shrinks the
 workload (2 stocks, 240 days, at most 3 articles a day of width at most 8,
 one epoch), for a smoke test.
 
+--phase setup times perfbench's set-up instead: `prepare_dataset` and
+`ForecastModel`, and for an evaluation workload `load_checkpoint` and
+`apply_checkpoint` of a checkpoint of the seed-initialised model that
+tree a writes once. A round's time is a tree's fastest of 8 set-ups, each
+after a `gc.collect()`, as perfbench takes setup_s; the summary gives each
+tree's median setup_s in place of samples_per_s, and the run exits 1 if
+the trees' dataset manifests differ in any round.
+
 On a host whose speed drifts, separate processes cannot resolve a 5%
 effect; interleaving both trees in one process can:
 
@@ -45,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import gc  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
@@ -61,6 +71,7 @@ from scipy.stats import binomtest  # noqa: E402
 from workloads import WORKLOADS, generate, run_config  # noqa: E402
 
 NAMES = {"a": "snfuse_abtime_a", "b": "snfuse_abtime_b"}
+SETUPS = 8  # set-ups a --phase setup round times per tree, as perfbench's repeat does
 
 
 def load(src: Path, name: str, into: Path) -> dict:
@@ -83,8 +94,9 @@ def samples(w, ds) -> int:
     return len(ds.samples["train"]) * w.epochs if w.kind == "train" else len(ds.samples["test"])
 
 
-def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, int, float | None, float]:
-    """(seconds, samples, best validation MSE or None, test MSE) of one timed phase on a fresh dataset and model."""
+def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, float, tuple]:
+    """(seconds, samples_per_s, (best validation MSE or None, test MSE)) of one timed phase on a fresh
+    dataset and model."""
     ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
     model = tree["model"].ForecastModel(cfg, ds.dim)
     gc.collect()
@@ -92,27 +104,54 @@ def phase(tree: dict, w, cfg, data_dir: Path) -> tuple[float, int, float | None,
     best = tree["training"].train(model, ds, cfg).best_val_mse if w.kind == "train" else None
     trained = time.perf_counter()
     test = tree["training"].evaluate(model, ds).avg_mse
-    return (trained if w.kind == "train" else time.perf_counter()) - start, samples(w, ds), best, test
+    seconds = (trained if w.kind == "train" else time.perf_counter()) - start
+    return seconds, samples(w, ds) / seconds, (best, test)
 
 
-def rounds_of(trees: dict, w, cfgs: dict, data_dir: Path, rounds: int) -> bool:
-    """Print every round and the summary; True when the trees' outputs differ in some round."""
-    for k, tree in trees.items():  # warm-up, untimed
-        phase(tree, dataclasses.replace(w, epochs=1), cfgs[k], data_dir)
-    ratios, rates, b_won, differ = [], {"a": [], "b": []}, 0, False
+def manifest_digest(tree: dict, ds) -> str:
+    return hashlib.sha256(tree["data"].manifest_text(ds).encode("utf-8")).hexdigest()
+
+
+def write_checkpoint(tree: dict, cfg, data_dir: Path, path: Path) -> None:
+    """The checkpoint perfbench writes for an evaluation workload: the seed-initialised model's."""
+    ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+    tree["training"].save_checkpoint(path, tree["model"].ForecastModel(cfg, ds.dim), manifest_digest(tree, ds))
+
+
+def setup(tree: dict, w, cfg, data_dir: Path, checkpoint: Path) -> tuple[float, float, tuple]:
+    """(seconds, setup_s, (sha256 of the dataset manifest,)) of perfbench's set-up, the fastest of SETUPS."""
+    fastest = float("inf")
+    for _ in range(SETUPS):
+        gc.collect()
+        start = time.perf_counter()
+        ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+        model = tree["model"].ForecastModel(cfg, ds.dim)
+        if w.kind == "eval":
+            tree["training"].apply_checkpoint(model, tree["training"].load_checkpoint(checkpoint))
+        fastest = min(fastest, time.perf_counter() - start)
+    return fastest, fastest, (manifest_digest(tree, ds),)
+
+
+def rounds_of(measure, w, rounds: int, figure: str) -> bool:
+    """Print every round of measure(tree key, warm-up?) -> (seconds, figure, outputs) and the summary;
+    True when the trees' outputs differ in some round."""
+    for k in "ab":
+        measure(k, True)
+    ratios, figures, b_won, differ = [], {"a": [], "b": []}, 0, False
     for r in range(rounds):
-        got = {k: phase(trees[k], w, cfgs[k], data_dir) for k in ("ab" if r % 2 == 0 else "ba")}
+        got = {k: measure(k, False) for k in ("ab" if r % 2 == 0 else "ba")}
         ratio = got["b"][0] / got["a"][0]
         ratios.append(ratio)
-        for k, (seconds, n, *_) in got.items():
-            rates[k].append(n / seconds)
+        for k, (_, value, _) in got.items():
+            figures[k].append(value)
         b_won += ratio < 1.0
-        same = got["a"][2:] == got["b"][2:]
+        same = got["a"][2] == got["b"][2]
         differ |= not same
         print(f"round {r}: a {got['a'][0]:.4f} s  b {got['b'][0]:.4f} s  b/a {ratio:.3f}"
-              + ("" if same else f"  outputs differ: a {got['a'][2:]} b {got['b'][2:]}"))
+              + ("" if same else f"  outputs differ: a {got['a'][2]} b {got['b'][2]}"))
+    a, b = (statistics.median(figures[k]) for k in "ab")
     print(f"{w.name}: median b/a {statistics.median(ratios):.3f}; b faster in {b_won} of {rounds} rounds; "
-          f"median samples_per_s a {statistics.median(rates['a']):.1f} b {statistics.median(rates['b']):.1f}")
+          f"median {figure} a {a:.6g} b {b:.6g}")
     untied = rounds - ratios.count(1.0)
     p = binomtest(b_won, untied).pvalue if untied else 1.0
     lo, hi = np.percentile(ratios, [25, 75])
@@ -120,7 +159,8 @@ def rounds_of(trees: dict, w, cfgs: dict, data_dir: Path, rounds: int) -> bool:
     return differ
 
 
-def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool = False) -> int:
+def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool = False,
+        phase_name: str = "workload") -> int:
     w = workload(name, tiny)
     paths = list(sys.path)
     with tempfile.TemporaryDirectory(prefix="abtime-") as tmp:
@@ -131,13 +171,24 @@ def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool =
             data_dir = generate(w, seed, tmp / "data")
             base = dataclasses.asdict(run_config(w))
             cfgs = {k: tree["config"].RunConfig(**base) for k, tree in trees.items()}
-            differ = rounds_of(trees, w, cfgs, data_dir, rounds)
+            if phase_name == "setup":
+                checkpoint = tmp / "checkpoint.snf"
+                if w.kind == "eval":
+                    write_checkpoint(trees["a"], cfgs["a"], data_dir, checkpoint)
+
+                def measure(k, warm_up):
+                    return setup(trees[k], w, cfgs[k], data_dir, checkpoint)
+            else:
+                def measure(k, warm_up):
+                    return phase(trees[k], dataclasses.replace(w, epochs=1) if warm_up else w, cfgs[k], data_dir)
+            differ = rounds_of(measure, w, rounds, "setup_s" if phase_name == "setup" else "samples_per_s")
         finally:
             sys.path[:] = paths
             for mod in [m for m in sys.modules if m.split(".")[0] in NAMES.values()]:
                 del sys.modules[mod]
     if differ:
-        print("the trees' best validation MSE or test MSE differ")
+        print("the trees' dataset manifests differ" if phase_name == "setup"
+              else "the trees' best validation MSE or test MSE differ")
     return 1 if differ else 0
 
 
@@ -151,10 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--rounds", type=int, required=True)
     p_run.add_argument("--seed", type=int, default=2081, help="the generator's seed")
     p_run.add_argument("--tiny", action="store_true", help="a small workload, for a smoke test")
+    p_run.add_argument("--phase", choices=["workload", "setup"], default="workload",
+                       help="time the workload's phase, or perfbench's set-up")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    return run(args.a, args.b, args.workload, args.rounds, args.seed, args.tiny)
+    return run(args.a, args.b, args.workload, args.rounds, args.seed, args.tiny, args.phase)
 
 
 if __name__ == "__main__":

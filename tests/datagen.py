@@ -103,10 +103,12 @@ def inmemory_dataset(
     t_window: int,
     horizon: int,
 ):
-    """PreparedDataset straight from arrays (no files)."""
+    """PreparedDataset straight from arrays (no files); the news is copied, never scaled in place."""
     closes = {sid: np.asarray(c, dtype=np.float64) for sid, c in closes_by_stock.items()}
     names = {sid: np.asarray(emb, dtype=np.float64) for sid, emb in embeddings_by_stock.items()}
-    return assemble_dataset(trading_dates(len(news_by_day)), closes, news_by_day, names, t_window, horizon)
+    news = np.concatenate(news_by_day, axis=0, dtype=np.float64)
+    return assemble_dataset(trading_dates(len(news_by_day)), closes, news, [m.shape[0] for m in news_by_day], names,
+                            t_window, horizon)
 
 
 def signal_dataset(

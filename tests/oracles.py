@@ -10,14 +10,19 @@ and the gradient tests reduce an output to a scalar loss.
 
 `adam_per_tensor` is Adam's update as a loop over the trainable tensors,
 each moment its own array; the flat update must match it bit for bit.
+
+`news_per_file` is the news path `prepare_dataset` took file by file; its
+one-block path must match it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
+from snfuse.data import Scaler, fit_scaler, load_news_day
 from snfuse.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from snfuse.tensor import Tensor, _accumulate, _node, as_tensor
 
@@ -56,6 +61,25 @@ def adam_per_tensor(params, grads, m, v, step: int, lr: float) -> None:
         v_hat = v[pid] / bc2
         p = params[pid]
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def news_per_file(root: Path, dates: list[str], dim: int, train_hi: int):
+    """(per-day scaled news, news scaler, missing days, [(news/<day>.emb, sha256)]) of data directory root,
+    read file by file: load_news_day on each day's file that exists (a missing one a (0, dim) day), the
+    scaler fit on the training days' articles joined, then Scaler.transform day by day."""
+    raw, missing, hashes = [], 0, []
+    for day in dates:
+        path = root / "news" / f"{day}.emb"
+        if path.exists():
+            rows, digest = load_news_day(path)
+            raw.append(rows)
+            hashes.append((f"news/{day}.emb", digest))
+        else:
+            missing += 1
+            raw.append(np.zeros((0, dim)))
+    train = [m for m in raw[:train_hi] if m.shape[0] > 0]
+    scaler = fit_scaler(np.concatenate(train, axis=0), "news") if train else Scaler(np.zeros(dim), np.ones(dim))
+    return [scaler.transform(m) if m.shape[0] else m for m in raw], scaler, missing, hashes
 
 
 def softmax_vec(logits):

@@ -2,6 +2,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 import abtime
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,3 +34,27 @@ def test_one_tree_against_itself_passes_and_a_tree_that_trains_differently_fails
     model.write_text(text.replace(init, "normal(0.0, 2.0 / np.sqrt(d), size=d)"), encoding="utf-8")
     assert abtime.main([*args, "--b", str(changed), "--rounds", "1"]) == 1
     assert "outputs differ" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["signal_train", "news_eval"])
+def test_the_setup_phase_times_both_trees_and_fails_when_their_manifests_differ(tmp_path, capsys, name):
+    args = ["run", "--a", str(SRC), "--workload", name, "--tiny", "--phase", "setup"]
+    assert abtime.main([*args, "--b", str(SRC), "--rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("outputs differ") == 0 and len(re.findall(r"^round \d: a ", out, re.MULTILINE)) == 2
+    setup_s = re.search(rf"^{name}: median b/a \S+; b faster in \d of 2 rounds; median setup_s a (\S+) b (\S+)$",
+                        out, re.MULTILINE)
+    assert setup_s and all(0.0 < float(s) < 5.0 for s in setup_s.groups()), out
+    assert re.search(rf"^{name}: b/a quartiles \S+ \S+; sign test p \S+ \(two-sided, 2 untied rounds\)$", out,
+                     re.MULTILINE)
+
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))
+    data = changed / "snfuse" / "data.py"
+    text = data.read_text(encoding="utf-8")
+    header = 'MANIFEST_HEADER = "SNFMANIFEST 1"'
+    assert header in text
+    data.write_text(text.replace(header, 'MANIFEST_HEADER = "SNFMANIFEST 2"'), encoding="utf-8")
+    assert abtime.main([*args, "--b", str(changed), "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "outputs differ" in out and "the trees' dataset manifests differ" in out

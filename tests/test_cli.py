@@ -354,6 +354,15 @@ def _bad_close(data):
     return data / "beta" / "prices.csv"
 
 
+def _week_date(data):
+    # 2021-W27-1 is 2021-07-05, the date it replaces, written in ISO 8601's week form
+    lines = (data / "beta" / "prices.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[3].startswith("2021-07-05,")
+    lines[3] = lines[3].replace("2021-07-05", "2021-W27-1")
+    (data / "beta" / "prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data / "beta" / "prices.csv"
+
+
 def _huge_closes(data):
     # finite, positive closes whose training-span mean overflows float64
     lines = (data / "alpha" / "prices.csv").read_text(encoding="utf-8").splitlines()
@@ -381,6 +390,7 @@ def _stock_id(sid):
 # case -> (edit of the toy data directory returning the path the error must name, config text, message)
 BAD_INPUTS = {
     "non-numeric-close": (_bad_close, "", ":4: bad close 'abc'"),
+    "date-not-in-yyyy-mm-dd-form": (_week_date, "", ":4: bad date '2021-W27-1': not in YYYY-MM-DD form"),
     "closes-overflow-the-price-scaler": (_huge_closes, "", ": closes overflow float64 when scaled"),
     "duplicate-stock": (lambda data: _names_edit(data, lambda rows: [*rows, rows[0]]), "",
                         ":3: duplicate stock id 'alpha'"),

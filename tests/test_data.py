@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import hashlib
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +19,9 @@ from datagen import (
     write_names,
     write_prices,
 )
+from oracles import news_per_file
 from snfuse.data import (
+    NEWS_MAGIC,
     fit_scaler,
     load_contexts,
     load_news_day,
@@ -63,6 +67,16 @@ def test_load_prices_nonpositive_close(tmp_path):
     path.write_text("date,close\n2021-07-01,-5\n")
     with pytest.raises(ValueError, match="positive"):
         load_prices(path)
+
+
+@pytest.mark.parametrize("day", ["20210702", "2021-W26-5"])
+def test_load_prices_refuses_a_date_not_in_yyyy_mm_dd_form(tmp_path, day):
+    # date.fromisoformat reads both as 2021-07-02, and no news file would be found under them
+    path = tmp_path / "prices.csv"
+    path.write_text(f"date,close\n2021-07-01,100\n{day},101\n")
+    with pytest.raises(DataFormatError) as err:
+        load_prices(path)
+    assert str(err.value) == f"{path}:3: bad date '{day}': not in YYYY-MM-DD form"
 
 
 def test_load_prices_1018_day_file(tmp_path):
@@ -116,8 +130,6 @@ def test_news_truncated_payload(tmp_path):
 def test_news_nonfinite_rejected(tmp_path):
     path = tmp_path / "x.emb"
     arr = np.array([[np.inf, 0.0]], dtype=np.float32)
-    import struct
-
     path.write_bytes(b"NEWSEMB1" + struct.pack("<II", 1, 2) + arr.tobytes())
     with pytest.raises(DataFormatError, match="non-finite"):
         load_news_day(path)
@@ -311,13 +323,15 @@ def test_prepare_dataset_round_trip_manifest(tmp_path):
 def test_prepare_reads_each_news_file_once_and_hashes_those_bytes(tmp_path, monkeypatch):
     root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=3)
     reads = []
-    real = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or real(path))
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs: reads.append(Path(file).name)
+                        or real_open(file, *args, **kwargs))
     text = manifest_text(prepare_dataset(root, t_window=8, horizon=1))
+    monkeypatch.undo()
     news = sorted((root / "news").iterdir())
     assert news and sorted(name for name in reads if name.endswith(".emb")) == [path.name for path in news]
     for path in news:
-        assert f"file {hashlib.sha256(real(path)).hexdigest()} news/{path.name}\n" in text
+        assert f"file {hashlib.sha256(path.read_bytes()).hexdigest()} news/{path.name}\n" in text
 
 
 def test_manifest_detects_changed_data(tmp_path):
@@ -370,6 +384,112 @@ def test_missing_news_files_count_as_zero_days(tmp_path):
     ds = prepare_dataset(root, t_window=8, horizon=1)
     assert ds.missing_news_days == 90
     assert all(m.shape == (0, 4) for m in ds.news)
+
+
+def test_a_news_path_that_is_not_a_file_is_a_missing_day_only_where_nothing_is_there(tmp_path):
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=3, with_news=False)
+    (root / "news").write_bytes(b"")  # every day's path runs through a file
+    assert prepare_dataset(root, t_window=8, horizon=1).missing_news_days == 90
+    (root / "news").unlink()
+    loop = root / "news" / f"{trading_dates(90)[7]}.emb"
+    loop.parent.mkdir()
+    loop.symlink_to(loop)  # a link to itself, which Path.exists reads as no file too
+    assert prepare_dataset(root, t_window=8, horizon=1).missing_news_days == 90
+    (root / "news" / f"{trading_dates(90)[5]}.emb").mkdir()
+    with pytest.raises(IsADirectoryError):
+        prepare_dataset(root, t_window=8, horizon=1)
+
+
+@pytest.mark.parametrize("case", ["mixed", "no-training-article"])
+def test_prepare_dataset_news_is_the_per_file_path_bit_for_bit(tmp_path, case):
+    root = toy_dataset_dir(tmp_path / "data", n_days=90, dim=4, seed=11)  # 0-3 articles a day
+    dates, news = trading_dates(90), root / "news"
+    if case == "mixed":  # missing days in the training and test spans, empty days, and a crowded day
+        for i in (0, 5, 40, 80, 89):
+            (news / f"{dates[i]}.emb").unlink()
+        for i in (1, 2, 70):
+            write_news_day(news / f"{dates[i]}.emb", np.zeros((0, 4)))
+        write_news_day(news / f"{dates[30]}.emb", 1e3 * np.random.default_rng(0).normal(size=(40, 4)))
+    else:  # the scaler passes the news through
+        for i in range(63):  # every training day missing or empty
+            if i % 2:
+                (news / f"{dates[i]}.emb").unlink()
+            else:
+                write_news_day(news / f"{dates[i]}.emb", np.zeros((0, 4)))
+    ds = prepare_dataset(root, t_window=8, horizon=1)  # max_news 0, as with pooling none
+    expected, scaler, missing, hashes = news_per_file(root, dates, 4, ds.splits.train[1])
+    assert len(ds.news) == len(expected) == 90 and ds.missing_news_days == missing > 0
+    for got, want in zip(ds.news, expected):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert len({id(day) for day in ds.news}) == 90  # the model recognises a day by its array's identity
+    assert ds.news_scaler.mean.tobytes() == scaler.mean.tobytes()
+    assert ds.news_scaler.std.tobytes() == scaler.std.tobytes()
+    if case != "mixed":
+        assert (scaler.mean.tolist(), scaler.std.tolist()) == ([0.0] * 4, [1.0] * 4)
+    others = [pair for pair in ds.file_hashes if not pair[0].startswith("news/")]
+    per_file = dataclasses.replace(ds, news=expected, news_scaler=scaler, missing_news_days=missing,
+                                   file_hashes=sorted(others + hashes))
+    assert manifest_text(ds) == manifest_text(per_file)
+
+
+def _non_finite_day(path):
+    path.write_bytes(NEWS_MAGIC + struct.pack("<II", 1, 4) + np.array([0.0, np.nan, 0.0, 0.0], "<f4").tobytes())
+
+
+LATER_FAULTS = {
+    "bad-magic": (lambda path: path.write_bytes(b"NOTMAGIC" + bytes(8)), "bad magic b'NOTMAGIC'"),
+    "wrong-dim": (lambda path: write_news_day(path, np.ones((2, 7))), "embedding dim 7 != 4"),
+    "over-max-news": (lambda path: write_news_day(path, np.ones((9, 4))), "9 articles, more than max_news_per_day = 5"),
+}
+
+
+@pytest.mark.parametrize("fault,message", LATER_FAULTS.values(), ids=LATER_FAULTS.keys())
+def test_an_earlier_files_non_finite_payload_is_named_before_a_later_files_fault(tmp_path, fault, message):
+    root = toy_dataset_dir(tmp_path / "data", n_days=40, dim=4, seed=3)
+    dates = trading_dates(40)
+    later, earlier = root / "news" / f"{dates[30]}.emb", root / "news" / f"{dates[2]}.emb"
+    fault(later)
+    with pytest.raises(DataFormatError) as err:
+        prepare_dataset(root, t_window=8, horizon=1, max_news=5)
+    assert str(err.value).startswith(f"{later}: {message}")
+    _non_finite_day(earlier)
+    with pytest.raises(DataFormatError) as err:
+        prepare_dataset(root, t_window=8, horizon=1, max_news=5)
+    assert str(err.value) == f"{earlier}: payload contains non-finite floats"
+
+
+def test_a_files_faults_are_named_header_magic_size_non_finite_dim_then_max_news(tmp_path):
+    root = toy_dataset_dir(tmp_path / "data", n_days=40, dim=4, seed=3)
+    path = root / "news" / f"{trading_dates(40)[10]}.emb"
+    nan, ones = np.full((9, 7), np.nan, "<f4").tobytes(), np.ones((9, 7), "<f4").tobytes()
+    header = NEWS_MAGIC + struct.pack("<II", 9, 7)
+    cases = [  # each file has every fault of the cases below it
+        (NEWS_MAGIC[:5], "truncated header (5 bytes)"),
+        (b"NOTMAGIC" + header[8:] + nan[:-4], "bad magic"),
+        (header + nan[:-4], "payload is 264 bytes, expected 268 for n=9 d=7"),
+        (header + nan, "payload contains non-finite floats"),
+        (header + ones, "embedding dim 7 != 4"),
+        (NEWS_MAGIC + struct.pack("<II", 9, 4) + ones[: 9 * 4 * 4], "9 articles, more than max_news_per_day = 5"),
+    ]
+    for raw, message in cases:
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError) as err:
+            prepare_dataset(root, t_window=8, horizon=1, max_news=5)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_a_calendar_mismatch_is_named_after_every_news_error(tmp_path):
+    root = toy_dataset_dir(tmp_path / "data", n_days=40, dim=4, seed=3)
+    dates = trading_dates(40)
+    beta = root / "beta" / "prices.csv"
+    write_prices(beta, dates[:-1] + ["2021-12-31"], load_prices(beta)[1])
+    with pytest.raises(DataFormatError, match="^beta: trading calendar differs"):
+        prepare_dataset(root, t_window=8, horizon=1)
+    last = root / "news" / f"{dates[-1]}.emb"  # the last day of alpha's calendar, the one read
+    last.write_bytes(b"NOTMAGIC" + bytes(8))
+    with pytest.raises(DataFormatError) as err:
+        prepare_dataset(root, t_window=8, horizon=1)
+    assert str(err.value).startswith(f"{last}: bad magic")
 
 
 def test_mismatched_calendars_rejected(tmp_path):
