@@ -15,21 +15,27 @@ counts as a zero-news day.
 
 `prepare_dataset` handles the news as one block. It opens each day's file
 once, by path and with no stat first (a file that is absent counts as a
-zero-news day), runs the NEWSEMB1 checks that `load_news_day` runs, and
-appends the float32 payload to one buffer. The buffer becomes one float64
-`(articles, d)` array in one conversion; the news scaler is fit on the
-training days' leading rows of it, the array is scaled in place, and each
-day gets its own view of its rows.
+zero-news day), checks its header, magic, size, width and article count, and
+appends the float32 payload to one buffer. Finiteness is checked once, over
+the whole buffer, and a non-finite float is refused naming the first file
+that holds one; before a file's other fault is raised, the buffer read so far
+is checked the same way, so faults keep the order of a file-by-file read.
+The buffer becomes one float64 `(articles, d)` array in one conversion; the
+news scaler is fit on the training days' leading rows of it, the array is
+scaled in place, and each day gets its own view of its rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import errno
 import hashlib
 import io
 import math
+import operator
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -44,6 +50,7 @@ NEWS_MAGIC = b"NEWSEMB1"
 MANIFEST_HEADER = "SNFMANIFEST 1"
 _ID_FORBIDDEN = frozenset('/\\,"\0')
 _ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)  # what Path.exists reads as no file
+_ISO_DAYS = re.compile(r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*")  # YYYY-MM-DD dates, each ended by \n
 
 
 @dataclass
@@ -79,8 +86,6 @@ def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
     """The file's YYYY-MM-DD dates and closes, and the sha256 of its bytes."""
     path = Path(path)
     text, digest = read_utf8(path, newline="")
-    dates: list[str] = []
-    closes: list[float] = []
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -88,8 +93,38 @@ def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
     header = rows[0] if rows else None
     if header != ["date", "close"]:
         raise DataFormatError(f"{path}: expected header 'date,close', got {header}")
+    dates, closes = _price_columns(rows[1:]) or _price_rows(path, rows[1:])
+    return dates, closes, digest
+
+
+def _price_columns(rows: list[list[str]]) -> tuple[list[str], np.ndarray] | None:
+    """The dates and closes of the body rows when each column passes its checks at once, else None
+    (and None for no rows): two fields a row, YYYY-MM-DD dates of real days, strictly increasing,
+    finite positive closes."""
+    try:
+        dates = [day for day, _ in rows]
+        closes = np.fromiter(map(float, [close for _, close in rows]), np.float64, len(rows))
+        for _ in map(_date.fromisoformat, dates):  # refuses 2021-02-30 and 0000-01-01, which the pattern fits
+            pass
+    except ValueError:  # a row without two fields, a close float() refuses, or a date that is no day
+        return None
+    column = "\n".join(dates) + "\n"
+    if len(column) != 11 * len(dates) or not _ISO_DAYS.fullmatch(column):  # the length rules out a \n in a date
+        return None
+    if not all(map(operator.lt, dates, dates[1:])):  # YYYY-MM-DD strings sort as their days do
+        return None
+    if not (np.isfinite(closes).all() and (closes > 0.0).all()):
+        return None
+    return dates, closes
+
+
+def _price_rows(path: Path, rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """The dates and closes of the body rows, checked row by row: the first bad row's first fault is
+    refused, naming its line."""
+    dates: list[str] = []
+    closes: list[float] = []
     prev: _date | None = None
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
         try:
@@ -112,12 +147,12 @@ def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:
             raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
         dates.append(row[0])
         closes.append(close)
-    return dates, np.asarray(closes, dtype=np.float64), digest
+    return dates, np.asarray(closes, dtype=np.float64)
 
 
 def _news_rows(path: str | Path, raw: bytes) -> np.ndarray:
     """The (n, d) float32 rows of a NEWSEMB1 file's bytes, read from path; checked in this order:
-    a whole header, the magic, the size n and d give, finite values."""
+    a whole header, the magic, the size n and d give. Their finiteness is the caller's to check."""
     if len(raw) < 16:
         raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
     if raw[:8] != NEWS_MAGIC:
@@ -126,17 +161,26 @@ def _news_rows(path: str | Path, raw: bytes) -> np.ndarray:
     expected = 16 + 4 * n * d
     if len(raw) != expected:
         raise DataFormatError(f"{path}: payload is {len(raw)} bytes, expected {expected} for n={n} d={d}")
-    values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16)
-    if not np.isfinite(values).all():
-        raise DataFormatError(f"{path}: payload contains non-finite floats")
-    return values.reshape(n, d)
+    return np.frombuffer(raw, dtype="<f4", count=n * d, offset=16).reshape(n, d)
+
+
+def _refuse_non_finite(payload: bytearray | np.ndarray, ends: list[int], paths: list[str | Path]) -> None:
+    """Refuse the float32 payload of the files paths[i] joined, file i's ending at byte ends[i], if it
+    holds a non-finite float, naming the first file that does."""
+    values = np.frombuffer(payload, dtype="<f4")
+    # min and max pass a NaN on and meet any infinity, with no temporary the payload's size
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        first = bisect.bisect_right(ends, 4 * int(np.argmin(np.isfinite(values))))
+        raise DataFormatError(f"{paths[first]}: payload contains non-finite floats")
 
 
 def load_news_day(path: str | Path) -> tuple[np.ndarray, str]:
     """The day's (n, d) article embeddings (n may be 0), and the sha256 of the file's bytes."""
     path = Path(path)
     raw = path.read_bytes()
-    return _news_rows(path, raw).astype(np.float64), hashlib.sha256(raw).hexdigest()
+    rows = _news_rows(path, raw)
+    _refuse_non_finite(rows, [rows.nbytes], [path])
+    return rows.astype(np.float64), hashlib.sha256(raw).hexdigest()
 
 
 def write_news_day(path: str | Path, embeddings: np.ndarray) -> None:
@@ -266,7 +310,7 @@ class PreparedDataset:
         w = sample.window_days
         t = sample.target_days
         prices = rec.closes_norm[w.start : w.stop]
-        news = [self.news[i] for i in w]
+        news = self.news[w.start : w.stop]
         target = rec.closes_norm[t.start : t.stop]
         return prices, news, rec.name_embedding, target
 
@@ -323,7 +367,7 @@ def assemble_dataset(
     # a window's T input days and H target days sit inside one split; the others are skipped
     span = t_window + horizon
     samples = {
-        name: [WindowSample(stock_id=sid, start=start, t_window=t_window, horizon=horizon)
+        name: [WindowSample(sid, start, t_window, horizon)
                for sid in sorted(names) for start in range(lo, hi - span + 1)]
         for name, lo, hi in splits.as_list()
     }
@@ -377,27 +421,36 @@ def prepare_dataset(data_dir: str | Path, t_window: int, horizon: int, expect_di
     dates = calendars[min(names)]
     news_dir = root / "news"
     payload = bytearray()  # every file's float32 rows, in calendar order
+    ends: list[int] = []  # the payload's length after each file read
+    read: list[str] = []  # those files' paths
     counts: list[int] = []
     missing = 0
-    for day in dates:
-        path = f"{news_dir}{os.sep}{day}.emb"
-        try:
-            with open(path, "rb", buffering=0) as f:
-                raw = f.read()
-        except OSError as exc:
-            if exc.errno not in _ABSENT:
-                raise
-            missing += 1
-            counts.append(0)
-            continue
-        rows = _news_rows(path, raw)
-        if rows.shape[1] != dim:
-            raise DataFormatError(f"{path}: embedding dim {rows.shape[1]} != {dim}")
-        if max_news and rows.shape[0] > max_news:
-            raise DataFormatError(f"{path}: {rows.shape[0]} articles, more than max_news_per_day = {max_news}")
-        payload += memoryview(raw)[16:]
-        counts.append(rows.shape[0])
-        hashes.append((f"news/{day}.emb", hashlib.sha256(raw).hexdigest()))
+    try:
+        for day in dates:
+            path = f"{news_dir}{os.sep}{day}.emb"
+            try:
+                with open(path, "rb", buffering=0) as f:
+                    raw = f.read()
+            except OSError as exc:
+                if exc.errno not in _ABSENT:
+                    raise
+                missing += 1
+                counts.append(0)
+                continue
+            rows = _news_rows(path, raw)
+            payload += memoryview(raw)[16:]  # before the dim and max_news checks: its non-finite rows come first
+            ends.append(len(payload))
+            read.append(path)
+            if rows.shape[1] != dim:
+                raise DataFormatError(f"{path}: embedding dim {rows.shape[1]} != {dim}")
+            if max_news and rows.shape[0] > max_news:
+                raise DataFormatError(f"{path}: {rows.shape[0]} articles, more than max_news_per_day = {max_news}")
+            counts.append(rows.shape[0])
+            hashes.append((f"news/{day}.emb", hashlib.sha256(raw).hexdigest()))
+    except (DataFormatError, OSError):
+        _refuse_non_finite(payload, ends, read)  # an earlier file's non-finite float is named first
+        raise
+    _refuse_non_finite(payload, ends, read)
     news = np.frombuffer(payload, dtype="<f4").reshape(-1, dim).astype(np.float64)
     del payload  # the float32 copy goes before the scaler's temporaries come
 

@@ -271,7 +271,9 @@ def relu(a) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * mask)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), bw)
+    out = np.fmax(a.data, 0.0)  # NaN -> 0.0, as np.where(mask, a, 0.0) gives
+    out += 0.0  # -0.0 -> +0.0: fmax's scalar path (SIMD tails, short arrays) keeps -0.0
+    return _node(out, (a,), bw)
 
 
 def softmax_rows(a) -> Tensor:

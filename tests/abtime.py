@@ -32,7 +32,15 @@ one epoch), for a smoke test.
 tree a writes once. A round's time is a tree's fastest of 8 set-ups, each
 after a `gc.collect()`, as perfbench takes setup_s; the summary gives each
 tree's median setup_s in place of samples_per_s, and the run exits 1 if
-the trees' dataset manifests differ in any round.
+the trees' dataset manifests differ in any round. A last line for each
+tree gives the fastest time of each part of the set-up over every set-up
+timed, warm-up included, beside the fastest whole set-up: `load_contexts`,
+`load_prices` (its calls, one a stock, added up) and `assemble_dataset`, each
+timed by a wrapper that replaces it in the copied package; `news_read`, the
+rest of `prepare_dataset`; `ForecastModel`; and for an evaluation workload
+`load_checkpoint` and `apply_checkpoint`. Each part's fastest may come from
+another set-up, so the parts add up to no more than the whole, and the
+line shows where a set-up saving lands.
 
 On a host whose speed drifts, separate processes cannot resolve a 5%
 effect; interleaving both trees in one process can:
@@ -72,6 +80,7 @@ from workloads import WORKLOADS, generate, run_config  # noqa: E402
 
 NAMES = {"a": "snfuse_abtime_a", "b": "snfuse_abtime_b"}
 SETUPS = 8  # set-ups a --phase setup round times per tree, as perfbench's repeat does
+LOADERS = ("load_contexts", "load_prices", "assemble_dataset")  # what prepare_dataset calls besides the news read
 
 
 def load(src: Path, name: str, into: Path) -> dict:
@@ -118,18 +127,50 @@ def write_checkpoint(tree: dict, cfg, data_dir: Path, path: Path) -> None:
     tree["training"].save_checkpoint(path, tree["model"].ForecastModel(cfg, ds.dim), manifest_digest(tree, ds))
 
 
-def setup(tree: dict, w, cfg, data_dir: Path, checkpoint: Path) -> tuple[float, float, tuple]:
-    """(seconds, setup_s, (sha256 of the dataset manifest,)) of perfbench's set-up, the fastest of SETUPS."""
-    fastest = float("inf")
+def time_loaders(data) -> dict[str, float]:
+    """The seconds prepare_dataset spends in each loader it calls, added up over calls into the dict
+    returned, from wrappers that replace the loaders in the copied module data."""
+    spent = dict.fromkeys(LOADERS, 0.0)
+    for name in LOADERS:
+        def timed(*args, _loader=getattr(data, name), _name=name, **kwargs):
+            start = time.perf_counter()
+            try:
+                return _loader(*args, **kwargs)
+            finally:
+                spent[_name] += time.perf_counter() - start
+        setattr(data, name, timed)
+    return spent
+
+
+def setup(tree: dict, w, cfg, data_dir: Path, checkpoint: Path, spent: dict,
+          fastest: dict) -> tuple[float, float, tuple]:
+    """(seconds, setup_s, (sha256 of the dataset manifest,)) of perfbench's set-up, the fastest of SETUPS.
+    spent is time_loaders' dict for tree; fastest keeps each part's fastest seconds over every set-up of
+    every call, and the fastest whole set-up's under "total"."""
+    round_fastest = float("inf")
     for _ in range(SETUPS):
         gc.collect()
+        for name in spent:
+            spent[name] = 0.0
         start = time.perf_counter()
         ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+        prepared = time.perf_counter()
         model = tree["model"].ForecastModel(cfg, ds.dim)
+        built = loaded = time.perf_counter()
         if w.kind == "eval":
-            tree["training"].apply_checkpoint(model, tree["training"].load_checkpoint(checkpoint))
-        fastest = min(fastest, time.perf_counter() - start)
-    return fastest, fastest, (manifest_digest(tree, ds),)
+            state = tree["training"].load_checkpoint(checkpoint)
+            loaded = time.perf_counter()
+            tree["training"].apply_checkpoint(model, state)
+        end = time.perf_counter()
+        parts = {"load_contexts": spent["load_contexts"], "load_prices": spent["load_prices"],
+                 "news_read": prepared - start - sum(spent.values()), "assemble_dataset": spent["assemble_dataset"],
+                 "ForecastModel": built - prepared, "total": end - start}
+        if w.kind == "eval":
+            parts.update(load_checkpoint=loaded - built, apply_checkpoint=end - loaded)
+        for name, seconds in parts.items():
+            fastest[name] = min(fastest.get(name, seconds), seconds)
+        round_fastest = min(round_fastest, end - start)
+    return round_fastest, round_fastest, (manifest_digest(tree, ds),)
 
 
 def rounds_of(measure, w, rounds: int, figure: str) -> bool:
@@ -175,13 +216,21 @@ def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool =
                 checkpoint = tmp / "checkpoint.snf"
                 if w.kind == "eval":
                     write_checkpoint(trees["a"], cfgs["a"], data_dir, checkpoint)
+                spent = {k: time_loaders(tree["data"]) for k, tree in trees.items()}
+                fastest = {"a": {}, "b": {}}
 
                 def measure(k, warm_up):
-                    return setup(trees[k], w, cfgs[k], data_dir, checkpoint)
+                    return setup(trees[k], w, cfgs[k], data_dir, checkpoint, spent[k], fastest[k])
             else:
                 def measure(k, warm_up):
                     return phase(trees[k], dataclasses.replace(w, epochs=1) if warm_up else w, cfgs[k], data_dir)
             differ = rounds_of(measure, w, rounds, "setup_s" if phase_name == "setup" else "samples_per_s")
+            if phase_name == "setup":
+                for k, parts in fastest.items():
+                    total = parts.pop("total")
+                    print(f"{w.name}: {k} fastest set-up parts, ms: "
+                          + " ".join(f"{name} {1e3 * seconds:.4f}" for name, seconds in parts.items())
+                          + f"; whole set-up {1e3 * total:.4f}")
         finally:
             sys.path[:] = paths
             for mod in [m for m in sys.modules if m.split(".")[0] in NAMES.values()]:

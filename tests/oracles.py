@@ -13,16 +13,24 @@ each moment its own array; the flat update must match it bit for bit.
 
 `news_per_file` is the news path `prepare_dataset` took file by file; its
 one-block path must match it bit for bit.
+
+`load_prices_per_row` is `load_prices` as one loop over the rows, each
+checked in turn; the column-at-a-time loader must return what it returns,
+or refuse with the same message.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from snfuse.data import Scaler, fit_scaler, load_news_day
+from snfuse.errors import DataFormatError, read_utf8
 from snfuse.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from snfuse.tensor import Tensor, _accumulate, _node, as_tensor
 
@@ -80,6 +88,46 @@ def news_per_file(root: Path, dates: list[str], dim: int, train_hi: int):
     train = [m for m in raw[:train_hi] if m.shape[0] > 0]
     scaler = fit_scaler(np.concatenate(train, axis=0), "news") if train else Scaler(np.zeros(dim), np.ones(dim))
     return [scaler.transform(m) if m.shape[0] else m for m in raw], scaler, missing, hashes
+
+
+def load_prices_per_row(path: str | Path) -> tuple[list[str], np.ndarray, str]:
+    """The file's YYYY-MM-DD dates and closes, and the sha256 of its bytes, checked row by row."""
+    path = Path(path)
+    text, digest = read_utf8(path, newline="")
+    dates: list[str] = []
+    closes: list[float] = []
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["date", "close"]:
+        raise DataFormatError(f"{path}: expected header 'date,close', got {header}")
+    prev: date | None = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        try:
+            day = date.fromisoformat(row[0])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad date '{row[0]}': {exc}") from exc
+        if day.isoformat() != row[0]:
+            raise DataFormatError(f"{path}:{lineno}: bad date '{row[0]}': not in YYYY-MM-DD form")
+        if prev is not None:
+            if day == prev:
+                raise DataFormatError(f"{path}:{lineno}: duplicate date {row[0]}")
+            if day < prev:
+                raise DataFormatError(f"{path}:{lineno}: dates not increasing at {row[0]}")
+        prev = day
+        try:
+            close = float(row[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad close '{row[1]}'") from exc
+        if not math.isfinite(close) or close <= 0.0:
+            raise DataFormatError(f"{path}:{lineno}: close must be finite and positive, got {row[1]}")
+        dates.append(row[0])
+        closes.append(close)
+    return dates, np.asarray(closes, dtype=np.float64), digest
 
 
 def softmax_vec(logits):

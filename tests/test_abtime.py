@@ -47,6 +47,15 @@ def test_the_setup_phase_times_both_trees_and_fails_when_their_manifests_differ(
     assert setup_s and all(0.0 < float(s) < 5.0 for s in setup_s.groups()), out
     assert re.search(rf"^{name}: b/a quartiles \S+ \S+; sign test p \S+ \(two-sided, 2 untied rounds\)$", out,
                      re.MULTILINE)
+    parts = ["load_contexts", "load_prices", "news_read", "assemble_dataset", "ForecastModel"]
+    parts += ["load_checkpoint", "apply_checkpoint"] if name == "news_eval" else []
+    for tree in "ab":
+        line = re.search(rf"^{name}: {tree} fastest set-up parts, ms: (.*); whole set-up (\S+)$", out, re.MULTILINE)
+        assert line, out
+        fields = line.group(1).split()
+        assert fields[::2] == parts
+        ms = [float(v) for v in fields[1::2]]
+        assert min(ms) >= 0.0 and sum(ms) <= float(line.group(2)) + 5e-5 * (len(ms) + 1)  # each rounded to 1e-4
 
     changed = tmp_path / "src"
     shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))

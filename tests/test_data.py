@@ -377,6 +377,8 @@ def test_window_dates_immediately_precede_target(tmp_path):
         for s in split:
             window_dates = [ds.dates[i] for i in s.window_days]
             assert window_dates == ds.dates[s.target_days.start - 8 : s.target_days.start]
+            news = ds.sample_arrays(s)[1]  # the model recognises a day by its array's identity
+            assert len(news) == 8 and all(day is ds.news[i] for day, i in zip(news, s.window_days))
 
 
 def test_missing_news_files_count_as_zero_days(tmp_path):
@@ -456,6 +458,26 @@ def test_an_earlier_files_non_finite_payload_is_named_before_a_later_files_fault
     with pytest.raises(DataFormatError) as err:
         prepare_dataset(root, t_window=8, horizon=1, max_news=5)
     assert str(err.value) == f"{earlier}: payload contains non-finite floats"
+
+
+def test_the_first_news_file_holding_a_non_finite_float_is_named(tmp_path):
+    root = toy_dataset_dir(tmp_path / "data", n_days=40, dim=4, seed=3)
+    dates = trading_dates(40)
+    news = root / "news"
+    (news / f"{dates[9]}.emb").unlink()
+    write_news_day(news / f"{dates[10]}.emb", np.zeros((0, 4)))
+    for i, value in ((30, -np.inf), (12, np.nan), (11, np.inf)):  # each file earlier than the ones before
+        rows = np.ones((3, 4), "<f4")
+        rows.flat[-1 if i == 12 else 0] = value  # the first float after an empty day's, or a file's last
+        (news / f"{dates[i]}.emb").write_bytes(NEWS_MAGIC + struct.pack("<II", 3, 4) + rows.tobytes())
+        with pytest.raises(DataFormatError) as err:
+            prepare_dataset(root, t_window=8, horizon=1)
+        assert str(err.value) == f"{news / dates[i]}.emb: payload contains non-finite floats"
+    for i in (12, 30):  # day 11's +inf alone, as day 30's -inf was at first
+        (news / f"{dates[i]}.emb").unlink()
+    with pytest.raises(DataFormatError) as err:
+        prepare_dataset(root, t_window=8, horizon=1)
+    assert str(err.value) == f"{news / dates[11]}.emb: payload contains non-finite floats"
 
 
 def test_a_files_faults_are_named_header_magic_size_non_finite_dim_then_max_news(tmp_path):

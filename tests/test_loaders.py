@@ -8,7 +8,10 @@ example counts are capped so the whole file runs in a few seconds.
 
 from __future__ import annotations
 
+import csv
+import io
 import struct
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datagen import checkpoint_bytes, toy_dataset_dir
+from oracles import load_prices_per_row
 from snfuse.cli import main
 from snfuse.config import load_config
 from snfuse.data import NEWS_MAGIC, load_contexts, load_news_day, load_prices
@@ -132,7 +136,77 @@ def test_fuzz_load_contexts(scratch, content):
     _load_or_refuse(load_contexts, scratch / "names.tsv", content)
 
 
+PRICE_LINES = _text_lines("date,close0123456789-.+einf\"\r\x00 ", ["date,close", "2021-07-01,100"])
+
+
 @FUZZ
-@given(content=_text_lines("date,close0123456789-.+einf\"\r\x00 ", ["date,close", "2021-07-01,100"]))
+@given(content=PRICE_LINES)
 def test_fuzz_load_prices(scratch, content):
     _load_or_refuse(load_prices, scratch / "prices.csv", content)
+
+
+PRICE_FAULTS = (
+    [("date", day) for day in ["20210702", "2021-W26-5", "２０２１-07-02", "2021-07-0\u0662", "0000-01-01",
+                               "2021-02-30", "2021-7-01", " 2021-07-02", "2021-07-02\n2021-07-03", "2021,07,02", ""]]
+    + [("close", close) for close in ["nan", "inf", "-inf", "1e400", "1e-400", "0", "-0", "-2", " 3 ", "1_000",
+                                      "\u0661\u0662", "abc", "", "1,5", "4\n5"]]
+    + [("step", 0), ("step", -1)]  # a duplicate date, a decreasing one
+    + [("fields", 0), ("fields", 1), ("fields", 3)]
+)
+
+
+def _prices_file(closes: list[float], faults: list[tuple[int, tuple]], quote_all: bool, line_end: str) -> bytes:
+    """A prices.csv of closes on consecutive days from 2021-07-01, each row written by csv.writer with
+    line_end, every field quoted or only those that need it; each fault (row, (kind, value)) gives row
+    number row modulo the rows another date or close, a date step days after the last one's, or its
+    first value fields of [date, close, "x"]."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL, lineterminator=line_end)
+    writer.writerow(["date", "close"])
+    fault_at = {row % len(closes): fault for row, fault in faults} if closes else {}
+    day = date(2021, 6, 30)
+    for i, close in enumerate(closes):
+        kind, value = fault_at.get(i, (None, None))
+        day += timedelta(days=value if kind == "step" else 1)
+        row = [value if kind == "date" else day.isoformat(), value if kind == "close" else repr(close), "x"]
+        writer.writerow(row[: value if kind == "fields" else 2])
+    return out.getvalue().encode("utf-8")
+
+
+_FAULT = st.tuples(st.integers(-1, 11), st.sampled_from(PRICE_FAULTS))
+PRICE_FILES = st.builds(  # most with one fault, the only one the column checks meet
+    _prices_file,
+    st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), max_size=12),
+    st.lists(_FAULT, min_size=1, max_size=3) | st.lists(_FAULT, max_size=1),
+    st.booleans(),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+def _assert_loads_as_the_per_row_oracle(path, content: bytes) -> None:
+    """load_prices returns the per-row loader's dates, close bits and digest, or refuses with its message."""
+    path.write_bytes(content)
+
+    def outcome(loader):
+        try:
+            dates, closes, digest = loader(path)
+        except DataFormatError as exc:
+            return str(exc)
+        return dates, closes.dtype, closes.shape, closes.tobytes(), digest
+
+    assert outcome(load_prices) == outcome(load_prices_per_row), content
+
+
+def test_load_prices_refuses_each_fault_in_each_place_as_the_per_row_oracle_does(scratch):
+    for fault in PRICE_FAULTS:
+        for row in (0, 2, -1):  # the first, a middle and the last of five rows
+            for quote_all in (False, True):
+                for line_end in ("\n", "\r\n"):
+                    content = _prices_file([1.0, 2.5, 5e-324, 0.5, 7.25], [(row, fault)], quote_all, line_end)
+                    _assert_loads_as_the_per_row_oracle(scratch / "prices.csv", content)
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=PRICE_FILES | PRICE_LINES)
+def test_load_prices_returns_or_refuses_as_the_per_row_oracle_does(scratch, content):
+    _assert_loads_as_the_per_row_oracle(scratch / "prices.csv", content)

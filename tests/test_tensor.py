@@ -288,6 +288,24 @@ def test_broadcast_add_bias_gradient():
     np.testing.assert_array_equal(grads["b"], [3.0, 3.0])
 
 
+RELU_EDGES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+
+
+def test_relu_gives_the_bits_of_keeping_the_positive_values_and_zero_elsewhere():
+    def expected(x):
+        return np.where(x > 0, x, 0.0).tobytes()
+
+    for length in range(1, 21):  # numpy's short-array and SIMD-tail paths, which handle -0.0 apart
+        base = np.resize(np.array(RELU_EDGES), length)
+        for at in range(length):
+            for value in RELU_EDGES:
+                x = base.copy()
+                x[at] = value
+                assert relu(Tensor(x)).data.tobytes() == expected(x), (length, at, value)
+    strided = np.resize(np.array(RELU_EDGES), (7, 9)).T[::2, 1:]
+    assert relu(Tensor(strided)).data.tobytes() == expected(strided)
+
+
 def test_forward_purity_bit_identical():
     rng = np.random.default_rng(5)
     x = rng.uniform(-2, 2, size=(4, 4))
