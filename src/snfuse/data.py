@@ -51,6 +51,7 @@ MANIFEST_HEADER = "SNFMANIFEST 1"
 _ID_FORBIDDEN = frozenset('/\\,"\0')
 _ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)  # what Path.exists reads as no file
 _ISO_DAYS = re.compile(r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*")  # YYYY-MM-DD dates, each ended by \n
+SCALER_BLOCK = 512  # rows whose deviations fit_scaler holds at once
 
 
 @dataclass
@@ -70,16 +71,31 @@ class Scaler:
 
 
 def fit_scaler(values: np.ndarray, modality: str) -> Scaler:
-    """Arithmetic mean and population standard deviation (divide by N).
+    """Arithmetic mean and population standard deviation (divide by N), the bits of
+    `arr.mean(axis=0)` and `arr.std(axis=0)`.
 
-    1-D input gives scalar statistics; 2-D input gives per-column ones.
+    1-D input gives scalar statistics; 2-D input gives per-column ones. A C-ordered 2-D input with
+    two columns or more and over SCALER_BLOCK rows sums its squared deviations SCALER_BLOCK rows at
+    a time, under a row of the sums so far, so the full deviation array is never built; numpy sums
+    such an array's axis 0 in row order, so the bits are `std`'s. The rest go to `std`: a single
+    column and 1-D input, which numpy sums pairwise; one block or less, where blocks save nothing;
+    and other memory orders, on which the blocked sum's bits were never checked.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"cannot fit {modality} scaler on an empty span")
     if arr.ndim > 2:
         raise ValueError(f"scaler input must be 1-D or 2-D, got shape {arr.shape}")
-    return Scaler(mean=arr.mean(axis=0), std=arr.std(axis=0))
+    mean = arr.mean(axis=0)
+    n, d = arr.shape if arr.ndim == 2 else (arr.size, 1)
+    if n <= SCALER_BLOCK or d == 1 or not arr.flags.c_contiguous:
+        return Scaler(mean=mean, std=arr.std(axis=0))
+    sums = np.zeros((SCALER_BLOCK + 1, d))  # row 0: the squared deviations summed so far
+    for lo in range(0, n, SCALER_BLOCK):
+        block = sums[: 1 + min(SCALER_BLOCK, n - lo)]
+        np.square(np.subtract(arr[lo : lo + SCALER_BLOCK], mean, out=block[1:]), out=block[1:])
+        sums[0] = block.sum(axis=0)
+    return Scaler(mean=mean, std=np.sqrt(sums[0] / n))
 
 
 def load_prices(path: str | Path) -> tuple[list[str], np.ndarray, str]:

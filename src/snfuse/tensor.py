@@ -396,7 +396,7 @@ def attention(q, k, v, n_heads: int, split: bool = True) -> Tensor:
 
     qh = np.ascontiguousarray(heads(q.data, windows))
     kh, vh = (np.ascontiguousarray(heads(t.data, keys)) for t in (k, v))
-    kt = kh.swapaxes(2, 3).copy()
+    kt = kh.swapaxes(2, 3).copy()  # the tape's bits: a view's product differs (8470 of 12800 at (32, 20, 64))
     y = _softmax_forward(np.matmul(qh, kt) * c, "softmax_rows")
 
     def bw(g):

@@ -40,7 +40,11 @@ timed by a wrapper that replaces it in the copied package; `news_read`, the
 rest of `prepare_dataset`; `ForecastModel`; and for an evaluation workload
 `load_checkpoint` and `apply_checkpoint`. Each part's fastest may come from
 another set-up, so the parts add up to no more than the whole, and the
-line shows where a set-up saving lands.
+line shows where a set-up saving lands. After the timed rounds, each tree
+runs one more, untimed set-up under tracemalloc, and a line gives its
+traced peak in MB (2**20 bytes, the unit of perfbench's peak_rss_mb): what
+the set-up's Python and numpy allocations hold at most at once, without the
+allocator's layout that moves the process's maxrss.
 
 On a host whose speed drifts, separate processes cannot resolve a 5%
 effect; interleaving both trees in one process can:
@@ -69,6 +73,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
@@ -173,6 +178,20 @@ def setup(tree: dict, w, cfg, data_dir: Path, checkpoint: Path, spent: dict,
     return round_fastest, round_fastest, (manifest_digest(tree, ds),)
 
 
+def traced_peak_mb(tree: dict, w, cfg, data_dir: Path, checkpoint: Path) -> float:
+    """tracemalloc's peak over one untimed set-up of tree, in MB of 2**20 bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+        model = tree["model"].ForecastModel(cfg, ds.dim)
+        if w.kind == "eval":
+            tree["training"].apply_checkpoint(model, tree["training"].load_checkpoint(checkpoint))
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def rounds_of(measure, w, rounds: int, figure: str) -> bool:
     """Print every round of measure(tree key, warm-up?) -> (seconds, figure, outputs) and the summary;
     True when the trees' outputs differ in some round."""
@@ -231,6 +250,9 @@ def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool =
                     print(f"{w.name}: {k} fastest set-up parts, ms: "
                           + " ".join(f"{name} {1e3 * seconds:.4f}" for name, seconds in parts.items())
                           + f"; whole set-up {1e3 * total:.4f}")
+                for k, tree in trees.items():
+                    peak = traced_peak_mb(tree, w, cfgs[k], data_dir, checkpoint)
+                    print(f"{w.name}: {k} traced set-up peak {peak:.3f} MB")
         finally:
             sys.path[:] = paths
             for mod in [m for m in sys.modules if m.split(".")[0] in NAMES.values()]:

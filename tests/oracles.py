@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snfuse.data import Scaler, fit_scaler, load_news_day
+from snfuse.data import Scaler, load_news_day
 from snfuse.errors import DataFormatError, read_utf8
 from snfuse.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from snfuse.tensor import Tensor, _accumulate, _node, as_tensor
@@ -74,7 +74,7 @@ def adam_per_tensor(params, grads, m, v, step: int, lr: float) -> None:
 def news_per_file(root: Path, dates: list[str], dim: int, train_hi: int):
     """(per-day scaled news, news scaler, missing days, [(news/<day>.emb, sha256)]) of data directory root,
     read file by file: load_news_day on each day's file that exists (a missing one a (0, dim) day), the
-    scaler fit on the training days' articles joined, then Scaler.transform day by day."""
+    scaler numpy's mean and std of the training days' articles joined, then Scaler.transform day by day."""
     raw, missing, hashes = [], 0, []
     for day in dates:
         path = root / "news" / f"{day}.emb"
@@ -86,7 +86,11 @@ def news_per_file(root: Path, dates: list[str], dim: int, train_hi: int):
             missing += 1
             raw.append(np.zeros((0, dim)))
     train = [m for m in raw[:train_hi] if m.shape[0] > 0]
-    scaler = fit_scaler(np.concatenate(train, axis=0), "news") if train else Scaler(np.zeros(dim), np.ones(dim))
+    if train:
+        joined = np.concatenate(train, axis=0)
+        scaler = Scaler(joined.mean(axis=0), joined.std(axis=0))
+    else:
+        scaler = Scaler(np.zeros(dim), np.ones(dim))
     return [scaler.transform(m) if m.shape[0] else m for m in raw], scaler, missing, hashes
 
 

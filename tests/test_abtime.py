@@ -56,6 +56,7 @@ def test_the_setup_phase_times_both_trees_and_fails_when_their_manifests_differ(
         assert fields[::2] == parts
         ms = [float(v) for v in fields[1::2]]
         assert min(ms) >= 0.0 and sum(ms) <= float(line.group(2)) + 5e-5 * (len(ms) + 1)  # each rounded to 1e-4
+        assert 0.0 < float(re.search(rf"^{name}: {tree} traced set-up peak (\S+) MB$", out, re.MULTILINE).group(1))
 
     changed = tmp_path / "src"
     shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))
@@ -67,3 +68,20 @@ def test_the_setup_phase_times_both_trees_and_fails_when_their_manifests_differ(
     assert abtime.main([*args, "--b", str(changed), "--rounds", "1"]) == 1
     out = capsys.readouterr().out
     assert "outputs differ" in out and "the trees' dataset manifests differ" in out
+
+
+def test_the_setup_phase_reports_each_trees_traced_peak(tmp_path, capsys):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))
+    data = changed / "snfuse" / "data.py"
+    data.write_text(data.read_text(encoding="utf-8") + (
+        "\n\n_prepare = prepare_dataset\n\n\n"
+        "def prepare_dataset(*args, **kwargs):\n"
+        "    np.ones(2**20)  # 8 MB, freed at once\n"
+        "    return _prepare(*args, **kwargs)\n"), encoding="utf-8")
+    args = ["run", "--a", str(SRC), "--b", str(changed), "--workload", "signal_train", "--tiny", "--phase", "setup"]
+    assert abtime.main([*args, "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    peak = {tree: float(re.search(rf"^signal_train: {tree} traced set-up peak (\S+) MB$", out, re.MULTILINE).group(1))
+            for tree in "ab"}
+    assert 0.0 < peak["a"] < 4.0 and peak["b"] >= 8.0, out

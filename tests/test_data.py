@@ -22,6 +22,7 @@ from datagen import (
 from oracles import news_per_file
 from snfuse.data import (
     NEWS_MAGIC,
+    SCALER_BLOCK,
     fit_scaler,
     load_contexts,
     load_news_day,
@@ -182,6 +183,19 @@ def test_fit_scaler_constant_passthrough():
     np.testing.assert_array_equal(scaler.transform(np.array([4.0, 5.0])), [0.0, 1.0])  # centred, not divided
     news = fit_scaler(np.array([[1.0, 3.0], [3.0, 3.0]]), "news")  # the second dimension is constant
     np.testing.assert_array_equal(news.transform(np.array([[2.0, 3.0], [4.0, 5.0]])), [[0.0, 0.0], [2.0, 2.0]])
+
+
+_SCALER_ROWS = [1, SCALER_BLOCK, SCALER_BLOCK + 1, 7 * SCALER_BLOCK + 211]  # the last: several blocks, one partial
+
+
+@pytest.mark.parametrize("d,rows,order", [(d, rows, "C") for d in (1, 2, 8, 64) for rows in _SCALER_ROWS]
+                         + [(8, _SCALER_ROWS[-1], "F")])
+def test_fit_scaler_has_the_bits_of_numpys_mean_and_std(d, rows, order):
+    rng = np.random.default_rng([d, rows])
+    arr = np.asarray(rng.normal(3.0, 2.0, size=(rows, d)) * rng.uniform(0.1, 1e3, size=d), order=order)
+    scaler = fit_scaler(arr, "news")
+    assert scaler.mean.tobytes() == arr.mean(axis=0).tobytes()
+    assert scaler.std.tobytes() == arr.std(axis=0).tobytes()
 
 
 def test_fit_scaler_empty_rejected():
