@@ -63,15 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="snfuse", description=__doc__)
     parser.add_argument("--version", action="version", version=f"snfuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("prepare", "validate, scale, window, and split a data directory"),
-        ("train", "train a model against a prepared manifest"),
-        ("eval", "evaluate a checkpoint on the test split"),
-        ("ablate", "run the 8-row fusion-component ablation grid"),
-        ("gradcheck", "finite-difference check of the full gradient path"),
-        ("report", "emit per-stock predicted-vs-actual CSVs (and plots when available)"),
+    for name, handler, help_text in [
+        ("prepare", cmd_prepare, "validate, scale, window, and split a data directory"),
+        ("train", cmd_train, "train a model against a prepared manifest"),
+        ("eval", cmd_eval, "evaluate a checkpoint on the test split"),
+        ("ablate", cmd_ablate, "run the 8-row fusion-component ablation grid"),
+        ("gradcheck", cmd_gradcheck, "finite-difference check of the full gradient path"),
+        ("report", cmd_report, "emit per-stock predicted-vs-actual CSVs (and plots when available)"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         _add_common(p)
         if name != "gradcheck":
             p.add_argument("--data", type=Path, required=True, help="data directory")
@@ -229,18 +230,9 @@ def _maybe_plot(path: Path, stock: str, actual: np.ndarray, predicted: np.ndarra
     ax.set_ylabel("normalized close")
     ax.legend()
     fig.tight_layout()
-    fig.savefig(path, metadata={"Date": None})
+    with matplotlib.rc_context({"svg.hashsalt": "snfuse"}):  # unsalted, the SVG ids come from a fresh uuid4
+        fig.savefig(path, metadata={"Date": None})
     plt.close(fig)
-
-
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "gradcheck": cmd_gradcheck,
-    "report": cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -250,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](args, cfg)
+        code = args.handler(args, cfg)
         _record_run(args.out, cfg, args.command, started)
         return code
     except (DataFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:

@@ -83,17 +83,14 @@ def backward(loss: Tensor, params: ParamSet) -> dict[str, np.ndarray]:
 @dataclass
 class OptimState:
     """Adam's step count and moments, laid out once in id order: parameter pid is entries lo:hi of
-    flat_m and flat_v for its (pid, lo, hi) in layout, and m[pid] and v[pid] are views of them in its
-    shape; work holds a step's two scratch vectors. No parameter data is kept: each step reads the
-    parameters as they are."""
+    flat_m and flat_v for its (pid, lo, hi) in layout; work holds a step's two scratch vectors. No
+    parameter data is kept: each step reads the parameters as they are."""
 
     lr: float
     layout: list[tuple[str, int, int]]
     flat_m: np.ndarray
     flat_v: np.ndarray
     work: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     step: int = 0
 
 
@@ -101,10 +98,8 @@ def init_adam(params: ParamSet, lr: float) -> OptimState:
     ids = params.trainable_ids()
     ends = np.cumsum([0] + [params[pid].data.size for pid in ids]).tolist()
     layout = list(zip(ids, ends[:-1], ends[1:]))
-    flat_m, flat_v = np.zeros(ends[-1]), np.zeros(ends[-1])
-    views = [{pid: flat[lo:hi].reshape(params[pid].data.shape) for pid, lo, hi in layout} for flat in (flat_m, flat_v)]
-    return OptimState(lr=float(lr), layout=layout, flat_m=flat_m, flat_v=flat_v, work=np.empty((2, ends[-1])),
-                      m=views[0], v=views[1])
+    return OptimState(lr=float(lr), layout=layout, flat_m=np.zeros(ends[-1]), flat_v=np.zeros(ends[-1]),
+                      work=np.empty((2, ends[-1])))
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimState) -> None:
@@ -115,9 +110,9 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimState)
     never mutated. A gradient whose shape is not its parameter's is refused
     before any state changes.
     """
-    if grads.keys() != state.m.keys():
-        missing = sorted(state.m.keys() - grads.keys())
-        extra = sorted(grads.keys() - state.m.keys())
+    ids = {pid for pid, _, _ in state.layout}
+    if grads.keys() != ids:
+        missing, extra = sorted(ids - grads.keys()), sorted(grads.keys() - ids)
         raise ValueError(f"gradient map must cover exactly the trainable set; missing={missing} extra={extra}")
     tensors = [params[pid] for pid, _, _ in state.layout]
     for (pid, _, _), p in zip(state.layout, tensors):

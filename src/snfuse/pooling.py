@@ -49,8 +49,6 @@ import numpy as np
 from .errors import DataFormatError
 from .tensor import Tensor, _node, _softmax_backward, _softmax_forward, as_tensor, recorded
 
-VARIANTS = ("none", "ap", "cap", "sap", "pasap")
-
 # variant -> id of its single trainable tensor
 PARAM = {
     "ap": "pooling.ap.w",
@@ -58,6 +56,7 @@ PARAM = {
     "sap": "pooling.sap.w_s",
     "pasap": "pooling.pasap.w_p",
 }
+VARIANTS = ("none", *PARAM)
 
 
 @dataclass

@@ -10,6 +10,8 @@ and the gradient tests reduce an output to a scalar loss.
 
 `adam_per_tensor` is Adam's update as a loop over the trainable tensors,
 each moment its own array; the flat update must match it bit for bit.
+`adam_moments` reads each parameter's moments out of the flat update's
+state.
 
 `news_per_file` is the news path `prepare_dataset` took file by file; its
 one-block path must match it bit for bit.
@@ -69,6 +71,11 @@ def adam_per_tensor(params, grads, m, v, step: int, lr: float) -> None:
         v_hat = v[pid] / bc2
         p = params[pid]
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def adam_moments(state) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """pid -> (m, v) of every parameter an OptimState updates: its lo:hi entries of flat_m and flat_v."""
+    return {pid: (state.flat_m[lo:hi], state.flat_v[lo:hi]) for pid, lo, hi in state.layout}
 
 
 def news_per_file(root: Path, dates: list[str], dim: int, train_hi: int):

@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import io
 import json
 import re
@@ -309,20 +310,33 @@ def _report(tmp_path, common):
 def test_report_plots_the_first_step_of_each_stock_through_matplotlib(tmp_path, monkeypatch):
     common, _ = _prepared(tmp_path)
     plt = mock.MagicMock(name="pyplot")
-    figures = []
+    figures, rc, salts = [], {}, []
+
+    @contextlib.contextmanager
+    def rc_context(rc_params=None, fname=None):
+        saved = dict(rc)
+        rc.update(rc_params or {})
+        try:
+            yield
+        finally:
+            rc.clear()
+            rc.update(saved)
 
     def subplots(**kwargs):
         figures.append((mock.MagicMock(name="figure"), mock.MagicMock(name="axes")))
+        # unsalted, matplotlib's SVG ids come from a fresh uuid4, and two runs write different bytes
+        figures[-1][0].savefig.side_effect = lambda *args, **kwargs: salts.append(rc.get("svg.hashsalt"))
         return figures[-1]
 
     plt.subplots.side_effect = subplots
-    matplotlib = mock.MagicMock(name="matplotlib", pyplot=plt)
+    matplotlib = mock.MagicMock(name="matplotlib", pyplot=plt, rc_context=rc_context)
     monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
     monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
     out = _report(tmp_path, common)
 
     matplotlib.use.assert_called_with("Agg")
     assert len(figures) == 2
+    assert salts == ["snfuse", "snfuse"] and rc == {}
     assert [call.args[0] for call in plt.close.call_args_list] == [fig for fig, _ in figures]
     for stock, (fig, ax) in zip(["alpha", "beta"], figures):
         fig.savefig.assert_called_once_with(out / f"{stock}_predictions.svg", metadata={"Date": None})

@@ -1,6 +1,6 @@
-"""Every import in the package modules is used (the package __init__ re-exports), every
-function, class and method is named somewhere outside its own definition, and every attribute
-the benchmark wraps exists where it looks for it."""
+"""Every import in the package modules is used, the package root binds only its version,
+every function, class and method is named somewhere outside its own definition, and every
+attribute the benchmark wraps exists where it looks for it."""
 
 import ast
 import importlib
@@ -28,10 +28,20 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_the_package_root_binds_only_its_version():
+    # callers import from the modules, so a name the root binds would be a second path to it; the root's
+    # source runs in a fresh namespace, because the package object also holds every submodule imported
+    path = PACKAGE / "__init__.py"
+    namespace = {"__name__": "snfuse", "__package__": "snfuse"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    assert "__version__" in namespace
+    assert [name for name in namespace if not (name.startswith("__") and name.endswith("__"))] == []
 
 
 def _definitions(tree: ast.Module):

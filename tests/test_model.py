@@ -8,11 +8,10 @@ import snfuse.fusion
 import snfuse.model
 import snfuse.pooling
 from datagen import toy_dataset_dir
-from snfuse import mse_loss
 from snfuse.config import RunConfig
 from snfuse.data import prepare_dataset
 from snfuse.errors import DataFormatError
-from snfuse.model import PREDICT_ROWS, ForecastModel
+from snfuse.model import PREDICT_ROWS, ForecastModel, mse_loss
 from snfuse.optim import backward
 from snfuse.tensor import Tensor, grad_enabled
 from snfuse.training import ABLATION_ROWS, evaluate

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sum_all
+from oracles import adam_moments, sum_all
 from snfuse.fusion import shifted_sum
 from snfuse.errors import DimensionError, NumericError
 from snfuse.optim import (
@@ -185,8 +185,8 @@ def test_adam_step_counter_and_moment_shapes():
     for i in range(3):
         adam_step(params, {"w": np.ones((2, 3))}, state)
         assert state.step == i + 1
-    assert state.m["w"].shape == (2, 3)
-    assert state.v["w"].shape == (2, 3)
+    m, v = adam_moments(state)["w"]
+    assert m.shape == v.shape == (6,)  # one entry of each moment per entry of the (2, 3) w
 
 
 def test_adam_frozen_untouched_across_100_steps():
@@ -198,7 +198,7 @@ def test_adam_frozen_untouched_across_100_steps():
     for _ in range(100):
         adam_step(params, {"w": np.array([0.3])}, state)
     np.testing.assert_array_equal(frozen.data, before)
-    assert "frozen" not in state.m
+    assert "frozen" not in adam_moments(state)
 
 
 def test_adam_rejects_incomplete_gradient_map():
