@@ -51,10 +51,16 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def backward(self) -> None:
-        """Seed a scalar loss with gradient 1 and walk the tape once."""
+        """Seed a scalar loss with gradient 1 and walk the tape once.
+
+        Every node on the tape, leaves included, starts the walk with no
+        gradient, so walking one loss twice gives the same gradients twice.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
         order = _toposort(self)
+        for node in order:
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in order:
             if node._backward is not None and node.grad is not None:

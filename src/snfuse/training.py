@@ -104,8 +104,8 @@ def train(model: ForecastModel, ds: PreparedDataset, cfg: RunConfig) -> TrainRes
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}; first non-finite tensor: {_first_nonfinite(model)}"
                 )
-            grads = backward(loss, model.params)
-            adam_step(model.params, grads, state)
+            adam_step(model.params, backward(loss, model.params), state)
+            del loss  # the step's tape and gradients are freed before the next step's forward
 
         train_mse = _dataset_mse(model, train_resolved)
         val_mse = _dataset_mse(model, val_resolved)

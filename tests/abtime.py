@@ -20,9 +20,12 @@ the rounds, as perfbench defines it (train samples x epochs for a training
 workload, test samples for an evaluation one, over the phase's time). A
 second line gives the spread: the quartiles of the b/a ratios and the
 two-sided sign-test p-value of b's wins over the rounds that were not
-ties (scipy's binomtest at 1/2; 1 when every round tied). Then it
-exits 1 if the two trees' best validation MSE or test MSE differ in any
-round, else 0. --tiny shrinks the
+ties (scipy's binomtest at 1/2; 1 when every round tied). Then each
+tree runs the phase once more, untimed and under tracemalloc, on a fresh
+dataset and model built before tracing starts, and a line gives its
+traced peak in MB (as for --phase setup below): the most the phase's own
+allocations hold at once. The run exits 1 if the two trees' best
+validation MSE or test MSE differ in any round, else 0. --tiny shrinks the
 workload (2 stocks, 240 days, at most 3 articles a day of width at most 8,
 one epoch), for a smoke test.
 
@@ -86,6 +89,7 @@ from workloads import WORKLOADS, generate, run_config  # noqa: E402
 NAMES = {"a": "snfuse_abtime_a", "b": "snfuse_abtime_b"}
 SETUPS = 8  # set-ups a --phase setup round times per tree, as perfbench's repeat does
 LOADERS = ("load_contexts", "load_prices", "assemble_dataset")  # what prepare_dataset calls besides the news read
+PHASES = {"train": "train()", "eval": "evaluate()"}  # the phase timed for each kind of workload
 
 
 def load(src: Path, name: str, into: Path) -> dict:
@@ -178,18 +182,32 @@ def setup(tree: dict, w, cfg, data_dir: Path, checkpoint: Path, spent: dict,
     return round_fastest, round_fastest, (manifest_digest(tree, ds),)
 
 
-def traced_peak_mb(tree: dict, w, cfg, data_dir: Path, checkpoint: Path) -> float:
-    """tracemalloc's peak over one untimed set-up of tree, in MB of 2**20 bytes."""
+def traced_peak_mb(work) -> float:
+    """tracemalloc's peak over one call of work(), in MB of 2**20 bytes."""
     gc.collect()
     tracemalloc.start()
     try:
-        ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
-        model = tree["model"].ForecastModel(cfg, ds.dim)
-        if w.kind == "eval":
-            tree["training"].apply_checkpoint(model, tree["training"].load_checkpoint(checkpoint))
+        work()
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def setup_once(tree: dict, w, cfg, data_dir: Path, checkpoint: Path) -> None:
+    """perfbench's set-up, once: the dataset, the model and, for an evaluation workload, the checkpoint."""
+    ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+    model = tree["model"].ForecastModel(cfg, ds.dim)
+    if w.kind == "eval":
+        tree["training"].apply_checkpoint(model, tree["training"].load_checkpoint(checkpoint))
+
+
+def phase_once(tree: dict, w, cfg, data_dir: Path):
+    """A call that runs the workload's phase once on a fresh dataset and model, built before the call."""
+    ds = tree["data"].prepare_dataset(data_dir, cfg.t_window, cfg.horizon)
+    model = tree["model"].ForecastModel(cfg, ds.dim)
+    if w.kind == "train":
+        return lambda: tree["training"].train(model, ds, cfg)
+    return lambda: tree["training"].evaluate(model, ds)
 
 
 def rounds_of(measure, w, rounds: int, figure: str) -> bool:
@@ -251,8 +269,12 @@ def run(a: Path, b: Path, name: str, rounds: int, seed: int = 2081, tiny: bool =
                           + " ".join(f"{name} {1e3 * seconds:.4f}" for name, seconds in parts.items())
                           + f"; whole set-up {1e3 * total:.4f}")
                 for k, tree in trees.items():
-                    peak = traced_peak_mb(tree, w, cfgs[k], data_dir, checkpoint)
+                    peak = traced_peak_mb(lambda: setup_once(tree, w, cfgs[k], data_dir, checkpoint))
                     print(f"{w.name}: {k} traced set-up peak {peak:.3f} MB")
+            else:
+                for k, tree in trees.items():
+                    peak = traced_peak_mb(phase_once(tree, w, cfgs[k], data_dir))
+                    print(f"{w.name}: {k} traced {PHASES[w.kind]} peak {peak:.3f} MB")
         finally:
             sys.path[:] = paths
             for mod in [m for m in sys.modules if m.split(".")[0] in NAMES.values()]:

@@ -85,3 +85,21 @@ def test_the_setup_phase_reports_each_trees_traced_peak(tmp_path, capsys):
     peak = {tree: float(re.search(rf"^signal_train: {tree} traced set-up peak (\S+) MB$", out, re.MULTILINE).group(1))
             for tree in "ab"}
     assert 0.0 < peak["a"] < 4.0 and peak["b"] >= 8.0, out
+
+
+@pytest.mark.parametrize("name, phase", [("signal_train", "train"), ("news_eval", "evaluate")])
+def test_the_workload_phase_reports_each_trees_traced_peak(tmp_path, capsys, name, phase):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "snfuse", changed / "snfuse", ignore=shutil.ignore_patterns("__pycache__"))
+    training = changed / "snfuse" / "training.py"
+    training.write_text(training.read_text(encoding="utf-8") + (
+        f"\n\n_phase = {phase}\n\n\n"
+        f"def {phase}(*args, **kwargs):\n"
+        "    np.ones(2**20)  # 8 MB, freed at once\n"
+        "    return _phase(*args, **kwargs)\n"), encoding="utf-8")
+    args = ["run", "--a", str(SRC), "--b", str(changed), "--workload", name, "--tiny"]
+    assert abtime.main([*args, "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    peak = {tree: float(re.search(rf"^{name}: {tree} traced {phase}\(\) peak (\S+) MB$", out, re.MULTILINE).group(1))
+            for tree in "ab"}
+    assert 0.0 < peak["a"] < 4.0 and peak["b"] >= 8.0, out

@@ -122,6 +122,21 @@ def test_backward_sum_gives_ones():
     np.testing.assert_array_equal(grads["w"], np.ones(3))
 
 
+def test_walking_one_loss_twice_gives_the_leaf_gradients_of_the_first_walk():
+    # d/dw mean((x w)^2) = 2 w mean(x^2) = 2 * 3 * 6; a second walk that added onto the gradients the
+    # first left on every node read 144
+    params = ParamSet()
+    w = params.add("w", np.array([[3.0]]))
+    y = matmul(Tensor(np.array([[1.0], [1.0], [4.0]])), w)
+    loss = mean_all(mul(y, y))
+    loss.backward()
+    first = y.grad.copy()
+    np.testing.assert_array_equal(w.grad, [[36.0]])
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, [[36.0]])
+    np.testing.assert_array_equal(y.grad, first)
+
+
 def test_backward_requires_scalar_loss():
     params = ParamSet()
     w = params.add("w", np.array([1.0, 2.0]))

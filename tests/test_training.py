@@ -1,16 +1,25 @@
+import dataclasses
+import gc
 import math
+import sys
+import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import snfuse.training
-from datagen import checkpoint_bytes, signal_dataset
-from snfuse.config import RunConfig
-from snfuse.errors import DataFormatError
-from snfuse.model import ForecastModel, mse_loss
-from snfuse.tensor import concat
-from snfuse.training import EvalReport, load_checkpoint, multi_seed, save_checkpoint, train
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import snfuse.training  # noqa: E402
+from datagen import checkpoint_bytes, signal_dataset  # noqa: E402
+from snfuse.config import RunConfig  # noqa: E402
+from snfuse.data import prepare_dataset  # noqa: E402
+from snfuse.errors import DataFormatError  # noqa: E402
+from snfuse.model import ForecastModel, mse_loss  # noqa: E402
+from snfuse.tensor import concat  # noqa: E402
+from snfuse.training import EvalReport, load_checkpoint, multi_seed, save_checkpoint, train  # noqa: E402
+from workloads import WORKLOADS, generate, run_config  # noqa: E402
 
 
 def test_load_checkpoint_round_trips_hand_built_file(tmp_path):
@@ -124,3 +133,35 @@ def test_stacked_steps_train_the_checkpoint_that_window_by_window_steps_do(pooli
     monkeypatch.setattr(ForecastModel, "batch_loss", _loss_window_by_window)
     assert len(ds.samples["train"]) % cfg.batch_size == 1
     assert checkpoint("window_by_window.snf") == stacked
+
+
+def test_a_training_step_starts_with_nothing_left_of_the_step_before(tmp_path, monkeypatch):
+    # the previous step's loss and gradient map, kept bound through the next forward and backward, hold
+    # its whole tape: every activation and the .grad the walk left on each node
+    w = dataclasses.replace(WORKLOADS["signal_train"], n_days=120, epochs=1)
+    cfg = run_config(w)
+    ds = prepare_dataset(generate(w, 0, tmp_path / "data"), cfg.t_window, cfg.horizon)
+    model = ForecastModel(cfg, ds.dim)
+    step_arrays, alive = [], []
+    real_loss, real_backward = ForecastModel.batch_loss, snfuse.training.backward
+
+    def batch_loss(self, batch):
+        alive.append(sum(ref() is not None for ref in step_arrays))
+        loss = real_loss(self, batch)
+        step_arrays.append(weakref.ref(loss.data))
+        return loss
+
+    def backward(loss, params):
+        grads = real_backward(loss, params)
+        step_arrays.extend(weakref.ref(g) for g in grads.values())
+        return grads
+
+    monkeypatch.setattr(ForecastModel, "batch_loss", batch_loss)
+    monkeypatch.setattr(snfuse.training, "backward", backward)
+    gc.disable()  # freed as the names go, not by a later collection
+    try:
+        train(model, ds, cfg)
+    finally:
+        gc.enable()
+    assert len(alive) == math.ceil(len(ds.samples["train"]) / cfg.batch_size) > 1  # one epoch of steps
+    assert alive == [0] * len(alive)
